@@ -2,9 +2,17 @@
 //! table/figure campaign repeats thousands of times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nlh_campaign::{run_trial, BenchKind, SetupKind, TrialConfig};
-use nlh_core::{Microreboot, Microreset};
+use nlh_campaign::{
+    build_system, run_trial_with, BenchKind, SetupKind, TrialConfig, TrialResult, TrialRunOptions,
+};
+use nlh_core::{Microreboot, Microreset, RecoveryMechanism};
 use nlh_inject::FaultType;
+
+/// One cold-booted trial: boot construction plus the trial body.
+fn trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism) -> TrialResult {
+    let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+    run_trial_with(hv, &layout, cfg, mech, TrialRunOptions::default()).0
+}
 
 fn bench_failstop_trial(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign/trial");
@@ -19,7 +27,7 @@ fn bench_failstop_trial(c: &mut Criterion) {
                 FaultType::Failstop,
                 seed,
             );
-            run_trial(&cfg, &mech)
+            trial(&cfg, &mech)
         })
     });
     group.bench_function("one_appvm_failstop_rehype", |b| {
@@ -32,7 +40,7 @@ fn bench_failstop_trial(c: &mut Criterion) {
                 FaultType::Failstop,
                 seed,
             );
-            run_trial(&cfg, &mech)
+            trial(&cfg, &mech)
         })
     });
     group.bench_function("three_appvm_failstop_nilihype", |b| {
@@ -41,7 +49,7 @@ fn bench_failstop_trial(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let cfg = TrialConfig::new(SetupKind::ThreeAppVm, FaultType::Failstop, seed);
-            run_trial(&cfg, &mech)
+            trial(&cfg, &mech)
         })
     });
     group.finish();

@@ -9,32 +9,12 @@ use nlh_sim::{CpuId, DomId, PageNum, SimDuration, SimTime};
 fn bench_stepping(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/step");
     group.throughput(Throughput::Elements(10_000));
-    // Checked per-step loop, pooled program buffers (the default): what
-    // the trial loop drives while the injector counts micro-ops.
+    // Checked per-step loop: what the trial loop drives while the
+    // injector counts micro-ops.
     group.bench_function("10k_steps", |b| {
         b.iter_batched(
             || {
                 let mut hv = small_machine(7);
-                hv.run_for(SimDuration::from_millis(30)); // warm up
-                hv
-            },
-            |mut hv| {
-                for _ in 0..10_000 {
-                    hv.step_any();
-                }
-                hv
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // Same loop with pooling off: every handler entry allocates a fresh
-    // micro-op Vec, exactly as the stepper worked before the program
-    // pools. The gap between this and `10k_steps` is the pool's win.
-    group.bench_function("10k_steps_fresh_alloc", |b| {
-        b.iter_batched(
-            || {
-                let mut hv = small_machine(7);
-                hv.pooling = false;
                 hv.run_for(SimDuration::from_millis(30)); // warm up
                 hv
             },

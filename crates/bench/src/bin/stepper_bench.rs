@@ -99,8 +99,7 @@ fn main() {
     // Superop A/B: the same batched loop with the fusion knob off
     // (`Hypervisor::superops = false`), on a fresh system so pool and
     // scratch warm-up match. The on/off delta is the superop layer's win
-    // in isolation, the same style of substrate comparison as the
-    // `pooling` knob from PR 5.
+    // in isolation.
     let (mut shv, _slayout) = build_system(
         MachineConfig::small(),
         SetupKind::OneAppVm(BenchKind::UnixBench),

@@ -175,23 +175,3 @@ fn counting_window_steady_state_allocates_nothing() {
          {steps} steps"
     );
 }
-
-#[test]
-fn pooling_off_reproduces_the_old_allocation_behaviour() {
-    let (mut hv, _layout) = build_system(
-        MachineConfig::small(),
-        SetupKind::OneAppVm(BenchKind::UnixBench),
-        2018,
-    );
-    hv.pooling = false;
-    run_steps(&mut hv, 500_000);
-
-    let before = ALLOCS.load(Ordering::Relaxed);
-    run_steps(&mut hv, 300_000);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert!(
-        allocs > 0,
-        "with pooling disabled every handler entry allocates a fresh \
-         program buffer; the A/B knob is what the substrate bench compares"
-    );
-}

@@ -1,26 +1,21 @@
-//! Campaign execution: many trials, in parallel, with aggregate statistics.
+//! Campaign results: the aggregate counts, recovery rates and telemetry
+//! of many trials.
 //!
-//! Workers pull trial indices from a shared atomic counter, aggregate into
-//! private shards (no shared mutable state on the trial path), and the
-//! shards are merged once when the workers join. By default trials are
-//! **warm-started**: each one clones a cached post-boot template from a
-//! [`BootCache`] instead of booting from scratch — bit-identical results
-//! (see the differential tests) at a fraction of the setup cost. Pass
-//! [`BootMode::Cold`] to [`run_campaign_with`] to boot every trial from
-//! scratch, e.g. when validating the warm path itself.
+//! Campaigns execute on the resident [`crate::CampaignEngine`]. By default
+//! trials are **warm-started**: each one clones a cached post-boot template
+//! from the engine's [`crate::BootCache`] instead of booting from scratch —
+//! bit-identical results (see the differential tests) at a fraction of the
+//! setup cost. Set [`crate::CampaignSpec::boot`] to [`BootMode::Cold`] to
+//! boot every trial from scratch, e.g. when validating the warm path itself.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
-use nlh_core::RecoveryMechanism;
 use nlh_inject::FaultType;
 use nlh_sim::stats::{Histogram, Proportion};
 use serde::{Deserialize, Serialize};
 
-use crate::boot_cache::BootCache;
 use crate::classify::TrialClass;
-use crate::setup::SetupKind;
-use crate::trial::{TrialConfig, TrialResult};
+use crate::trial::TrialResult;
 
 /// How each trial obtains its booted target system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,12 +60,11 @@ pub struct CampaignTelemetry {
     /// Recovery latency per recovery phase (the step names of
     /// Tables II/III), in simulated microseconds.
     pub phase_latency_us: BTreeMap<String, Histogram>,
-    /// Boot-cache activity attributable to this campaign: for the legacy
-    /// per-campaign path, the campaign's own cache; for the resident
-    /// engine, the deltas of the shared cache around this cell. A
-    /// campaign whose `(machine, setup)` template was already resident
-    /// shows `boot_cache.misses == 0` here — cross-campaign reuse is
-    /// observable per cell.
+    /// Boot-cache activity attributable to this campaign: the deltas of
+    /// the engine's shared cache around this cell (all zero under cold
+    /// boot). A campaign whose `(machine, setup)` template was already
+    /// resident shows `boot_cache.misses == 0` here — cross-campaign reuse
+    /// is observable per cell.
     pub boot_cache: crate::boot_cache::CacheCounters,
 }
 
@@ -139,129 +133,8 @@ impl CampaignResult {
     }
 }
 
-/// Runs `trials` fault-injection trials in parallel and aggregates.
-///
-/// `base_seed` makes the whole campaign reproducible; trial `i` uses seed
-/// `base_seed + i`. The mechanism factory is invoked once per worker
-/// thread. Trials are warm-started from a per-campaign [`BootCache`]; use
-/// [`run_campaign_with`] to force cold boots.
-pub fn run_campaign<M, F>(
-    setup: SetupKind,
-    fault: FaultType,
-    trials: u64,
-    base_seed: u64,
-    make_mechanism: F,
-) -> CampaignResult
-where
-    M: RecoveryMechanism,
-    F: Fn() -> M + Sync,
-{
-    run_campaign_with(
-        setup,
-        fault,
-        trials,
-        base_seed,
-        make_mechanism,
-        BootMode::Warm,
-    )
-}
-
-/// [`run_campaign`] with an explicit [`BootMode`].
-pub fn run_campaign_with<M, F>(
-    setup: SetupKind,
-    fault: FaultType,
-    trials: u64,
-    base_seed: u64,
-    make_mechanism: F,
-    boot_mode: BootMode,
-) -> CampaignResult
-where
-    M: RecoveryMechanism,
-    F: Fn() -> M + Sync,
-{
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(trials.max(1) as usize);
-    let next = std::sync::atomic::AtomicU64::new(0);
-    let cache = BootCache::new();
-    let started = Instant::now();
-
-    // Each worker aggregates into a private shard and returns it through
-    // its join handle; the only cross-thread traffic on the trial path is
-    // the work-stealing counter (and the boot cache's template lookup).
-    let shards: Vec<Shard> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mech = make_mechanism();
-                    let mut shard = Shard::new(mech.name().to_string());
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= trials {
-                            break;
-                        }
-                        let cfg = TrialConfig::new(setup, fault, base_seed + i);
-                        let t0 = Instant::now();
-                        let result = match boot_mode {
-                            BootMode::Warm => {
-                                let (hv, layout) =
-                                    cache.checkout(&cfg.machine, cfg.setup, cfg.seed);
-                                shard.setup_nanos += elapsed_nanos(t0);
-                                let t1 = Instant::now();
-                                let r = crate::trial::run_trial_on(hv, &layout, &cfg, &mech);
-                                shard.run_nanos += elapsed_nanos(t1);
-                                r
-                            }
-                            BootMode::Cold => {
-                                // run_trial boots internally; count its
-                                // whole cost as setup + run by splitting at
-                                // the boot boundary the same way.
-                                let (hv, layout) = crate::setup::build_system(
-                                    cfg.machine.clone(),
-                                    cfg.setup,
-                                    cfg.seed,
-                                );
-                                shard.setup_nanos += elapsed_nanos(t0);
-                                let t1 = Instant::now();
-                                let r = crate::trial::run_trial_on(hv, &layout, &cfg, &mech);
-                                shard.run_nanos += elapsed_nanos(t1);
-                                r
-                            }
-                        };
-                        shard.add(&result);
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    });
-
-    let wall_secs = started.elapsed().as_secs_f64();
-    let mut merged = Shard::new(String::new());
-    for shard in shards {
-        merged.merge(shard);
-    }
-    let boot_cache = match boot_mode {
-        BootMode::Warm => cache.counters(),
-        BootMode::Cold => Default::default(),
-    };
-    merged.into_result(fault, trials, boot_mode, threads, wall_secs, boot_cache)
-}
-
-fn elapsed_nanos(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// One worker's private aggregation state. Also the aggregation core of
-/// the resident campaign engine (`engine.rs`), which feeds seed-ordered
-/// trial results through one shard — every count, histogram and reason
-/// bucket is commutative, so per-worker-shard merging and seed-order
-/// feeding produce identical results.
+/// The aggregation core of the campaign engine (`engine.rs`), which feeds
+/// a cell's seed-ordered trial results through one shard.
 #[derive(Debug)]
 pub(crate) struct Shard {
     mechanism: String,
@@ -334,9 +207,7 @@ impl Shard {
         }
     }
 
-    /// Packages the aggregated counts as a [`CampaignResult`]. Used by
-    /// both the legacy per-campaign path and the resident engine, so the
-    /// two construct results through the identical code.
+    /// Packages the aggregated counts as a [`CampaignResult`].
     pub(crate) fn into_result(
         self,
         fault: FaultType,
@@ -379,44 +250,33 @@ impl Shard {
             },
         }
     }
-
-    fn merge(&mut self, other: Shard) {
-        if self.mechanism.is_empty() {
-            self.mechanism = other.mechanism;
-        }
-        self.non_manifested += other.non_manifested;
-        self.sdc += other.sdc;
-        self.detected += other.detected;
-        self.successes += other.successes;
-        self.no_vmf += other.no_vmf;
-        for (k, v) in other.failure_reasons {
-            *self.failure_reasons.entry(k).or_insert(0) += v;
-        }
-        self.setup_nanos += other.setup_nanos;
-        self.run_nanos += other.run_nanos;
-        self.steps += other.steps;
-        self.recovery_latency_us.merge(&other.recovery_latency_us);
-        for (k, h) in other.phase_latency_us {
-            self.phase_latency_us.entry(k).or_default().merge(&h);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::BenchKind;
-    use nlh_core::Microreset;
+    use crate::engine::CampaignEngine;
+    use crate::setup::{BenchKind, SetupKind};
+    use crate::spec::CampaignSpec;
+    use crate::stream::NullSink;
+
+    /// A fresh-engine NiLiHype campaign on the 1AppVM/UnixBench setup.
+    fn run(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CampaignResult {
+        let mut spec = CampaignSpec::new(
+            "cell",
+            SetupKind::OneAppVm(BenchKind::UnixBench),
+            fault,
+            trials,
+        );
+        spec.seed = seed;
+        spec.boot = boot;
+        let cell = CampaignEngine::new().run_spec(&spec, &mut NullSink);
+        cell.sharded().expect("sharded cell").clone()
+    }
 
     #[test]
     fn small_failstop_campaign_aggregates() {
-        let r = run_campaign(
-            SetupKind::OneAppVm(BenchKind::UnixBench),
-            FaultType::Failstop,
-            24,
-            7,
-            Microreset::nilihype,
-        );
+        let r = run(FaultType::Failstop, 24, 7, BootMode::Warm);
         assert_eq!(r.trials, 24);
         assert_eq!(r.detected, 24, "failstop always detected");
         assert_eq!(r.non_manifested + r.sdc, 0);
@@ -428,17 +288,8 @@ mod tests {
 
     #[test]
     fn campaign_is_reproducible() {
-        let run = || {
-            run_campaign(
-                SetupKind::OneAppVm(BenchKind::UnixBench),
-                FaultType::Register,
-                16,
-                99,
-                Microreset::nilihype,
-            )
-        };
-        let a = run();
-        let b = run();
+        let a = run(FaultType::Register, 16, 99, BootMode::Warm);
+        let b = run(FaultType::Register, 16, 99, BootMode::Warm);
         assert_eq!(a.successes, b.successes);
         assert_eq!(a.non_manifested, b.non_manifested);
         assert_eq!(a.sdc, b.sdc);
@@ -446,21 +297,12 @@ mod tests {
 
     #[test]
     fn warm_and_cold_campaigns_agree() {
-        let run = |mode| {
-            run_campaign_with(
-                SetupKind::OneAppVm(BenchKind::UnixBench),
-                FaultType::Failstop,
-                12,
-                321,
-                Microreset::nilihype,
-                mode,
-            )
-        };
-        let warm = run(BootMode::Warm);
-        let cold = run(BootMode::Cold);
+        let warm = run(FaultType::Failstop, 12, 321, BootMode::Warm);
+        let cold = run(FaultType::Failstop, 12, 321, BootMode::Cold);
         assert_eq!(warm.successes, cold.successes);
         assert_eq!(warm.detected, cold.detected);
         assert_eq!(warm.failure_reasons, cold.failure_reasons);
+        assert_eq!(warm.telemetry.total_steps, cold.telemetry.total_steps);
         // The simulated-latency histograms are deterministic, so they must
         // agree exactly too.
         assert_eq!(
@@ -471,17 +313,17 @@ mod tests {
             warm.telemetry.phase_latency_us,
             cold.telemetry.phase_latency_us
         );
+        assert_eq!(cold.telemetry.boot_mode, BootMode::Cold);
+        assert_eq!(
+            cold.telemetry.boot_cache,
+            Default::default(),
+            "cold cells never touch the cache"
+        );
     }
 
     #[test]
     fn telemetry_counts_recoveries_and_time() {
-        let r = run_campaign(
-            SetupKind::OneAppVm(BenchKind::UnixBench),
-            FaultType::Failstop,
-            8,
-            5,
-            Microreset::nilihype,
-        );
+        let r = run(FaultType::Failstop, 8, 5, BootMode::Warm);
         let t = &r.telemetry;
         assert_eq!(t.boot_mode, BootMode::Warm);
         assert!(t.workers >= 1);
@@ -491,7 +333,7 @@ mod tests {
         assert!(t.setup_fraction() > 0.0 && t.setup_fraction() < 1.0);
         assert!(t.total_steps > 0, "trial bodies execute steps");
         assert!(t.steps_per_sec > 0.0);
-        // The per-campaign cache builds one template and serves the rest.
+        // A fresh engine builds one template and serves the rest.
         assert_eq!(t.boot_cache.misses, 1);
         assert_eq!(t.boot_cache.hits, r.trials - 1);
         assert_eq!(t.boot_cache.resident_templates, 1);

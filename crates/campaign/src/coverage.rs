@@ -226,7 +226,7 @@ pub enum SamplingMode {
     CoverageGuided,
 }
 
-/// The result of [`run_sampled_campaign`].
+/// The result of [`run_sampled_campaign_in`].
 #[derive(Debug)]
 pub struct SampledCampaign {
     /// The sampling mode that ran.
@@ -246,101 +246,30 @@ pub struct SampledCampaign {
 }
 
 /// Runs a sequential, deterministic fault campaign in either sampling
-/// mode, filing every trial in a coverage map.
+/// mode, filing every trial in a coverage map — the executor behind the
+/// engine's sampled cells ([`crate::ExecMode::Sampled`]).
 ///
-/// Trial `i` uses seed `base_seed + i`; under guided sampling its
-/// trigger-ops draw is narrowed to the steered window, so the same seed
-/// corpus explores the trigger space in a different order than uniform
-/// sampling — strata-first instead of luck-first.
-pub fn run_sampled_campaign(
-    setup: SetupKind,
-    fault: FaultType,
-    mechanism: &dyn RecoveryMechanism,
-    base_seed: u64,
-    trials: u64,
-    windows: usize,
-    mode: SamplingMode,
-) -> SampledCampaign {
-    run_sampled_campaign_steered(
-        setup, fault, mechanism, base_seed, trials, windows, mode, None,
-    )
-}
-
-/// [`run_sampled_campaign`] with an optional handler filter: every trial's
-/// armed injector is held until the struck CPU executes inside
-/// `steer_handler` (see [`nlh_inject::Injector::steer_to_handler`]). The
-/// device-heavy campaigns use `HandlerKind::VirtioMmio` to land every
-/// fault mid-virtqueue-transaction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sampled_campaign_steered(
-    setup: SetupKind,
-    fault: FaultType,
-    mechanism: &dyn RecoveryMechanism,
-    base_seed: u64,
-    trials: u64,
-    windows: usize,
-    mode: SamplingMode,
-    steer_handler: Option<HandlerKind>,
-) -> SampledCampaign {
-    run_sampled_campaign_steered_depth(
-        setup,
-        fault,
-        mechanism,
-        base_seed,
-        trials,
-        windows,
-        mode,
-        steer_handler,
-        1,
-    )
-}
-
-/// [`run_sampled_campaign_steered`] with a per-trial in-handler op delay:
-/// trial `i` is injected `i % depth_cycle` micro-ops *after* the struck CPU
-/// enters the steered handler (see [`nlh_inject::Injector::with_steer_depth`]),
-/// so the corpus sweeps the whole op range of the handler's programs instead
-/// of always striking the first op. `depth_cycle == 1` reproduces the plain
-/// steered campaign exactly (every trial at depth 0).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sampled_campaign_steered_depth(
-    setup: SetupKind,
-    fault: FaultType,
-    mechanism: &dyn RecoveryMechanism,
-    base_seed: u64,
-    trials: u64,
-    windows: usize,
-    mode: SamplingMode,
-    steer_handler: Option<HandlerKind>,
-    depth_cycle: u64,
-) -> SampledCampaign {
-    let cache = BootCache::new();
-    run_sampled_campaign_in(
-        &cache,
-        setup,
-        fault,
-        mechanism,
-        base_seed,
-        trials,
-        windows,
-        mode,
-        steer_handler,
-        depth_cycle,
-        &mut |_, _, _| false,
-    )
-}
-
-/// The sampled-campaign core: [`run_sampled_campaign_steered_depth`] with
-/// the boot cache supplied by the caller (so a resident
-/// [`crate::CampaignEngine`] can share warm templates across campaigns)
-/// and a per-trial hook for streaming and early stopping.
+/// Trial `i` uses seed `base_seed + i` and checks its system out of
+/// `cache`, which reseeds it, so results are independent of what else the
+/// cache has served. Under guided sampling the trial's trigger-ops draw is
+/// narrowed to the steered window, so the same seed corpus explores the
+/// trigger space in a different order than uniform sampling —
+/// strata-first instead of luck-first.
+///
+/// With `steer_handler` set, every trial's armed injector is held until
+/// the struck CPU executes inside that handler family (see
+/// [`nlh_inject::Injector::steer_to_handler`]); the device-heavy campaigns
+/// use `HandlerKind::VirtioMmio` to land every fault
+/// mid-virtqueue-transaction. Trial `i` is then injected
+/// `i % depth_cycle` micro-ops *after* the struck CPU enters the handler
+/// (see [`nlh_inject::Injector::with_steer_depth`]), so the corpus sweeps
+/// the handler's programs instead of always striking their first op;
+/// `depth_cycle == 1` strikes every trial at depth 0.
 ///
 /// `after_trial` is called once per completed trial with
 /// `(trials_done, detected, successes)`; returning `true` halts the
 /// campaign there, and the returned [`SampledCampaign::trials`] records
-/// the executed count. The legacy entry points pass a fresh cache and a
-/// never-stop hook, so their behaviour is unchanged bit-for-bit — trial
-/// `i` still checks out from the cache and reseeds with `base_seed + i`,
-/// making results independent of what else the shared cache has served.
+/// the executed count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sampled_campaign_in(
     cache: &BootCache,

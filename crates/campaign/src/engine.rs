@@ -1,34 +1,37 @@
 //! The resident campaign engine: one long-lived service that runs whole
-//! experiment suites against a shared boot cache.
+//! experiment suites against a shared boot cache. It is the only campaign
+//! executor in the crate.
 //!
-//! The legacy entry points ([`crate::run_campaign_with`],
-//! [`crate::run_sampled_campaign_steered_depth`]) build a fresh
-//! [`BootCache`] per campaign, so a suite of N campaigns over the same
-//! `(machine, setup)` pays N cold template builds. A [`CampaignEngine`]
-//! owns a single cache keyed by `(MachineConfig, SetupKind)` for the life
-//! of a job: the first campaign to touch a key builds its template, every
-//! later campaign warm-starts from it, and per-cell [`CacheCounters`]
-//! deltas make the reuse observable (`misses == 0` on the second
-//! campaign). Sharing is safe because [`BootCache::checkout`] reseeds
-//! every RNG from the trial seed — a template serves any number of
-//! campaigns without coupling their trial streams, so engine results are
-//! bit-identical to the legacy per-campaign paths (pinned by the
-//! `engine_equivalence` differential suite).
+//! A [`CampaignEngine`] owns a single cache keyed by `(MachineConfig,
+//! SetupKind)` for the life of a job: the first campaign to touch a key
+//! builds its template, every later campaign warm-starts from it, and
+//! per-cell [`CacheCounters`] deltas make the reuse observable
+//! (`misses == 0` on the second campaign). Sharing is safe because
+//! [`BootCache::checkout`] reseeds every RNG from the trial seed — a
+//! template serves any number of campaigns without coupling their trial
+//! streams, so a cell's results do not depend on what else the engine ran
+//! (pinned by the `engine_equivalence` suite).
+//!
+//! Cells name their mechanism by [`crate::MechanismSpec`] and run through
+//! [`CampaignEngine::run_spec`]; mechanisms a spec cannot name (custom
+//! enhancement sets, ReHype port configurations, checkpoint/restore) run
+//! through [`CampaignEngine::run_spec_with`], which takes a mechanism
+//! factory instead.
 //!
 //! Execution is batched: workers pull trial indices from an atomic
 //! counter and return `(index, result)` pairs, which the engine sorts and
-//! folds **seed-ordered** through the same [`Shard`] aggregation the
-//! legacy path uses. Seed-order folding is what makes the optional
-//! stop-at-confidence policy deterministic: the stop trial is the first
-//! `n` at which the seed-ordered prefix's Wilson half-width crosses the
-//! threshold, independent of how the batch's trials interleaved across
-//! workers, and the aggregated result equals a fixed-trials run of
-//! exactly `n` trials.
+//! folds **seed-ordered** through one [`Shard`]. Seed-order folding is
+//! what makes the optional stop-at-confidence policy deterministic: the
+//! stop trial is the first `n` at which the seed-ordered prefix's Wilson
+//! half-width crosses the threshold, independent of how the batch's trials
+//! interleaved across workers, and the aggregated result equals a
+//! fixed-trials run of exactly `n` trials.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use nlh_core::RecoveryMechanism;
 use nlh_sim::stats::Proportion;
 
 use crate::boot_cache::{BootCache, CacheCounters};
@@ -38,16 +41,14 @@ use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
 use crate::setup::build_system;
 use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
 use crate::stream::{CampaignSnapshot, TelemetrySink};
-use crate::trial::{run_trial_on, TrialConfig, TrialResult};
+use crate::trial::{run_trial_with, TrialConfig, TrialResult, TrialRunOptions};
 
 /// The per-mode payload of a finished cell.
 #[derive(Debug)]
 pub enum CellOutput {
-    /// A sharded cell's aggregate (the [`crate::run_campaign_with`]
-    /// shape).
+    /// A sharded cell's aggregate.
     Sharded(CampaignResult),
-    /// A sampled cell's coverage-map campaign (the
-    /// [`crate::run_sampled_campaign_steered_depth`] shape).
+    /// A sampled cell's coverage-map campaign.
     Sampled(SampledCampaign),
 }
 
@@ -162,16 +163,39 @@ impl CampaignEngine {
         &self.cache
     }
 
-    /// Runs one cell, streaming snapshots to `sink`.
+    /// Runs one cell with the spec's own mechanism, streaming snapshots
+    /// to `sink`.
     pub fn run_spec(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
+        self.run_spec_with(spec, &|| spec.mechanism.build(), sink)
+    }
+
+    /// Runs one cell with mechanisms from `make_mechanism` in place of
+    /// [`CampaignSpec::mechanism`], streaming snapshots to `sink`. The
+    /// factory is called once per worker thread (sharded cells) or once
+    /// per cell (sampled cells), plus once for the result's mechanism
+    /// name, so it must build identically configured mechanisms.
+    pub fn run_spec_with(
+        &self,
+        spec: &CampaignSpec,
+        make_mechanism: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+        sink: &mut dyn TelemetrySink,
+    ) -> CellResult {
         match spec.mode {
-            ExecMode::Sharded => self.run_sharded(spec, sink),
+            ExecMode::Sharded => self.run_sharded(spec, make_mechanism, sink),
             ExecMode::Sampled {
                 windows,
                 sampling,
                 steer_handler,
                 depth_cycle,
-            } => self.run_sampled(spec, windows, sampling, steer_handler, depth_cycle, sink),
+            } => self.run_sampled(
+                spec,
+                make_mechanism().as_ref(),
+                windows,
+                sampling,
+                steer_handler,
+                depth_cycle,
+                sink,
+            ),
         }
     }
 
@@ -197,8 +221,7 @@ impl CampaignEngine {
     }
 
     /// The cache-activity delta a cell reports: real deltas when the cell
-    /// used the cache, all-zero under cold boot (matching the legacy
-    /// path, which reports zeros for cold campaigns).
+    /// used the cache, all-zero under cold boot.
     fn cache_delta(&self, boot: BootMode, before: &CacheCounters) -> CacheCounters {
         match boot {
             BootMode::Warm => self.cache.counters().since(before),
@@ -206,7 +229,12 @@ impl CampaignEngine {
         }
     }
 
-    fn run_sharded(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
+    fn run_sharded(
+        &self,
+        spec: &CampaignSpec,
+        make_mechanism: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+        sink: &mut dyn TelemetrySink,
+    ) -> CellResult {
         let trials = spec.trials;
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -242,7 +270,7 @@ impl CampaignEngine {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mech = spec.mechanism.build();
+                            let mech = make_mechanism();
                             let mut out: Vec<(u64, TrialResult)> = Vec::new();
                             let mut setup_ns = 0u64;
                             let mut run_ns = 0u64;
@@ -263,7 +291,13 @@ impl CampaignEngine {
                                 };
                                 setup_ns += elapsed_nanos(t0);
                                 let t1 = Instant::now();
-                                let r = run_trial_on(hv, &layout, &cfg, mech.as_ref());
+                                let (r, _, _) = run_trial_with(
+                                    hv,
+                                    &layout,
+                                    &cfg,
+                                    mech.as_ref(),
+                                    TrialRunOptions::default(),
+                                );
                                 run_ns += elapsed_nanos(t1);
                                 out.push((i, r));
                             }
@@ -332,7 +366,7 @@ impl CampaignEngine {
         let wall_secs = started.elapsed().as_secs_f64();
         let cache = self.cache_delta(spec.boot, &before);
 
-        let mechanism = spec.mechanism.build().name().to_string();
+        let mechanism = make_mechanism().name().to_string();
         let mut shard = Shard::new(mechanism);
         for r in &results {
             shard.add(r);
@@ -389,16 +423,17 @@ impl CampaignEngine {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_sampled(
         &self,
         spec: &CampaignSpec,
+        mech: &dyn RecoveryMechanism,
         windows: usize,
         sampling: crate::coverage::SamplingMode,
         steer_handler: Option<nlh_hv::HandlerKind>,
         depth_cycle: u64,
         sink: &mut dyn TelemetrySink,
     ) -> CellResult {
-        let mech = spec.mechanism.build();
         let before = self.cache.counters();
         let started = Instant::now();
         let cadence = match spec.stop {
@@ -443,7 +478,7 @@ impl CampaignEngine {
                 &self.cache,
                 spec.setup,
                 spec.fault,
-                mech.as_ref(),
+                mech,
                 spec.seed,
                 spec.trials,
                 windows,
@@ -603,6 +638,23 @@ mod tests {
         assert_eq!(first.cache.misses, 1);
         assert_eq!(second.cache.misses, 0, "template already resident");
         assert_eq!(second.cache.hits, 4);
+    }
+
+    #[test]
+    fn run_spec_with_runs_the_factory_mechanism() {
+        let engine = CampaignEngine::new();
+        let s = spec("basic", 6);
+        let basic = || -> Box<dyn RecoveryMechanism> {
+            Box::new(nlh_core::Microreset::with_enhancements(
+                nlh_core::Enhancements::none(),
+            ))
+        };
+        let cell = engine.run_spec_with(&s, &basic, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
+        assert_eq!(r.detected, 6, "failstop always detected");
+        assert_eq!(r.successes, 0, "the factory, not spec.mechanism, ran");
+        let full = engine.run_spec(&s, &mut NullSink);
+        assert!(full.sharded().unwrap().successes > 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The Table I enhancement ladder: measurement-driven incremental
 //! development of NiLiHype (Section V-B).
 
-use nlh_core::{LadderRung, Microreset};
+use nlh_core::LadderRung;
 use nlh_inject::FaultType;
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{run_campaign_with, BootMode, CampaignResult};
-use crate::engine::CampaignEngine;
+use crate::campaign::CampaignResult;
+use crate::engine::{CampaignEngine, CellOutput};
 use crate::setup::{BenchKind, SetupKind};
 use crate::spec::{CampaignSpec, MechanismSpec};
 use crate::stream::NullSink;
@@ -20,45 +20,15 @@ pub struct LadderRow {
     pub result: CampaignResult,
 }
 
-/// Runs the Table I ladder: for each cumulative enhancement rung, a
-/// 1AppVM / UnixBench / fail-stop campaign (Section V-B), returning one
-/// row per rung.
-pub fn run_ladder(trials_per_rung: u64, base_seed: u64) -> Vec<LadderRow> {
-    run_ladder_with(trials_per_rung, base_seed, BootMode::Warm)
-}
-
-/// [`run_ladder`] with an explicit [`BootMode`] for each rung's campaign.
-pub fn run_ladder_with(
-    trials_per_rung: u64,
-    base_seed: u64,
-    boot_mode: BootMode,
-) -> Vec<LadderRow> {
-    LadderRung::ALL
-        .iter()
-        .map(|&rung| {
-            let result = run_campaign_with(
-                SetupKind::OneAppVm(BenchKind::UnixBench),
-                FaultType::Failstop,
-                trials_per_rung,
-                base_seed,
-                move || Microreset::with_enhancements(rung.enhancements()),
-                boot_mode,
-            );
-            LadderRow { rung, result }
-        })
-        .collect()
-}
-
-/// [`run_ladder_with`] executed on a resident [`CampaignEngine`]: all
-/// eight rung campaigns target the same `(machine, setup)` key, so the
-/// engine's shared cache builds the boot template once instead of once
-/// per rung. Results are bit-identical to [`run_ladder_with`] (the
-/// equivalence suite pins this).
+/// Runs the Table I ladder on `engine`: for each cumulative enhancement
+/// rung, a 1AppVM / UnixBench / fail-stop campaign (Section V-B),
+/// returning one row per rung. All eight rung campaigns target the same
+/// `(machine, setup)` key, so the engine's shared cache builds the boot
+/// template once instead of once per rung.
 pub fn run_ladder_on(
     engine: &CampaignEngine,
     trials_per_rung: u64,
     base_seed: u64,
-    boot_mode: BootMode,
 ) -> Vec<LadderRow> {
     LadderRung::ALL
         .iter()
@@ -71,11 +41,10 @@ pub fn run_ladder_on(
             );
             spec.seed = base_seed;
             spec.mechanism = MechanismSpec::Rung(rung);
-            spec.boot = boot_mode;
             let cell = engine.run_spec(&spec, &mut NullSink);
             let result = match cell.output {
-                crate::engine::CellOutput::Sharded(r) => r,
-                crate::engine::CellOutput::Sampled(_) => unreachable!("ladder cells are sharded"),
+                CellOutput::Sharded(r) => r,
+                CellOutput::Sampled(_) => unreachable!("ladder cells are sharded"),
             };
             LadderRow { rung, result }
         })
@@ -92,7 +61,7 @@ mod tests {
         // experiment binaries; here we sanity-check the two anchors that
         // define the ladder: Basic never succeeds, the top rung mostly
         // succeeds, and the trend is upward overall.
-        let rows = run_ladder(30, 11);
+        let rows = run_ladder_on(&CampaignEngine::new(), 30, 11);
         assert_eq!(rows.len(), 8);
         let basic = rows.first().unwrap();
         assert_eq!(

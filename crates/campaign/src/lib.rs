@@ -3,9 +3,11 @@
 //!
 //! A **trial** boots the target system, starts the benchmarks, injects one
 //! fault, performs recovery when a detector fires, and classifies the
-//! outcome (Section VI-C). A **campaign** runs many trials (in parallel
-//! across OS threads — the analogue of the paper's Campaign Agent) and
-//! aggregates recovery rates with 95% confidence intervals.
+//! outcome (Section VI-C); [`run_trial_with`] is the one trial entry
+//! point. A **campaign** runs many trials (in parallel across OS threads —
+//! the analogue of the paper's Campaign Agent) and aggregates recovery
+//! rates with 95% confidence intervals; [`CampaignEngine`] is the one
+//! campaign executor.
 //!
 //! The two system configurations of Section VI-A are provided: the 1AppVM
 //! setup used for measurement-driven development (Table I, Section IV) and
@@ -31,15 +33,13 @@ mod trial;
 
 pub use bisect::{bisect_trials, first_divergence, BisectReport, DivergenceSide};
 pub use boot_cache::{BootCache, CacheCounters};
-pub use campaign::{run_campaign, run_campaign_with, BootMode, CampaignResult, CampaignTelemetry};
+pub use campaign::{BootMode, CampaignResult, CampaignTelemetry};
 pub use classify::{classify, netbench_affected, TrialClass};
 pub use coverage::{
-    run_sampled_campaign, run_sampled_campaign_in, run_sampled_campaign_steered,
-    run_sampled_campaign_steered_depth, CoverageMap, SampledCampaign, SamplingMode,
-    DEFAULT_OPS_WINDOWS,
+    run_sampled_campaign_in, CoverageMap, SampledCampaign, SamplingMode, DEFAULT_OPS_WINDOWS,
 };
 pub use engine::{CampaignEngine, CellOutput, CellResult, JobOutcome, SuiteError};
-pub use ladder::{run_ladder, run_ladder_on, run_ladder_with, LadderRow};
+pub use ladder::{run_ladder_on, LadderRow};
 pub use overhead::{measure_hv_cycles, overhead_percent, OverheadPoint};
 pub use record::{
     mechanism_for_name, EventRing, RecordedOutcome, TrialEvent, TrialEventKind, TrialRecord,
@@ -52,6 +52,5 @@ pub use spec::{
 };
 pub use stream::{CampaignSnapshot, MemorySink, NullSink, TelemetrySink};
 pub use trial::{
-    run_trial, run_trial_on, run_trial_on_unbatched, run_trial_recorded, run_trial_warm,
     run_trial_with, TrialConfig, TrialObservations, TrialResult, TrialRunOptions, MAX_TRIGGER_OPS,
 };

@@ -15,6 +15,7 @@ use nlh_inject::FaultType;
 use crate::campaign::BootMode;
 use crate::coverage::SamplingMode;
 use crate::setup::{BenchKind, SetupKind};
+use crate::trial::MAX_TRIGGER_OPS;
 
 /// Which recovery mechanism a spec runs, by construction recipe rather
 /// than by trait object, so specs stay plain data.
@@ -77,12 +78,12 @@ impl MechanismSpec {
 /// How the engine executes a spec's trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Shard trials across all cores with per-worker aggregation — the
-    /// parallel path, equivalent to [`crate::run_campaign_with`].
+    /// Shard trials across all cores, folding results in seed order — the
+    /// parallel path.
     Sharded,
     /// The sequential coverage-map campaign of
-    /// [`crate::run_sampled_campaign_steered_depth`]: deterministic
-    /// trial-by-trial steering, optionally held for a handler family.
+    /// [`crate::run_sampled_campaign_in`]: deterministic trial-by-trial
+    /// steering, optionally held for a handler family.
     Sampled {
         /// Trigger-ops strata on the coverage map.
         windows: usize,
@@ -399,6 +400,12 @@ impl ManifestJob {
 
     fn finish(self) -> Result<JobSpec, String> {
         let missing = |what: &str| format!("job {:?}: missing {what}", self.name);
+        if self.sampled && !(1..=MAX_TRIGGER_OPS).contains(&(self.windows as u64)) {
+            return Err(format!(
+                "job {:?}: windows must be in 1..={MAX_TRIGGER_OPS}, got {}",
+                self.name, self.windows
+            ));
+        }
         let spec = CampaignSpec {
             name: self.name.clone(),
             setup: self.setup.ok_or_else(|| missing("setup"))?,
@@ -554,5 +561,17 @@ stop-check-every = 10
         );
         assert!(SuiteSpec::parse("[job a]\nwat").is_err(), "not key = value");
         assert!(SuiteSpec::parse("[job a]\nsetup = ThreeAppVm\nbogus = 1").is_err());
+        let sampled = |windows: &str| {
+            format!(
+                "[job a]\nsetup = TwoAppVmVswitch\nfault = Failstop\ntrials = 1\n\
+                 mode = sampled\nwindows = {windows}"
+            )
+        };
+        assert!(SuiteSpec::parse(&sampled("0")).is_err(), "zero windows");
+        assert!(
+            SuiteSpec::parse(&sampled("2001")).is_err(),
+            "windows > MAX_TRIGGER_OPS"
+        );
+        assert!(SuiteSpec::parse(&sampled("2000")).is_ok());
     }
 }

@@ -7,10 +7,9 @@ use nlh_inject::{FaultType, InjectionOutcome, Injector};
 use nlh_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::boot_cache::BootCache;
 use crate::classify::{classify, TrialClass};
 use crate::record::{EventRing, RecordedOutcome, TrialEventKind, TrialRecord};
-use crate::setup::{build_system, SetupKind, SystemLayout};
+use crate::setup::{SetupKind, SystemLayout};
 
 /// Second-level trigger budget: micro-ops executed in the hypervisor
 /// before injection (the paper uses 0–20 000 instructions; micro-ops are
@@ -76,92 +75,14 @@ pub struct TrialResult {
     pub steps: u64,
 }
 
-/// Runs one complete fault-injection trial, cold-booting the target system.
-pub fn run_trial(config: &TrialConfig, mechanism: &dyn RecoveryMechanism) -> TrialResult {
-    let (hv, layout) = build_system(config.machine.clone(), config.setup, config.seed);
-    run_trial_on(hv, &layout, config, mechanism)
-}
-
-/// Runs one trial on a warm-started system: a clone of the cache's
-/// post-boot template, reseeded for this trial. Produces results identical
-/// to [`run_trial`] (the differential tests pin this) without paying the
-/// boot cost.
-pub fn run_trial_warm(
-    config: &TrialConfig,
-    mechanism: &dyn RecoveryMechanism,
-    cache: &BootCache,
-) -> TrialResult {
-    let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
-    run_trial_on(hv, &layout, config, mechanism)
-}
-
-/// Runs one warm-started trial and returns its event record alongside the
-/// result. The record is sufficient to replay the trial bit-identically —
-/// see [`TrialRecord::replay`].
-pub fn run_trial_recorded(
-    config: &TrialConfig,
-    mechanism: &dyn RecoveryMechanism,
-    cache: &BootCache,
-) -> (TrialResult, TrialRecord) {
-    let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
-    let (result, record, _) =
-        run_trial_with(hv, &layout, config, mechanism, TrialRunOptions::default());
-    (result, record)
-}
-
-/// Runs the trial body — inject, detect, recover, classify — on an
-/// already-booted system.
-///
-/// Drives the hypervisor through its batched stepping fast path wherever
-/// the injector has no per-step work: the whole pre-trigger window runs
-/// under [`Hypervisor::run_until_marker`] (which hands back the exact step
-/// on which the trigger timer fires), and everything after the fault is
-/// applied runs under [`Hypervisor::run_until`]. Only the short
-/// micro-op-counting phase between the two steps one at a time. The
-/// executed step sequence — and therefore the [`TrialResult`] — is
-/// bit-identical to [`run_trial_on_unbatched`] (differential-tested).
-pub fn run_trial_on(
-    hv: Hypervisor,
-    layout: &SystemLayout,
-    config: &TrialConfig,
-    mechanism: &dyn RecoveryMechanism,
-) -> TrialResult {
-    run_trial_loop(hv, layout, config, mechanism, true)
-}
-
-/// Reference trial body: one fully checked `step_any` + `on_step` per
-/// iteration, exactly as the trial loop worked before batched stepping.
-/// Kept at runtime so differential tests can pin [`run_trial_on`]
-/// against it.
-pub fn run_trial_on_unbatched(
-    hv: Hypervisor,
-    layout: &SystemLayout,
-    config: &TrialConfig,
-    mechanism: &dyn RecoveryMechanism,
-) -> TrialResult {
-    run_trial_loop(hv, layout, config, mechanism, false)
-}
-
-fn run_trial_loop(
-    hv: Hypervisor,
-    layout: &SystemLayout,
-    config: &TrialConfig,
-    mechanism: &dyn RecoveryMechanism,
-    batched: bool,
-) -> TrialResult {
-    let opts = TrialRunOptions {
-        batched,
-        ..TrialRunOptions::default()
-    };
-    run_trial_with(hv, layout, config, mechanism, opts).0
-}
-
-/// Options for [`run_trial_with`] — the full-control trial entry point
-/// behind the convenience wrappers.
+/// Options for [`run_trial_with`], the one trial entry point.
 #[derive(Debug, Clone)]
 pub struct TrialRunOptions {
     /// Drive the hypervisor through the batched fast path (`true`, the
-    /// default) or the one-step-at-a-time reference loop.
+    /// default) or the reference loop: one fully checked `step_any` +
+    /// `on_step` per iteration. Both execute the same step sequence; the
+    /// reference loop is the oracle the differential tests pin the fast
+    /// path against.
     pub batched: bool,
     /// Draw the second-level trigger's micro-op budget from this range
     /// instead of the full `[0, MAX_TRIGGER_OPS)`. The coverage-guided
@@ -202,15 +123,26 @@ impl Default for TrialRunOptions {
     }
 }
 
-/// Runs one trial body with full control over stepping, trigger steering,
-/// injection and step limits, returning the result, the trial's event
-/// record and the final machine state.
+/// Runs the trial body — inject, detect, recover, classify — on an
+/// already-booted system, returning the result, the trial's event record
+/// (enough to replay the trial bit-identically, see
+/// [`TrialRecord::replay`]) and the final machine state.
 ///
-/// All other trial entry points are wrappers over this. With default
-/// options the executed step sequence is bit-identical to what the
-/// pre-record trial loop executed: recording only observes rare events
-/// (trigger fire, injection, detection, recovery transitions), never the
-/// per-step hot path.
+/// The system comes from [`build_system`](crate::build_system) (a cold
+/// boot) or [`BootCache::checkout`](crate::BootCache::checkout) (a warm
+/// start); both produce identical results (differential-tested).
+///
+/// With default options the hypervisor runs through its batched stepping
+/// fast path wherever the injector has no per-step work: the whole
+/// pre-trigger window runs under [`Hypervisor::run_until_marker`] (which
+/// hands back the exact step on which the trigger timer fires), the
+/// micro-op-counting phase under [`Injector::run_counting`], and
+/// everything after the fault is applied under [`Hypervisor::run_until`].
+/// The executed step sequence — and therefore the [`TrialResult`] — is
+/// bit-identical to the reference loop selected by
+/// `TrialRunOptions { batched: false, .. }`. Recording only observes rare
+/// events (trigger fire, injection, detection, recovery transitions),
+/// never the per-step hot path.
 pub fn run_trial_with(
     mut hv: Hypervisor,
     layout: &SystemLayout,
@@ -437,8 +369,15 @@ fn finish_record(record: &mut TrialRecord, result: &TrialResult, now: nlh_sim::S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::BenchKind;
+    use crate::boot_cache::BootCache;
+    use crate::setup::{build_system, BenchKind};
     use nlh_core::{Microreboot, Microreset};
+
+    /// A cold-booted trial with default options.
+    fn cold_trial(config: &TrialConfig, mechanism: &dyn RecoveryMechanism) -> TrialResult {
+        let (hv, layout) = build_system(config.machine.clone(), config.setup, config.seed);
+        run_trial_with(hv, &layout, config, mechanism, TrialRunOptions::default()).0
+    }
 
     #[test]
     fn failstop_trial_with_full_nilihype_usually_succeeds() {
@@ -451,7 +390,7 @@ mod tests {
                 FaultType::Failstop,
                 seed,
             );
-            let r = run_trial(&cfg, &mech);
+            let r = cold_trial(&cfg, &mech);
             assert!(r.observations.detected, "failstop is always detected");
             if r.class.is_success() {
                 successes += 1;
@@ -472,7 +411,7 @@ mod tests {
                 FaultType::Failstop,
                 seed,
             );
-            let r = run_trial(&cfg, &mech);
+            let r = cold_trial(&cfg, &mech);
             assert!(
                 !r.class.is_success(),
                 "seed {seed}: basic microreset cannot succeed, got {:?}",
@@ -492,7 +431,7 @@ mod tests {
                 FaultType::Failstop,
                 seed,
             );
-            if run_trial(&cfg, &mech).class.is_success() {
+            if cold_trial(&cfg, &mech).class.is_success() {
                 successes += 1;
             }
         }
@@ -510,7 +449,7 @@ mod tests {
                 FaultType::Register,
                 seed,
             );
-            if run_trial(&cfg, &mech).class == TrialClass::NonManifested {
+            if cold_trial(&cfg, &mech).class == TrialClass::NonManifested {
                 nm += 1;
             }
         }
@@ -527,8 +466,9 @@ mod tests {
                 FaultType::Failstop,
                 seed,
             );
-            let cold = run_trial(&cfg, &mech);
-            let warm = run_trial_warm(&cfg, &mech, &cache);
+            let cold = cold_trial(&cfg, &mech);
+            let (hv, layout) = cache.checkout(&cfg.machine, cfg.setup, cfg.seed);
+            let (warm, _, _) = run_trial_with(hv, &layout, &cfg, &mech, TrialRunOptions::default());
             assert_eq!(cold, warm, "seed {seed}");
         }
     }
@@ -541,8 +481,8 @@ mod tests {
             FaultType::Failstop,
             1234,
         );
-        let a = run_trial(&cfg, &mech);
-        let b = run_trial(&cfg, &mech);
+        let a = cold_trial(&cfg, &mech);
+        let b = cold_trial(&cfg, &mech);
         assert_eq!(a.class, b.class);
         assert_eq!(a.injection, b.injection);
     }

@@ -9,19 +9,47 @@
 //! (every step, latency and repair count), final classification and step
 //! count — is equal to what a cold boot produces.
 //!
-//! The second family pins the stepper fast path the same way:
-//! [`run_trial_on`] (batched stepping, pooled program buffers) against
-//! [`run_trial_on_unbatched`] with pooling disabled (one checked `step_any`
-//! per iteration, fresh `Vec` per hypervisor entry — the pre-optimisation
-//! stepper, kept at runtime exactly for this comparison).
+//! The second family pins the stepper fast path the same way: the
+//! batched trial loop against the reference loop selected by
+//! `TrialRunOptions { batched: false, .. }` (one checked `step_any` per
+//! iteration — the pre-optimisation stepper, kept at runtime exactly for
+//! this comparison).
 
 use nlh_campaign::{
-    build_system, run_trial, run_trial_on, run_trial_on_unbatched, run_trial_warm, BenchKind,
-    BootCache, SetupKind, TrialConfig,
+    build_system, run_trial_with, BenchKind, BootCache, SetupKind, SystemLayout, TrialConfig,
+    TrialResult, TrialRunOptions,
 };
 use nlh_core::{Enhancements, Microreboot, Microreset, RecoveryMechanism};
+use nlh_hv::Hypervisor;
 use nlh_inject::FaultType;
 use proptest::prelude::*;
+
+/// Runs the trial body on `hv`, batched or through the reference loop.
+fn trial_on(
+    hv: Hypervisor,
+    layout: &SystemLayout,
+    cfg: &TrialConfig,
+    mech: &dyn RecoveryMechanism,
+    batched: bool,
+) -> TrialResult {
+    let opts = TrialRunOptions {
+        batched,
+        ..TrialRunOptions::default()
+    };
+    run_trial_with(hv, layout, cfg, mech, opts).0
+}
+
+/// A trial on a freshly booted system.
+fn cold_trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism) -> TrialResult {
+    let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+    trial_on(hv, &layout, cfg, mech, true)
+}
+
+/// A trial on a clone of the cache's post-boot template.
+fn warm_trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism, cache: &BootCache) -> TrialResult {
+    let (hv, layout) = cache.checkout(&cfg.machine, cfg.setup, cfg.seed);
+    trial_on(hv, &layout, cfg, mech, true)
+}
 
 fn setups() -> impl Strategy<Value = SetupKind> {
     prop_oneof![
@@ -59,8 +87,8 @@ proptest! {
         let cache = BootCache::new();
         let mech = Microreset::nilihype();
         let cfg = TrialConfig::new(setup, fault, seed);
-        let cold = run_trial(&cfg, &mech);
-        let warm = run_trial_warm(&cfg, &mech, &cache);
+        let cold = cold_trial(&cfg, &mech);
+        let warm = warm_trial(&cfg, &mech, &cache);
         prop_assert_eq!(cold, warm);
     }
 
@@ -78,8 +106,8 @@ proptest! {
             FaultType::Failstop,
             seed,
         );
-        let cold = run_trial(&cfg, mech.as_ref());
-        let warm = run_trial_warm(&cfg, mech.as_ref(), &cache);
+        let cold = cold_trial(&cfg, mech.as_ref());
+        let warm = warm_trial(&cfg, mech.as_ref(), &cache);
         prop_assert_eq!(cold, warm);
     }
 
@@ -95,19 +123,18 @@ proptest! {
             FaultType::Register,
             seed,
         );
-        let first = run_trial_warm(&cfg, &mech, &cache);
-        let second = run_trial_warm(&cfg, &mech, &cache);
+        let first = warm_trial(&cfg, &mech, &cache);
+        let second = warm_trial(&cfg, &mech, &cache);
         prop_assert_eq!(first, second);
     }
 
     /// Stepper fast path == reference stepper, bit for bit. The fast side
-    /// runs batched stepping with pooled program buffers; the reference
-    /// side steps one checked micro-op at a time with pooling off (fresh
-    /// allocation per hypervisor entry). `TrialResult::steps` participates
-    /// in the equality, so the two must execute identical step sequences —
-    /// not merely reach the same classification.
+    /// runs batched stepping; the reference side steps one checked
+    /// micro-op at a time. `TrialResult::steps` participates in the
+    /// equality, so the two must execute identical step sequences — not
+    /// merely reach the same classification.
     #[test]
-    fn batched_pooled_equals_reference_stepper(
+    fn batched_equals_reference_stepper(
         seed in 0u64..100_000,
         setup in setups(),
         fault in faults(),
@@ -115,10 +142,9 @@ proptest! {
         let mech = Microreset::nilihype();
         let cfg = TrialConfig::new(setup, fault, seed);
         let (fast_hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        let (mut ref_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        ref_hv.pooling = false;
-        let fast = run_trial_on(fast_hv, &layout, &cfg, &mech);
-        let reference = run_trial_on_unbatched(ref_hv, &layout, &cfg, &mech);
+        let (ref_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+        let fast = trial_on(fast_hv, &layout, &cfg, &mech, true);
+        let reference = trial_on(ref_hv, &layout, &cfg, &mech, false);
         prop_assert_eq!(fast, reference);
     }
 
@@ -143,17 +169,16 @@ proptest! {
         plain_hv.superops = false;
         let (mut ref_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
         ref_hv.superops = false;
-        ref_hv.pooling = false;
-        let fused = run_trial_on(fused_hv, &layout, &cfg, &mech);
-        let plain = run_trial_on(plain_hv, &layout, &cfg, &mech);
-        let reference = run_trial_on_unbatched(ref_hv, &layout, &cfg, &mech);
+        let fused = trial_on(fused_hv, &layout, &cfg, &mech, true);
+        let plain = trial_on(plain_hv, &layout, &cfg, &mech, true);
+        let reference = trial_on(ref_hv, &layout, &cfg, &mech, false);
         prop_assert_eq!(&fused, &plain);
         prop_assert_eq!(fused, reference);
     }
 
     /// Same comparison at the hypervisor level with tracing wide open:
-    /// batched + pooled stepping must leave identical traces, per-CPU
-    /// clocks and step counts as unbatched + fresh-allocation stepping.
+    /// batched stepping must leave identical traces, per-CPU clocks and
+    /// step counts as unbatched stepping.
     /// (Trial loops never see intermediate states, so this closes the gap:
     /// the fast path may not even *transiently* diverge in anything the
     /// trace ring can observe.)
@@ -170,7 +195,6 @@ proptest! {
         let (mut slow, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
         fast.trace = TraceRing::new(4096, TraceLevel::Debug);
         slow.trace = TraceRing::new(4096, TraceLevel::Debug);
-        slow.pooling = false;
         let deadline = fast.now() + nlh_sim::SimDuration::from_millis(40);
         fast.run_until(deadline);
         slow.run_until_unbatched(deadline);

@@ -1,159 +1,192 @@
-//! Engine ⇔ legacy equivalence: the resident campaign engine must be a
-//! pure orchestration change.
+//! Engine determinism: the resident campaign engine is a pure
+//! orchestration layer.
 //!
 //! The [`CampaignEngine`] shares one boot cache across campaigns, executes
 //! in batches, folds results seed-ordered, and optionally stops cells at a
 //! confidence threshold — none of which may change what any trial
-//! computes. These tests pin that claim differentially for every
-//! `SetupKind` family at fixed seeds, by property over random specs, and
-//! for the stop-at-confidence policy (a stopped cell must equal a
-//! fixed-trials run of exactly the stop length).
+//! computes. These tests pin that claim for every `SetupKind` family at
+//! fixed seeds (each engine trial equals a standalone cold-boot trial),
+//! by property over random sampled specs (a cell's result does not depend
+//! on what the shared cache served before it), and for the
+//! stop-at-confidence policy (a stopped cell must equal a fixed-trials run
+//! of exactly the stop length).
 
 use nlh_campaign::{
-    run_campaign_with, run_sampled_campaign_steered_depth, run_trial, BenchKind, BootMode,
+    build_system, run_sampled_campaign_in, run_trial_with, BenchKind, BootCache, BootMode,
     CampaignEngine, CampaignResult, CampaignSpec, ExecMode, MechanismSpec, MemorySink, NullSink,
-    SampledCampaign, SamplingMode, SetupKind, StopPolicy, TrialConfig,
+    SampledCampaign, SamplingMode, SetupKind, StopPolicy, TrialClass, TrialConfig, TrialResult,
+    TrialRunOptions,
 };
 use nlh_core::LadderRung;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
 use proptest::prelude::*;
 
-/// Runs a spec's cell through the legacy per-campaign path.
-fn legacy_sharded(spec: &CampaignSpec) -> CampaignResult {
-    let (setup, fault, trials, seed, boot) =
-        (spec.setup, spec.fault, spec.trials, spec.seed, spec.boot);
-    match spec.mechanism {
-        MechanismSpec::Nilihype => run_campaign_with(
-            setup,
-            fault,
-            trials,
-            seed,
-            nlh_core::Microreset::nilihype,
-            boot,
-        ),
-        MechanismSpec::Rehype => run_campaign_with(
-            setup,
-            fault,
-            trials,
-            seed,
-            nlh_core::Microreboot::rehype,
-            boot,
-        ),
-        MechanismSpec::Rung(rung) => run_campaign_with(
-            setup,
-            fault,
-            trials,
-            seed,
-            move || nlh_core::Microreset::with_enhancements(rung.enhancements()),
-            boot,
-        ),
-        MechanismSpec::NilihypeNoSchedFix => run_campaign_with(
-            setup,
-            fault,
-            trials,
-            seed,
-            || {
-                let mut e = nlh_core::Enhancements::full();
-                e.sched_consistency = false;
-                nlh_core::Microreset::with_enhancements(e)
-            },
-            boot,
-        ),
-    }
-}
-
 /// Asserts every deterministic field of two campaign results agrees
 /// (wall-clock telemetry and cache counters are host- or
 /// context-dependent by design and excluded).
-fn assert_campaigns_equal(engine: &CampaignResult, legacy: &CampaignResult, label: &str) {
-    assert_eq!(engine.mechanism, legacy.mechanism, "{label}: mechanism");
-    assert_eq!(engine.fault, legacy.fault, "{label}: fault");
-    assert_eq!(engine.trials, legacy.trials, "{label}: trials");
+fn assert_campaigns_equal(a: &CampaignResult, b: &CampaignResult, label: &str) {
+    assert_eq!(a.mechanism, b.mechanism, "{label}: mechanism");
+    assert_eq!(a.fault, b.fault, "{label}: fault");
+    assert_eq!(a.trials, b.trials, "{label}: trials");
     assert_eq!(
-        engine.non_manifested, legacy.non_manifested,
+        a.non_manifested, b.non_manifested,
         "{label}: non_manifested"
     );
-    assert_eq!(engine.sdc, legacy.sdc, "{label}: sdc");
-    assert_eq!(engine.detected, legacy.detected, "{label}: detected");
-    assert_eq!(engine.successes, legacy.successes, "{label}: successes");
-    assert_eq!(engine.no_vmf, legacy.no_vmf, "{label}: no_vmf");
+    assert_eq!(a.sdc, b.sdc, "{label}: sdc");
+    assert_eq!(a.detected, b.detected, "{label}: detected");
+    assert_eq!(a.successes, b.successes, "{label}: successes");
+    assert_eq!(a.no_vmf, b.no_vmf, "{label}: no_vmf");
     assert_eq!(
-        engine.failure_reasons, legacy.failure_reasons,
+        a.failure_reasons, b.failure_reasons,
         "{label}: failure_reasons"
     );
     assert_eq!(
-        engine.telemetry.total_steps, legacy.telemetry.total_steps,
+        a.telemetry.total_steps, b.telemetry.total_steps,
         "{label}: total_steps"
     );
     assert_eq!(
-        engine.telemetry.recovery_latency_us, legacy.telemetry.recovery_latency_us,
+        a.telemetry.recovery_latency_us, b.telemetry.recovery_latency_us,
         "{label}: recovery latency histogram"
     );
     assert_eq!(
-        engine.telemetry.phase_latency_us, legacy.telemetry.phase_latency_us,
+        a.telemetry.phase_latency_us, b.telemetry.phase_latency_us,
         "{label}: phase latency histograms"
     );
 }
 
-fn assert_sampled_equal(engine: &SampledCampaign, legacy: &SampledCampaign, label: &str) {
-    assert_eq!(engine.trials, legacy.trials, "{label}: trials");
-    assert_eq!(engine.successes, legacy.successes, "{label}: successes");
-    assert_eq!(engine.failures, legacy.failures, "{label}: failures");
+fn assert_sampled_equal(a: &SampledCampaign, b: &SampledCampaign, label: &str) {
+    assert_eq!(a.trials, b.trials, "{label}: trials");
+    assert_eq!(a.successes, b.successes, "{label}: successes");
+    assert_eq!(a.failures, b.failures, "{label}: failures");
     assert_eq!(
-        engine.first_failure_trial, legacy.first_failure_trial,
+        a.first_failure_trial, b.first_failure_trial,
         "{label}: first failure trial"
     );
     assert_eq!(
-        engine.coverage.to_json(),
-        legacy.coverage.to_json(),
+        a.coverage.to_json(),
+        b.coverage.to_json(),
         "{label}: coverage map"
     );
     assert_eq!(
-        format!("{:?}", engine.first_failure_record),
-        format!("{:?}", legacy.first_failure_record),
+        format!("{:?}", a.first_failure_record),
+        format!("{:?}", b.first_failure_record),
         "{label}: first failure record"
     );
 }
 
-/// Every `SetupKind` family, engine vs legacy, fixed seeds: identical
-/// `CampaignResult`s AND identical per-trial `TrialResult` sequences
-/// (each engine trial equals a standalone cold-boot run of that seed).
+/// Checks a sharded cell's aggregate against its own seed-ordered
+/// per-trial results.
+fn assert_aggregates_trials(r: &CampaignResult, trials: &[TrialResult], label: &str) {
+    let count = |f: fn(&TrialClass) -> bool| trials.iter().filter(|t| f(&t.class)).count() as u64;
+    assert_eq!(r.trials, trials.len() as u64, "{label}: trials");
+    assert_eq!(
+        r.non_manifested,
+        count(|c| *c == TrialClass::NonManifested),
+        "{label}: non_manifested"
+    );
+    assert_eq!(r.sdc, count(|c| *c == TrialClass::Sdc), "{label}: sdc");
+    assert_eq!(
+        r.successes,
+        count(TrialClass::is_success),
+        "{label}: successes"
+    );
+    assert_eq!(
+        r.detected,
+        r.successes + count(|c| matches!(c, TrialClass::RecoveryFailure(_))),
+        "{label}: detected"
+    );
+    assert_eq!(
+        r.telemetry.total_steps,
+        trials.iter().map(|t| t.steps).sum::<u64>(),
+        "{label}: total_steps"
+    );
+}
+
+/// Every `SetupKind` family, fixed seeds, a spread of mechanisms and both
+/// boot modes: each engine trial equals a standalone cold-boot trial of
+/// that seed (`build_system` + `run_trial_with`), and the cell's aggregate
+/// is exactly the fold of those trials.
 #[test]
-fn engine_equals_legacy_for_every_setup_family() {
+fn engine_trials_equal_cold_trials_for_every_setup_family() {
     let engine = CampaignEngine::new();
-    let cells: [(SetupKind, FaultType, u64, u64); 7] = [
+    let cells: [(SetupKind, FaultType, u64, u64, MechanismSpec, BootMode); 7] = [
         (
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             10,
             2018,
+            MechanismSpec::Nilihype,
+            BootMode::Warm,
         ),
         (
             SetupKind::OneAppVm(BenchKind::VirtioBlkBench),
             FaultType::Register,
             8,
             41,
+            MechanismSpec::Rung(LadderRung::SchedConsistency),
+            BootMode::Warm,
         ),
-        (SetupKind::ThreeAppVm, FaultType::Code, 8, 77),
-        (SetupKind::TwoAppVmSharedCpu, FaultType::Register, 8, 99),
-        (SetupKind::TwoAppVmVswitch, FaultType::Failstop, 6, 2018),
-        (SetupKind::Overcommit(2), FaultType::Code, 6, 7),
-        (SetupKind::Overcommit(4), FaultType::Failstop, 6, 11),
+        (
+            SetupKind::ThreeAppVm,
+            FaultType::Code,
+            8,
+            77,
+            MechanismSpec::Rehype,
+            BootMode::Warm,
+        ),
+        (
+            SetupKind::TwoAppVmSharedCpu,
+            FaultType::Register,
+            8,
+            99,
+            MechanismSpec::Nilihype,
+            BootMode::Cold,
+        ),
+        (
+            SetupKind::TwoAppVmVswitch,
+            FaultType::Failstop,
+            6,
+            2018,
+            MechanismSpec::Nilihype,
+            BootMode::Warm,
+        ),
+        (
+            SetupKind::Overcommit(2),
+            FaultType::Code,
+            6,
+            7,
+            MechanismSpec::NilihypeNoSchedFix,
+            BootMode::Warm,
+        ),
+        (
+            SetupKind::Overcommit(4),
+            FaultType::Failstop,
+            6,
+            11,
+            MechanismSpec::Nilihype,
+            BootMode::Cold,
+        ),
     ];
-    for (setup, fault, trials, seed) in cells {
+    for (setup, fault, trials, seed, mechanism, boot) in cells {
         let mut spec = CampaignSpec::new(format!("{setup:?}"), setup, fault, trials);
         spec.seed = seed;
+        spec.mechanism = mechanism;
+        spec.boot = boot;
         let cell = engine.run_spec(&spec, &mut NullSink);
-        let legacy = legacy_sharded(&spec);
-        let label = format!("{setup:?}/{fault}");
-        assert_campaigns_equal(cell.sharded().unwrap(), &legacy, &label);
-
-        assert_eq!(cell.per_trial.len() as u64, trials, "{label}: trial count");
+        let label = format!("{setup:?}/{fault}/{}/{boot:?}", mechanism.manifest_name());
+        let r = cell.sharded().unwrap();
         let mech = spec.mechanism.build();
+        assert_eq!(r.mechanism, mech.name(), "{label}: mechanism");
+        assert_eq!(r.fault, fault, "{label}: fault");
+        assert_eq!(cell.per_trial.len() as u64, trials, "{label}: trial count");
+        assert_aggregates_trials(r, &cell.per_trial, &label);
+
         for (i, engine_trial) in cell.per_trial.iter().enumerate() {
             let cfg = TrialConfig::new(setup, fault, seed + i as u64);
-            let standalone = run_trial(&cfg, mech.as_ref());
+            let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+            let (standalone, _, _) =
+                run_trial_with(hv, &layout, &cfg, mech.as_ref(), TrialRunOptions::default());
             assert_eq!(
                 engine_trial, &standalone,
                 "{label}: trial {i} diverged from a standalone cold-boot run"
@@ -273,40 +306,6 @@ fn stop_at_confidence_is_deterministic_and_prefix_exact() {
     assert!(last.detected >= 10);
 }
 
-/// Disabled stop policy (fixed trials) reproduces the legacy golden
-/// ladder counts through the engine path (the root `tests/golden.rs`
-/// pins the full set; this is the in-crate guard).
-#[test]
-fn fixed_trials_engine_reproduces_legacy_goldens() {
-    let engine = CampaignEngine::new();
-    let mut spec = CampaignSpec::new(
-        "ladder-top",
-        SetupKind::OneAppVm(BenchKind::UnixBench),
-        FaultType::Failstop,
-        40,
-    );
-    spec.seed = 2018;
-    spec.mechanism = MechanismSpec::Rung(LadderRung::VirtqueueConsistency);
-    let cell = engine.run_spec(&spec, &mut NullSink);
-    let r = cell.sharded().unwrap();
-    assert_eq!(
-        (r.detected, r.successes, r.no_vmf),
-        (40, 38, 38),
-        "GOLDEN_LADDER top rung via the engine"
-    );
-}
-
-fn setups() -> impl Strategy<Value = SetupKind> {
-    prop_oneof![
-        Just(SetupKind::OneAppVm(BenchKind::UnixBench)),
-        Just(SetupKind::OneAppVm(BenchKind::NetBench)),
-        Just(SetupKind::ThreeAppVm),
-        Just(SetupKind::TwoAppVmSharedCpu),
-        Just(SetupKind::TwoAppVmVswitch),
-        Just(SetupKind::Overcommit(2)),
-    ]
-}
-
 fn faults() -> impl Strategy<Value = FaultType> {
     prop_oneof![
         Just(FaultType::Failstop),
@@ -315,41 +314,16 @@ fn faults() -> impl Strategy<Value = FaultType> {
     ]
 }
 
-fn mechanisms() -> impl Strategy<Value = MechanismSpec> {
-    prop_oneof![
-        Just(MechanismSpec::Nilihype),
-        Just(MechanismSpec::Rehype),
-        Just(MechanismSpec::Rung(LadderRung::SchedConsistency)),
-        Just(MechanismSpec::NilihypeNoSchedFix),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random sharded specs: engine == legacy.
-    #[test]
-    fn engine_equals_legacy_sharded(
-        seed in 0u64..100_000,
-        setup in setups(),
-        fault in faults(),
-        mechanism in mechanisms(),
-        trials in 1u64..6,
-        cold in 0u8..2,
-    ) {
-        let mut spec = CampaignSpec::new("prop", setup, fault, trials);
-        spec.seed = seed;
-        spec.mechanism = mechanism;
-        spec.boot = if cold == 1 { BootMode::Cold } else { BootMode::Warm };
-        let cell = CampaignEngine::new().run_spec(&spec, &mut NullSink);
-        let legacy = legacy_sharded(&spec);
-        assert_campaigns_equal(cell.sharded().unwrap(), &legacy, "prop-sharded");
-    }
-
     /// Random sampled specs (windows, sampling mode, steer handler, depth
-    /// cycle): engine == `run_sampled_campaign_steered_depth`.
+    /// cycle): a cell on a fresh engine equals a direct
+    /// `run_sampled_campaign_in` over a fresh cache, and equals the same
+    /// cell run after other cells — sharded and sampled, other seeds —
+    /// have warmed the engine's shared cache.
     #[test]
-    fn engine_equals_legacy_sampled(
+    fn sampled_cell_is_independent_of_cache_history(
         seed in 0u64..100_000,
         fault in faults(),
         trials in 1u64..6,
@@ -372,12 +346,29 @@ proptest! {
         let mut spec = CampaignSpec::new("prop-sampled", setup, fault, trials);
         spec.seed = seed;
         spec.mode = ExecMode::Sampled { windows, sampling, steer_handler, depth_cycle };
-        let cell = CampaignEngine::new().run_spec(&spec, &mut NullSink);
+        let fresh = CampaignEngine::new().run_spec(&spec, &mut NullSink);
+
         let mech = spec.mechanism.build();
-        let legacy = run_sampled_campaign_steered_depth(
-            setup, fault, mech.as_ref(), seed, trials, windows, sampling, steer_handler,
-            depth_cycle,
+        let direct = run_sampled_campaign_in(
+            &BootCache::new(), setup, fault, mech.as_ref(), seed, trials, windows, sampling,
+            steer_handler, depth_cycle, &mut |_, _, _| false,
         );
-        assert_sampled_equal(cell.sampled().unwrap(), &legacy, "prop-sampled");
+        assert_sampled_equal(fresh.sampled().unwrap(), &direct, "fresh engine vs direct");
+
+        let warmed = CampaignEngine::new();
+        let mut other = CampaignSpec::new("other-sharded", setup, FaultType::Failstop, 2);
+        other.seed = seed.wrapping_add(7);
+        warmed.run_spec(&other, &mut NullSink);
+        other.name = "other-sampled".into();
+        other.mode = ExecMode::Sampled {
+            windows: 3,
+            sampling: SamplingMode::CoverageGuided,
+            steer_handler: Some(HandlerKind::VirtioMmio),
+            depth_cycle: 2,
+        };
+        warmed.run_spec(&other, &mut NullSink);
+        let after = warmed.run_spec(&spec, &mut NullSink);
+        prop_assert_eq!(after.cache.misses, 0, "the template was already resident");
+        assert_sampled_equal(fresh.sampled().unwrap(), after.sampled().unwrap(), "fresh vs warmed");
     }
 }

@@ -1,0 +1,124 @@
+//! Parser robustness: the two text formats the tools read from disk — trial
+//! records (`replay`) and suite manifests (`campaign_server`) — reject
+//! damaged input with an `Err`, never a panic.
+//!
+//! The inputs are the checked-in files themselves, cut at every character
+//! boundary and hit with random single-character edits (replace, insert,
+//! delete). A manifest that still parses must also be runnable: every
+//! sampled job's `windows` must be a valid coverage-map width, since the
+//! engine would otherwise assert mid-suite after earlier jobs had run.
+
+use nlh_campaign::{ExecMode, SuiteSpec, TrialRecord, MAX_TRIGGER_OPS};
+use proptest::prelude::*;
+
+const RECORDS: [&str; 3] = [
+    include_str!("data/golden_residual_trial.log"),
+    include_str!("data/golden_virtio_residual_trial.log"),
+    include_str!("data/golden_sched_residual_trial.log"),
+];
+
+const MANIFEST: &str = include_str!("../../experiments/manifests/ci_suite.manifest");
+
+/// Characters the edits draw from: the formats' own punctuation, digits
+/// (to hit numeric fields, `0` in particular), letters, whitespace and a
+/// multi-byte character.
+const ALPHABET: &[char] = &[
+    '0', '1', '9', '=', ' ', '\n', '#', '.', ':', ',', '(', ')', '[', ']', '-', 'a', 'Z', 'é',
+];
+
+/// Parses a manifest and, if it parses, checks it is runnable.
+fn check_manifest(text: &str) {
+    if let Ok(suite) = SuiteSpec::parse(text) {
+        for job in &suite.jobs {
+            if let ExecMode::Sampled { windows, .. } = job.spec.mode {
+                assert!(
+                    windows > 0 && windows as u64 <= MAX_TRIGGER_OPS,
+                    "job {:?} parsed with windows = {windows}",
+                    job.spec.name
+                );
+            }
+        }
+    }
+}
+
+/// Applies one edit at character position `pos % len`: 0 replaces,
+/// 1 inserts, 2 deletes.
+fn mutate(text: &str, op: u8, pos: usize, ch: usize) -> String {
+    let mut chars: Vec<char> = text.chars().collect();
+    let pos = pos % chars.len().max(1);
+    let ch = ALPHABET[ch % ALPHABET.len()];
+    match op {
+        0 if !chars.is_empty() => chars[pos] = ch,
+        2 if !chars.is_empty() => {
+            chars.remove(pos);
+        }
+        _ => chars.insert(pos, ch),
+    }
+    chars.into_iter().collect()
+}
+
+/// Every prefix of every input, cut at each character boundary.
+fn truncations(text: &str) -> impl Iterator<Item = &str> {
+    text.char_indices()
+        .map(|(i, _)| &text[..i])
+        .chain(std::iter::once(text))
+}
+
+#[test]
+fn checked_in_inputs_parse() {
+    for record in RECORDS {
+        TrialRecord::from_text(record).expect("golden record parses");
+    }
+    let suite = SuiteSpec::parse(MANIFEST).expect("ci manifest parses");
+    assert_eq!(suite.jobs.len(), 3);
+}
+
+#[test]
+fn every_truncation_returns_instead_of_panicking() {
+    for record in RECORDS {
+        for prefix in truncations(record) {
+            let _ = TrialRecord::from_text(prefix);
+        }
+    }
+    for prefix in truncations(MANIFEST) {
+        check_manifest(prefix);
+    }
+}
+
+/// The manifest is small enough to sweep exhaustively: every position
+/// replaced by every alphabet character (this is what turns
+/// `windows = 8` into `windows = 0`).
+#[test]
+fn every_manifest_replacement_parses_runnable_or_fails() {
+    for pos in 0..MANIFEST.chars().count() {
+        for ch in 0..ALPHABET.len() {
+            check_manifest(&mutate(MANIFEST, 0, pos, ch));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Single-character edits of the golden trial records.
+    #[test]
+    fn mutated_records_return_instead_of_panicking(
+        which in 0usize..3,
+        op in 0u8..3,
+        pos in 0usize..4096,
+        ch in 0usize..64,
+    ) {
+        let _ = TrialRecord::from_text(&mutate(RECORDS[which], op, pos, ch));
+    }
+
+    /// Single-character edits of the CI manifest: `Ok` or `Err`, and
+    /// every `Ok` suite is runnable.
+    #[test]
+    fn mutated_manifests_parse_runnable_or_fail(
+        op in 0u8..3,
+        pos in 0usize..4096,
+        ch in 0usize..64,
+    ) {
+        check_manifest(&mutate(MANIFEST, op, pos, ch));
+    }
+}

@@ -1,7 +1,7 @@
 //! Record-then-replay determinism: every trial's event record is enough to
 //! reproduce the trial bit for bit.
 //!
-//! [`run_trial_recorded`] logs the trial's seed, config key, steered
+//! [`run_trial_with`] logs the trial's seed, config key, steered
 //! trigger range and injection point. These properties pin the claim that
 //! the record is *complete*: parsing the record back from its text form and
 //! replaying it from a [`BootCache`] snapshot reproduces the full
@@ -11,13 +11,24 @@
 //! record.
 
 use nlh_campaign::{
-    bisect_trials, run_trial_recorded, run_trial_with, BenchKind, BootCache, SetupKind,
-    TrialConfig, TrialRecord, TrialRunOptions,
+    bisect_trials, run_trial_with, BenchKind, BootCache, SetupKind, TrialConfig, TrialRecord,
+    TrialResult, TrialRunOptions,
 };
-use nlh_core::Microreset;
+use nlh_core::{Microreset, RecoveryMechanism};
 use nlh_inject::FaultType;
 use nlh_sim::trace::{TraceLevel, TraceRing};
 use proptest::prelude::*;
+
+/// A warm-started trial with default options and its event record.
+fn recorded_trial(
+    cfg: &TrialConfig,
+    mech: &dyn RecoveryMechanism,
+    cache: &BootCache,
+) -> (TrialResult, TrialRecord) {
+    let (hv, layout) = cache.checkout(&cfg.machine, cfg.setup, cfg.seed);
+    let (result, record, _) = run_trial_with(hv, &layout, cfg, mech, TrialRunOptions::default());
+    (result, record)
+}
 
 fn setups() -> impl Strategy<Value = SetupKind> {
     prop_oneof![
@@ -53,7 +64,7 @@ proptest! {
         let cache = BootCache::new();
         let mech = Microreset::nilihype();
         let cfg = TrialConfig::new(setup, fault, seed);
-        let (original, record) = run_trial_recorded(&cfg, &mech, &cache);
+        let (original, record) = recorded_trial(&cfg, &mech, &cache);
 
         let text = record.to_text();
         let parsed = TrialRecord::from_text(&text);
@@ -104,7 +115,7 @@ fn bisect_pins_injected_trial_against_reference() {
         FaultType::Failstop,
         2018,
     );
-    let (result, record) = run_trial_recorded(&cfg, &mech, &cache);
+    let (result, record) = recorded_trial(&cfg, &mech, &cache);
     assert!(
         result.observations.detected,
         "seed 2018 is a detected fail-stop trial (pinned by tests/golden.rs)"

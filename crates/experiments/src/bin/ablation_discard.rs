@@ -9,8 +9,8 @@
 //! committed. Both policies are implemented here, so the claim can be
 //! measured.
 
-use nlh_campaign::{run_campaign, BenchKind, SetupKind};
-use nlh_core::{DiscardPolicy, Microreset};
+use nlh_campaign::{BenchKind, CampaignEngine, CampaignSpec, NullSink, SetupKind};
+use nlh_core::{DiscardPolicy, Microreset, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_inject::FaultType;
 
@@ -21,6 +21,7 @@ fn main() {
     hr();
     println!("{:40} {:>16}", "Policy", "Recovery rate");
     hr();
+    let engine = CampaignEngine::new();
     for (label, policy) in [
         ("Discard all threads (NiLiHype)", DiscardPolicy::AllThreads),
         (
@@ -28,13 +29,18 @@ fn main() {
             DiscardPolicy::FaultingThreadOnly,
         ),
     ] {
-        let r = run_campaign(
+        let mut spec = CampaignSpec::new(
+            label,
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
-            opts.seed,
-            move || Microreset::nilihype().with_policy(policy),
         );
+        spec.seed = opts.seed;
+        let make = || -> Box<dyn RecoveryMechanism> {
+            Box::new(Microreset::nilihype().with_policy(policy))
+        };
+        let cell = engine.run_spec_with(&spec, &make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
         println!("{:40} {:>16}", label, pct(r.success_rate()));
     }
     hr();

@@ -5,8 +5,8 @@
 //! dominant source of normal-operation overhead (Figure 3's NiLiHype\*).
 //! This binary measures the recovery-rate side of turning it off.
 
-use nlh_campaign::{run_campaign, BenchKind, SetupKind};
-use nlh_core::{Enhancements, Microreset};
+use nlh_campaign::{BenchKind, CampaignEngine, CampaignSpec, NullSink, SetupKind};
+use nlh_core::{Enhancements, Microreset, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_inject::FaultType;
 
@@ -21,17 +21,21 @@ fn main() {
     hr();
     println!("{:44} {:>16}", "Configuration", "Recovery rate");
     hr();
+    let engine = CampaignEngine::new();
     for (label, e) in [
         ("Undo logging + reordering (NiLiHype)", Enhancements::full()),
         ("Without the mitigation (NiLiHype*)", no_log),
     ] {
-        let r = run_campaign(
+        let mut spec = CampaignSpec::new(
+            label,
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
-            opts.seed,
-            move || Microreset::with_enhancements(e),
         );
+        spec.seed = opts.seed;
+        let make = || -> Box<dyn RecoveryMechanism> { Box::new(Microreset::with_enhancements(e)) };
+        let cell = engine.run_spec_with(&spec, &make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
         println!("{:44} {:>16}", label, pct(r.success_rate()));
     }
     hr();

@@ -4,7 +4,7 @@
 //! the paper notes that skipping it saves the latency at the cost of ~4%
 //! of recovery rate. This binary measures both sides of the trade-off.
 
-use nlh_campaign::{run_campaign, SetupKind};
+use nlh_campaign::{CampaignEngine, CampaignSpec, NullSink, SetupKind};
 use nlh_core::{Enhancements, Microreset, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_hv::{Hypervisor, MachineConfig};
@@ -23,17 +23,16 @@ fn main() {
         "Configuration", "Recovery rate", "Latency (8 GiB)"
     );
     hr();
+    let engine = CampaignEngine::new();
     for (label, e) in [
         ("With scan", Enhancements::full()),
         ("Without scan", no_scan),
     ] {
-        let r = run_campaign(
-            SetupKind::ThreeAppVm,
-            FaultType::Register,
-            trials,
-            opts.seed,
-            move || Microreset::with_enhancements(e),
-        );
+        let mut spec = CampaignSpec::new(label, SetupKind::ThreeAppVm, FaultType::Register, trials);
+        spec.seed = opts.seed;
+        let make = || -> Box<dyn RecoveryMechanism> { Box::new(Microreset::with_enhancements(e)) };
+        let cell = engine.run_spec_with(&spec, &make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
         let mut hv = Hypervisor::new(MachineConfig::paper(), opts.seed);
         hv.raise_panic(nlh_sim::CpuId(0), "fault");
         let latency = Microreset::with_enhancements(e)

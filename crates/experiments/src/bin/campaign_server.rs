@@ -18,9 +18,10 @@
 //!   suite: all eight Table I rungs, all six Figure 2 cells, and the six
 //!   device-campaign cells, at the exact golden-test configurations.
 //!
-//! `--isolated` runs each job on its own fresh engine (per-job cache, the
-//! legacy behaviour) and `--cold-boot` forces every trial to boot from
-//! scratch; both exist to measure what the resident engine saves.
+//! `--isolated` runs each job on its own fresh engine (a per-job cache, as
+//! one process per experiment binary would have) and `--cold-boot` forces
+//! every trial to boot from scratch; both exist to measure what the
+//! resident engine saves.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -295,7 +296,7 @@ fn main() {
     let mut sink = PrintSink { quiet: args.quiet };
     let started = Instant::now();
     let (outcomes, cache) = if args.isolated {
-        // Legacy shape: a fresh engine (and cache) per job. Dependency
+        // Per-job shape: a fresh engine (and cache) per job. Dependency
         // edges carry no data, so submission order is a valid execution
         // order for measurement purposes.
         let mut outcomes = Vec::new();

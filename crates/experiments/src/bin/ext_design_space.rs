@@ -12,7 +12,9 @@
 //! type where the cleansing power of rollback/reboot matters) and recovery
 //! latency on the paper's 8 GiB machine.
 
-use nlh_campaign::{run_campaign, SetupKind};
+use nlh_campaign::{
+    CampaignEngine, CampaignResult, CampaignSpec, MechanismSpec, NullSink, SetupKind,
+};
 use nlh_core::{CheckpointRestore, Microreboot, Microreset, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_hv::{CpuId, Hypervisor, MachineConfig};
@@ -37,13 +39,20 @@ fn main() {
     );
     hr();
 
-    let reset_rate = run_campaign(
+    let engine = CampaignEngine::new();
+    let mut spec = CampaignSpec::new(
+        "design-space",
         SetupKind::ThreeAppVm,
         FaultType::Register,
         trials,
-        opts.seed,
-        Microreset::nilihype,
     );
+    spec.seed = opts.seed;
+    let run = |make: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync)| -> CampaignResult {
+        let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+        cell.sharded().expect("sharded cell").clone()
+    };
+
+    let reset_rate = run(&|| MechanismSpec::Nilihype.build());
     println!(
         "{:34} {:>16} {:>16}ms",
         "Microreset (NiLiHype)",
@@ -51,13 +60,7 @@ fn main() {
         latency(&Microreset::nilihype()).as_millis()
     );
 
-    let ckpt_rate = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Register,
-        trials,
-        opts.seed,
-        CheckpointRestore::new,
-    );
+    let ckpt_rate = run(&|| Box::new(CheckpointRestore::new()));
     println!(
         "{:34} {:>16} {:>16}ms",
         "Checkpoint rollback (Section II-B)",
@@ -65,13 +68,7 @@ fn main() {
         latency(&CheckpointRestore::new()).as_millis()
     );
 
-    let reboot_rate = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Register,
-        trials,
-        opts.seed,
-        Microreboot::rehype,
-    );
+    let reboot_rate = run(&|| MechanismSpec::Rehype.build());
     println!(
         "{:34} {:>16} {:>16}ms",
         "Microreboot (ReHype)",

@@ -7,7 +7,7 @@
 //!    not trap through the hypervisor (the paper cites prior work finding
 //!    HVM fault-injection results "very similar" to PV ones).
 
-use nlh_campaign::{build_system, run_campaign, BenchKind, SetupKind};
+use nlh_campaign::{build_system, BenchKind, CampaignEngine, CampaignSpec, NullSink, SetupKind};
 use nlh_core::{Microreset, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_hv::domain::{DomainKind, DomainSpec};
@@ -75,30 +75,17 @@ fn main() {
 
     println!("Extension 1: multiple vCPUs per CPU (fail-stop, {trials} trials)");
     hr();
-    let pinned = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Failstop,
-        trials,
-        opts.seed,
-        Microreset::nilihype,
-    );
-    let shared = run_campaign(
-        SetupKind::TwoAppVmSharedCpu,
-        FaultType::Failstop,
-        trials,
-        opts.seed,
-        Microreset::nilihype,
-    );
-    println!(
-        "{:44} {:>16}",
-        "vCPUs pinned 1:1 (3AppVM)",
-        pct(pinned.success_rate())
-    );
-    println!(
-        "{:44} {:>16}",
-        "two vCPUs sharing one CPU",
-        pct(shared.success_rate())
-    );
+    let engine = CampaignEngine::new();
+    for (label, setup) in [
+        ("vCPUs pinned 1:1 (3AppVM)", SetupKind::ThreeAppVm),
+        ("two vCPUs sharing one CPU", SetupKind::TwoAppVmSharedCpu),
+    ] {
+        let mut spec = CampaignSpec::new(label, setup, FaultType::Failstop, trials);
+        spec.seed = opts.seed;
+        let cell = engine.run_spec(&spec, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
+        println!("{:44} {:>16}", label, pct(r.success_rate()));
+    }
     println!();
 
     println!("Extension 2: HVM vs PV AppVM (1AppVM UnixBench, fail-stop, {trials} trials)");

@@ -7,8 +7,7 @@
 //!
 //! All six campaigns (two mechanisms × three fault types) run on one
 //! resident [`CampaignEngine`], sharing a single 3AppVM boot template
-//! instead of building one per campaign; results are bit-identical to the
-//! legacy per-campaign path.
+//! instead of building one per campaign.
 
 use nlh_campaign::{
     CampaignEngine, CampaignResult, CampaignSpec, MechanismSpec, NullSink, SetupKind,
@@ -31,7 +30,6 @@ fn run_cell(
     );
     spec.seed = opts.seed;
     spec.mechanism = mechanism;
-    spec.boot = opts.boot_mode();
     engine
         .run_spec(&spec, &mut NullSink)
         .sharded()

@@ -12,9 +12,9 @@
 //! 8 windows, seed 2018.
 
 use nlh_campaign::{
-    run_sampled_campaign, BenchKind, SampledCampaign, SamplingMode, SetupKind, DEFAULT_OPS_WINDOWS,
+    BenchKind, CampaignEngine, CampaignSpec, CellOutput, ExecMode, NullSink, SampledCampaign,
+    SamplingMode, SetupKind, DEFAULT_OPS_WINDOWS,
 };
-use nlh_core::Microreset;
 use nlh_experiments::hr;
 use nlh_inject::FaultType;
 
@@ -74,7 +74,6 @@ fn main() {
     let windows = args.windows;
     let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
     let fault = FaultType::Failstop;
-    let mech = Microreset::nilihype();
 
     println!("Coverage-guided vs uniform trigger sampling");
     println!(
@@ -83,24 +82,23 @@ fn main() {
     );
     hr();
 
-    let uniform = run_sampled_campaign(
-        setup,
-        fault,
-        &mech,
-        args.seed,
-        trials,
-        windows,
-        SamplingMode::Uniform,
-    );
-    let guided = run_sampled_campaign(
-        setup,
-        fault,
-        &mech,
-        args.seed,
-        trials,
-        windows,
-        SamplingMode::CoverageGuided,
-    );
+    let engine = CampaignEngine::new();
+    let run = |sampling: SamplingMode| -> SampledCampaign {
+        let mut spec = CampaignSpec::new(format!("{sampling:?}"), setup, fault, trials);
+        spec.seed = args.seed;
+        spec.mode = ExecMode::Sampled {
+            windows,
+            sampling,
+            steer_handler: None,
+            depth_cycle: 1,
+        };
+        match engine.run_spec(&spec, &mut NullSink).output {
+            CellOutput::Sampled(s) => s,
+            CellOutput::Sharded(_) => unreachable!("sampled spec"),
+        }
+    };
+    let uniform = run(SamplingMode::Uniform);
+    let guided = run(SamplingMode::CoverageGuided);
 
     describe("uniform", &uniform);
     describe("guided", &guided);

@@ -6,8 +6,7 @@
 //!
 //! The eight rung campaigns are submitted to one resident
 //! [`nlh_campaign::CampaignEngine`], so the boot template is built once
-//! and shared across every rung (results are bit-identical to the legacy
-//! per-campaign path).
+//! and shared across every rung.
 
 use nlh_campaign::CampaignEngine;
 use nlh_experiments::{hr, pct, print_latency, print_throughput, ExpOptions};
@@ -21,7 +20,7 @@ fn main() {
     println!("{:55} {:>12} {:>8}", "Mechanism", "Measured", "Paper");
     hr();
     let engine = CampaignEngine::new();
-    let rows = nlh_campaign::run_ladder_on(&engine, trials, opts.seed, opts.boot_mode());
+    let rows = nlh_campaign::run_ladder_on(&engine, trials, opts.seed);
     for row in &rows {
         let paper = row
             .rung

@@ -4,8 +4,8 @@
 //! 65% → (+ syscall retry, batched-hypercall retry, FS/GS save) 84% →
 //! (+ non-idempotent mitigation) 96%, on 1AppVM fail-stop campaigns.
 
-use nlh_campaign::{run_campaign, BenchKind, SetupKind};
-use nlh_core::{Microreboot, ReHypeConfig};
+use nlh_campaign::{BenchKind, CampaignEngine, CampaignSpec, NullSink, SetupKind};
+use nlh_core::{Microreboot, ReHypeConfig, RecoveryMechanism};
 use nlh_experiments::{hr, pct, ExpOptions};
 use nlh_inject::FaultType;
 
@@ -29,14 +29,18 @@ fn main() {
     hr();
     println!("{:48} {:>14} {:>8}", "Configuration", "Measured", "Paper");
     hr();
+    let engine = CampaignEngine::new();
     for (label, config, paper) in rungs {
-        let r = run_campaign(
+        let mut spec = CampaignSpec::new(
+            label,
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
-            opts.seed,
-            move || Microreboot::with_config(config),
         );
+        spec.seed = opts.seed;
+        let make = || -> Box<dyn RecoveryMechanism> { Box::new(Microreboot::with_config(config)) };
+        let cell = engine.run_spec_with(&spec, &make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
         println!("{:48} {:>14} {:>8}", label, pct(r.success_rate()), paper);
     }
     hr();

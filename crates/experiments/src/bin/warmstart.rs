@@ -1,13 +1,14 @@
 //! **Warm-start engine benchmark** — measures what the boot cache saves.
 //!
 //! Runs the same 1AppVM / UnixBench / fail-stop campaign twice — once
-//! cold-booting every trial, once warm-starting from the campaign's boot
+//! cold-booting every trial, once warm-starting from the engine's boot
 //! cache — verifies the aggregate results are identical, and reports the
 //! wall-clock speedup. Default 1000 trials (the paper's fail-stop campaign
 //! size).
 
-use nlh_campaign::{run_campaign_with, BenchKind, BootMode, SetupKind};
-use nlh_core::Microreset;
+use nlh_campaign::{
+    BenchKind, BootMode, CampaignEngine, CampaignResult, CampaignSpec, NullSink, SetupKind,
+};
 use nlh_experiments::{hr, print_latency, print_throughput, ExpOptions};
 use nlh_inject::FaultType;
 
@@ -18,15 +19,18 @@ fn main() {
     println!("(1AppVM, UnixBench, fail-stop faults, {trials} trials per run)");
     hr();
 
-    let run = |mode| {
-        run_campaign_with(
+    let engine = CampaignEngine::new();
+    let run = |boot: BootMode| -> CampaignResult {
+        let mut spec = CampaignSpec::new(
+            format!("{boot:?}"),
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
-            opts.seed,
-            Microreset::nilihype,
-            mode,
-        )
+        );
+        spec.seed = opts.seed;
+        spec.boot = boot;
+        let cell = engine.run_spec(&spec, &mut NullSink);
+        cell.sharded().expect("sharded cell").clone()
     };
 
     let cold = run(BootMode::Cold);

@@ -11,15 +11,15 @@
 //! * `--full` — use the paper's campaign sizes (1000 Failstop / 5000
 //!   Register / 2000 Code, 1000 per ladder rung).
 //! * `--seed S` — base seed (default 2018, the year of the paper).
-//! * `--cold-boot` — boot every trial from scratch instead of warm-starting
-//!   from the campaign's boot cache (results are identical; this is the
-//!   escape hatch for validating the warm path, and for measuring what it
-//!   saves).
+//!
+//! Campaigns warm-start every trial from the campaign engine's boot cache;
+//! `warmstart` and `campaign_server --cold-boot` run the cold-boot
+//! baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use nlh_campaign::{BootMode, CampaignTelemetry};
+use nlh_campaign::CampaignTelemetry;
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone)]
@@ -30,8 +30,6 @@ pub struct ExpOptions {
     pub full: bool,
     /// Base seed.
     pub seed: u64,
-    /// Cold-boot every trial instead of warm-starting from the boot cache.
-    pub cold_boot: bool,
 }
 
 impl ExpOptions {
@@ -45,7 +43,6 @@ impl ExpOptions {
             trials: None,
             full: false,
             seed: 2018,
-            cold_boot: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -59,9 +56,8 @@ impl ExpOptions {
                     let v = args.next().expect("--seed needs a value");
                     opts.seed = v.parse().expect("--seed needs an integer");
                 }
-                "--cold-boot" => opts.cold_boot = true,
                 "--help" | "-h" => {
-                    eprintln!("options: [--trials N] [--full] [--seed S] [--cold-boot]");
+                    eprintln!("options: [--trials N] [--full] [--seed S]");
                     std::process::exit(0);
                 }
                 other => panic!("unknown option {other}; try --help"),
@@ -73,15 +69,6 @@ impl ExpOptions {
     /// The trial count to use, given a quick default and the paper's count.
     pub fn count(&self, quick: u64, paper: u64) -> u64 {
         self.trials.unwrap_or(if self.full { paper } else { quick })
-    }
-
-    /// The boot mode selected on the command line.
-    pub fn boot_mode(&self) -> BootMode {
-        if self.cold_boot {
-            BootMode::Cold
-        } else {
-            BootMode::Warm
-        }
     }
 }
 
@@ -141,7 +128,6 @@ mod tests {
             trials,
             full,
             seed: 1,
-            cold_boot: false,
         }
     }
 
@@ -154,13 +140,5 @@ mod tests {
     fn count_uses_paper_size_with_full() {
         assert_eq!(opts(None, true).count(10, 1000), 1000);
         assert_eq!(opts(None, false).count(10, 1000), 10);
-    }
-
-    #[test]
-    fn cold_boot_flag_selects_boot_mode() {
-        let mut o = opts(None, false);
-        assert_eq!(o.boot_mode(), BootMode::Warm);
-        o.cold_boot = true;
-        assert_eq!(o.boot_mode(), BootMode::Cold);
     }
 }

@@ -641,9 +641,8 @@ impl Program {
 /// op retires, so steady-state stepping performs no heap traffic at all
 /// (asserted by the counting-allocator test in `nlh-hv`).
 ///
-/// The pool is host-side memory reuse only: simulated behaviour is
-/// bit-identical with pooling on or off (differential-tested via
-/// [`Hypervisor::pooling`](crate::Hypervisor)).
+/// The pool is host-side memory reuse only: it never changes simulated
+/// behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPool {
     free: Vec<(Vec<MicroOp>, Vec<u16>)>,

@@ -202,13 +202,6 @@ pub struct Hypervisor {
     pub timer_locks: Vec<LockId>,
     /// Map vCPU → owning domain.
     pub vcpu_dom: Vec<DomId>,
-    /// Host-side program-buffer recycling knob. On (the default), handler
-    /// builders reuse micro-op buffers through the per-CPU [`ProgramPool`]s;
-    /// off, every entry allocates a fresh `Vec` exactly as the stepper did
-    /// before the pools existed. Simulated behaviour is bit-identical either
-    /// way (pinned by differential tests); the knob exists so benchmarks and
-    /// tests can compare the two.
-    pub pooling: bool,
     /// Superop dispatch knob. On (the default), the batched stepper
     /// executes whole precompiled runs of [`MicroOp::Compute`] as single
     /// fused superops, fast-forwards provably-idle windows in bulk, and
@@ -363,7 +356,6 @@ impl Hypervisor {
             runq_locks,
             timer_locks,
             vcpu_dom: Vec::new(),
-            pooling: true,
             superops: true,
             cpu_now: vec![SimTime::ZERO; n],
             cpu_mode: vec![CpuMode::Run; n],
@@ -1896,23 +1888,15 @@ impl Hypervisor {
     const BINDING_POOL_CAP: usize = 32;
 
     fn take_binding_buf(&mut self) -> Vec<PageNum> {
-        if self.pooling {
-            self.binding_pool.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
+        self.binding_pool.pop().unwrap_or_default()
     }
 
     fn take_binding_set(&mut self) -> Vec<Vec<PageNum>> {
-        if self.pooling {
-            self.binding_set_pool.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
+        self.binding_set_pool.pop().unwrap_or_default()
     }
 
     fn give_binding_buf(&mut self, mut b: Vec<PageNum>) {
-        if self.pooling && b.capacity() > 0 && self.binding_pool.len() < Self::BINDING_POOL_CAP {
+        if b.capacity() > 0 && self.binding_pool.len() < Self::BINDING_POOL_CAP {
             b.clear();
             self.binding_pool.push(b);
         }
@@ -1921,9 +1905,6 @@ impl Hypervisor {
     /// Recycles a retired request's binding storage (outer list and every
     /// page list) back into the free lists.
     fn recycle_bindings(&mut self, mut bindings: Vec<Vec<PageNum>>) {
-        if !self.pooling {
-            return;
-        }
         while let Some(b) = bindings.pop() {
             self.give_binding_buf(b);
         }
@@ -2967,10 +2948,8 @@ impl Hypervisor {
     /// when the stack empties.
     fn retire_frame(&mut self, i: usize) {
         if let Some(f) = self.stacks[i].pop() {
-            if self.pooling {
-                if let Some(buf) = f.program.into_buffer() {
-                    self.pools[i].give(buf);
-                }
+            if let Some(buf) = f.program.into_buffer() {
+                self.pools[i].give(buf);
             }
         }
         if self.stacks[i].is_empty() {
@@ -2979,14 +2958,9 @@ impl Hypervisor {
     }
 
     /// An empty micro-op buffer and its paired superop-table buffer for a
-    /// handler builder on `cpu`: pooled when [`Hypervisor::pooling`] is
-    /// on, freshly allocated otherwise.
+    /// handler builder on `cpu`, from the CPU's program pool.
     fn take_buf(&mut self, cpu: CpuId) -> (Vec<MicroOp>, Vec<u16>) {
-        if self.pooling {
-            self.pools[cpu.index()].take()
-        } else {
-            (Vec::new(), Vec::new())
-        }
+        self.pools[cpu.index()].take()
     }
 
     fn commit_hypercall(&mut self, cpu: CpuId, vcpu: VcpuId) {
@@ -3103,10 +3077,8 @@ impl Hypervisor {
                 if let Some(v) = f.program.cause.vcpu() {
                     in_hv.push(v);
                 }
-                if self.pooling {
-                    if let Some(buf) = f.program.into_buffer() {
-                        self.pools[i].give(buf);
-                    }
+                if let Some(buf) = f.program.into_buffer() {
+                    self.pools[i].give(buf);
                 }
             }
             self.cpu_mode[i] = CpuMode::Parked;
@@ -3196,10 +3168,8 @@ impl Hypervisor {
             if let Some(v) = f.program.cause.vcpu() {
                 in_hv.push(v);
             }
-            if self.pooling {
-                if let Some(buf) = f.program.into_buffer() {
-                    self.pools[i].give(buf);
-                }
+            if let Some(buf) = f.program.into_buffer() {
+                self.pools[i].give(buf);
             }
         }
         for c in 0..self.num_cpus() {

@@ -2,16 +2,19 @@
 //!
 //! Run with: `cargo run --release --example fault_injection_campaign`
 
-use nilihype::campaign::{run_campaign, SetupKind};
+use nilihype::campaign::{CampaignEngine, CampaignSpec, NullSink, SetupKind};
 use nilihype::inject::FaultType;
-use nilihype::recovery::Microreset;
 
 fn main() {
     println!("Running 3x60 fault-injection trials against NiLiHype (3AppVM setup)...");
     println!("(the fig2 experiment binary runs the paper-scale campaigns)");
     println!();
+    // One engine: the three campaigns share a single 3AppVM boot template.
+    let engine = CampaignEngine::new();
     for fault in FaultType::ALL {
-        let result = run_campaign(SetupKind::ThreeAppVm, fault, 60, 2018, Microreset::nilihype);
+        let spec = CampaignSpec::new(format!("{fault}"), SetupKind::ThreeAppVm, fault, 60);
+        let cell = engine.run_spec(&spec, &mut NullSink);
+        let result = cell.sharded().expect("sharded cell");
         let (nm, sdc, det) = result.manifestation_breakdown();
         println!(
             "{:9} recovery {:>14}, noVMF {:>14}   [nm {:>5.1}%  sdc {:>4.1}%  det {:>5.1}%]",

@@ -6,13 +6,31 @@
 //! modest trial counts a test suite can afford; the experiment binaries run
 //! the paper-scale campaigns.
 
-use nilihype::campaign::{run_campaign, run_ladder, BenchKind, SetupKind};
+use nilihype::campaign::{
+    run_ladder_on, BenchKind, CampaignEngine, CampaignResult, CampaignSpec, MechanismSpec,
+    NullSink, SetupKind,
+};
 use nilihype::inject::FaultType;
-use nilihype::recovery::{LadderRung, Microreboot, Microreset, ReHypeConfig};
+use nilihype::recovery::{LadderRung, Microreboot, ReHypeConfig, RecoveryMechanism};
+
+/// Runs a sharded campaign cell on `engine` with mechanisms from `make`.
+fn campaign(
+    engine: &CampaignEngine,
+    setup: SetupKind,
+    fault: FaultType,
+    trials: u64,
+    seed: u64,
+    make: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+) -> CampaignResult {
+    let mut spec = CampaignSpec::new("cell", setup, fault, trials);
+    spec.seed = seed;
+    let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+    cell.sharded().expect("sharded cell").clone()
+}
 
 #[test]
 fn table1_ladder_tracks_paper_shape() {
-    let rows = run_ladder(150, 2018);
+    let rows = run_ladder_on(&CampaignEngine::new(), 150, 2018);
     let rates: Vec<f64> = rows
         .iter()
         .map(|r| r.result.success_rate().value())
@@ -50,13 +68,15 @@ fn table1_ladder_tracks_paper_shape() {
 fn section4_port_ladder_tracks_paper_shape() {
     // Paper: 65% -> 84% -> 96%.
     let trials = 150;
+    let engine = CampaignEngine::new();
     let rate = |config: ReHypeConfig| {
-        run_campaign(
+        campaign(
+            &engine,
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
             2018,
-            move || Microreboot::with_config(config),
+            &|| Box::new(Microreboot::with_config(config)),
         )
         .success_rate()
         .value()
@@ -78,39 +98,21 @@ fn section4_port_ladder_tracks_paper_shape() {
 
 #[test]
 fn figure2_shape_failstop_parity_and_code_gap() {
+    let engine = CampaignEngine::new();
+    let fig2 = |fault, trials, mechanism: MechanismSpec| {
+        campaign(&engine, SetupKind::ThreeAppVm, fault, trials, 2018, &|| {
+            mechanism.build()
+        })
+    };
     // Failstop: the two mechanisms are essentially identical (paper Fig 2).
-    let ni = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Failstop,
-        60,
-        2018,
-        Microreset::nilihype,
-    );
-    let re = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Failstop,
-        60,
-        2018,
-        Microreboot::rehype,
-    );
+    let ni = fig2(FaultType::Failstop, 60, MechanismSpec::Nilihype);
+    let re = fig2(FaultType::Failstop, 60, MechanismSpec::Rehype);
     let gap = (ni.success_rate().value() - re.success_rate().value()).abs();
     assert!(gap < 0.08, "failstop parity: {gap}");
 
     // Code faults: ReHype's reboot gives it an edge (paper: ~2%).
-    let ni = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Code,
-        250,
-        2018,
-        Microreset::nilihype,
-    );
-    let re = run_campaign(
-        SetupKind::ThreeAppVm,
-        FaultType::Code,
-        250,
-        2018,
-        Microreboot::rehype,
-    );
+    let ni = fig2(FaultType::Code, 250, MechanismSpec::Nilihype);
+    let re = fig2(FaultType::Code, 250, MechanismSpec::Rehype);
     assert!(
         re.success_rate().value() >= ni.success_rate().value() - 0.02,
         "ReHype should not lose on Code faults: {} vs {}",

@@ -1,9 +1,37 @@
 //! End-to-end integration tests spanning all crates: build a system, run
 //! workloads, inject faults, recover, classify.
 
-use nilihype::campaign::{run_campaign, run_trial, BenchKind, SetupKind, TrialClass, TrialConfig};
+use nilihype::campaign::{
+    build_system, run_trial_with, BenchKind, CampaignEngine, CampaignResult, CampaignSpec,
+    NullSink, SetupKind, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
+};
 use nilihype::inject::FaultType;
-use nilihype::recovery::{Enhancements, Microreboot, Microreset, ReHypeConfig};
+use nilihype::recovery::{Enhancements, Microreboot, Microreset, ReHypeConfig, RecoveryMechanism};
+
+fn nilihype() -> Box<dyn RecoveryMechanism> {
+    Box::new(Microreset::nilihype())
+}
+
+/// Runs a sharded campaign cell on `engine` with mechanisms from `make`.
+fn campaign(
+    engine: &CampaignEngine,
+    setup: SetupKind,
+    fault: FaultType,
+    trials: u64,
+    seed: u64,
+    make: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+) -> CampaignResult {
+    let mut spec = CampaignSpec::new("cell", setup, fault, trials);
+    spec.seed = seed;
+    let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+    cell.sharded().expect("sharded cell").clone()
+}
+
+/// One trial on a freshly booted system.
+fn cold_trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism) -> TrialResult {
+    let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+    run_trial_with(hv, &layout, cfg, mech, TrialRunOptions::default()).0
+}
 
 #[test]
 fn fault_free_runs_complete_cleanly() {
@@ -31,12 +59,13 @@ fn fault_free_runs_complete_cleanly() {
 
 #[test]
 fn nilihype_recovers_most_failstop_faults_three_appvm() {
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::ThreeAppVm,
         FaultType::Failstop,
         40,
         77,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert_eq!(r.detected, 40);
     assert!(
@@ -49,12 +78,13 @@ fn nilihype_recovers_most_failstop_faults_three_appvm() {
 
 #[test]
 fn rehype_recovers_most_failstop_faults_three_appvm() {
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::ThreeAppVm,
         FaultType::Failstop,
         40,
         77,
-        Microreboot::rehype,
+        &|| Box::new(Microreboot::rehype()),
     );
     assert!(
         r.success_rate().value() > 0.85,
@@ -67,19 +97,22 @@ fn rehype_recovers_most_failstop_faults_three_appvm() {
 fn code_faults_recover_less_often_than_failstop() {
     // Section VII-A: Code faults have the lowest recovery rate (longer
     // detection latency, more propagation).
-    let failstop = run_campaign(
+    let engine = CampaignEngine::new();
+    let failstop = campaign(
+        &engine,
         SetupKind::ThreeAppVm,
         FaultType::Failstop,
         60,
         99,
-        Microreset::nilihype,
+        &nilihype,
     );
-    let code = run_campaign(
+    let code = campaign(
+        &engine,
         SetupKind::ThreeAppVm,
         FaultType::Code,
         180,
         99,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert!(
         code.success_rate().value() < failstop.success_rate().value(),
@@ -91,12 +124,13 @@ fn code_faults_recover_less_often_than_failstop() {
 
 #[test]
 fn register_faults_match_paper_manifestation_breakdown() {
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::ThreeAppVm,
         FaultType::Register,
         300,
         123,
-        Microreset::nilihype,
+        &nilihype,
     );
     let (nm, sdc, det) = r.manifestation_breakdown();
     assert!((nm - 0.748).abs() < 0.08, "non-manifested {nm}");
@@ -107,12 +141,13 @@ fn register_faults_match_paper_manifestation_breakdown() {
 #[test]
 fn basic_microreset_never_recovers() {
     // Table I, row 1: the basic mechanism (discard and resume) always fails.
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::OneAppVm(BenchKind::UnixBench),
         FaultType::Failstop,
         40,
         3,
-        || Microreset::with_enhancements(Enhancements::none()),
+        &|| Box::new(Microreset::with_enhancements(Enhancements::none())),
     );
     assert_eq!(r.successes, 0, "basic must never succeed");
 }
@@ -122,8 +157,8 @@ fn trials_are_fully_deterministic() {
     for fault in FaultType::ALL {
         let cfg = TrialConfig::new(SetupKind::ThreeAppVm, fault, 31337);
         let mech = Microreset::nilihype();
-        let a = run_trial(&cfg, &mech);
-        let b = run_trial(&cfg, &mech);
+        let a = cold_trial(&cfg, &mech);
+        let b = cold_trial(&cfg, &mech);
         assert_eq!(a.class, b.class, "{fault}");
         assert_eq!(a.injection, b.injection, "{fault}");
     }
@@ -133,12 +168,13 @@ fn trials_are_fully_deterministic() {
 fn rehype_without_bootline_log_always_fails() {
     let mut config = ReHypeConfig::full();
     config.bootline_log = false;
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::OneAppVm(BenchKind::UnixBench),
         FaultType::Failstop,
         10,
         7,
-        move || Microreboot::with_config(config),
+        &|| Box::new(Microreboot::with_config(config)),
     );
     assert_eq!(r.successes, 0);
     assert!(r.failure_reasons.keys().any(|k| k.contains("boot-line")));
@@ -148,12 +184,13 @@ fn rehype_without_bootline_log_always_fails() {
 fn blkbench_setup_recovers_under_failstop() {
     // The block path (AppVM -> PrivVM driver -> completion) survives
     // recovery: requests are retried, the driver resumes.
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::OneAppVm(BenchKind::BlkBench),
         FaultType::Failstop,
         30,
         55,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert!(
         r.success_rate().value() > 0.7,
@@ -164,12 +201,13 @@ fn blkbench_setup_recovers_under_failstop() {
 
 #[test]
 fn netbench_setup_recovers_under_failstop() {
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::OneAppVm(BenchKind::NetBench),
         FaultType::Failstop,
         30,
         56,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert!(
         r.success_rate().value() > 0.7,
@@ -180,12 +218,13 @@ fn netbench_setup_recovers_under_failstop() {
 
 #[test]
 fn classification_counts_are_consistent() {
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::ThreeAppVm,
         FaultType::Code,
         80,
         17,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert_eq!(
         r.trials,
@@ -204,7 +243,7 @@ fn single_trial_reports_recovery_details() {
         FaultType::Failstop,
         4242,
     );
-    let r = run_trial(&cfg, &Microreset::nilihype());
+    let r = cold_trial(&cfg, &Microreset::nilihype());
     assert!(r.observations.detected);
     let report = r.recovery.expect("recovery ran");
     assert_eq!(report.mechanism, "NiLiHype");
@@ -230,12 +269,13 @@ fn shared_cpu_setup_runs_and_recovers() {
             "{kind} on a shared CPU must still complete"
         );
     }
-    let r = run_campaign(
+    let r = campaign(
+        &CampaignEngine::new(),
         SetupKind::TwoAppVmSharedCpu,
         FaultType::Failstop,
         30,
         21,
-        Microreset::nilihype,
+        &nilihype,
     );
     assert!(
         r.success_rate().value() > 0.8,

@@ -11,14 +11,23 @@
 //! If a change *intentionally* alters trial behaviour, re-record the
 //! constants: print the actual values (each assertion message carries
 //! them) and update the tables below.
+//!
+//! Every table is reached two ways through [`CampaignEngine`]: by naming
+//! the mechanism in the spec ([`MechanismSpec`], the `golden_engine_*`
+//! tests, which also check template sharing) and by handing
+//! [`CampaignEngine::run_spec_with`] a caller-built mechanism, the path the
+//! ablation binaries take.
 
 use nilihype::campaign::{
-    run_campaign, run_ladder, run_ladder_on, run_sampled_campaign_steered, BootMode,
-    CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink, SamplingMode, SetupKind,
+    run_ladder_on, BenchKind, CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink,
+    SamplingMode, SetupKind,
 };
 use nilihype::hv::HandlerKind;
 use nilihype::inject::FaultType;
-use nilihype::recovery::{LadderRung, Microreboot, Microreset};
+use nilihype::recovery::{LadderRung, Microreboot, Microreset, RecoveryMechanism};
+
+/// Mechanism factory as [`CampaignEngine::run_spec_with`] takes it.
+type Factory = dyn Fn() -> Box<dyn RecoveryMechanism> + Sync;
 
 /// Table I ladder, 40 trials per rung, base seed 2018:
 /// (rung index, detected, successes, no_vmf).
@@ -33,26 +42,6 @@ const GOLDEN_LADDER: [(usize, u64, u64, u64); 8] = [
     (7, 40, 38, 38), // VirtqueueConsistency (== above: no devices in this setup)
 ];
 
-#[test]
-fn golden_table1_ladder_counts() {
-    let rows = run_ladder(40, 2018);
-    assert_eq!(rows.len(), GOLDEN_LADDER.len());
-    for (row, &(idx, detected, successes, no_vmf)) in rows.iter().zip(&GOLDEN_LADDER) {
-        let got = (
-            idx,
-            row.result.detected,
-            row.result.successes,
-            row.result.no_vmf,
-        );
-        assert_eq!(
-            got,
-            (idx, detected, successes, no_vmf),
-            "ladder rung {:?} drifted (index, detected, successes, no_vmf)",
-            row.rung
-        );
-    }
-}
-
 /// Figure 2 campaigns, 3AppVM, 30 trials, seed 77:
 /// (non_manifested, sdc, detected, successes, no_vmf) per fault type.
 /// NiLiHype and ReHype agree exactly at these seeds: injection outcomes
@@ -62,18 +51,6 @@ const GOLDEN_FIG2: [(FaultType, [u64; 5]); 3] = [
     (FaultType::Register, [23, 3, 4, 2, 2]),
     (FaultType::Code, [13, 2, 15, 11, 9]),
 ];
-
-#[test]
-fn golden_fig2_nilihype_counts() {
-    for &(fault, expect) in &GOLDEN_FIG2 {
-        let r = run_campaign(SetupKind::ThreeAppVm, fault, 30, 77, Microreset::nilihype);
-        let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
-        assert_eq!(
-            got, expect,
-            "fig2 NiLiHype {fault} drifted (non_manifested, sdc, detected, successes, no_vmf)"
-        );
-    }
-}
 
 /// Device-heavy steered campaigns (`device_campaign` binary): 2AppVM
 /// vswitch, faults held for the `VirtioMmio` handler, coverage-guided,
@@ -86,49 +63,36 @@ const GOLDEN_DEVICE: [(FaultType, u64, u64, u64); 3] = [
     (FaultType::Code, 11, 0, 8),
 ];
 
+/// The Table I ladder with each rung's `Microreset` built by the caller.
 #[test]
-fn golden_device_campaign_ring_repair_counts() {
-    for &(fault, detected, without, with) in &GOLDEN_DEVICE {
-        let run = |rung: LadderRung| {
-            let mech = Microreset::with_enhancements(rung.enhancements());
-            run_sampled_campaign_steered(
-                SetupKind::TwoAppVmVswitch,
-                fault,
-                &mech,
-                2018,
-                20,
-                8,
-                SamplingMode::CoverageGuided,
-                Some(HandlerKind::VirtioMmio),
-            )
-        };
-        let off = run(LadderRung::ReactivateTimerEvents);
-        let on = run(LadderRung::VirtqueueConsistency);
-        assert_eq!(
-            (
-                off.successes + off.failures,
-                on.successes + on.failures,
-                off.successes,
-                on.successes
-            ),
-            (detected, detected, without, with),
-            "device campaign {fault} drifted (detected_off, detected_on, succ_without, succ_with)"
+fn golden_table1_ladder_counts() {
+    let engine = CampaignEngine::new();
+    for (&rung, &(idx, detected, successes, no_vmf)) in LadderRung::ALL.iter().zip(&GOLDEN_LADDER) {
+        let mut spec = CampaignSpec::new(
+            format!("ladder-{}", rung.name()),
+            SetupKind::OneAppVm(BenchKind::UnixBench),
+            FaultType::Failstop,
+            40,
         );
-        assert!(
-            on.successes > off.successes,
-            "{fault}: ring-consistency rung must raise the recovery rate"
+        spec.seed = 2018;
+        let make: &Factory = &move || Box::new(Microreset::with_enhancements(rung.enhancements()));
+        let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
+        assert_eq!(
+            (idx, r.detected, r.successes, r.no_vmf),
+            (idx, detected, successes, no_vmf),
+            "ladder rung {rung:?} drifted (index, detected, successes, no_vmf)"
         );
     }
 }
 
-/// The resident engine path (shared boot cache, batched sharding, one
-/// template build for the whole ladder) must land on the same goldens as
-/// the legacy per-campaign path above — the `campaign_server` CI suite
-/// leans on exactly this equivalence.
+/// The Table I ladder through the engine: one template build for all
+/// eight rungs. The `campaign_server` CI suite checks its cells against
+/// these same goldens.
 #[test]
 fn golden_engine_table1_ladder_counts() {
     let engine = CampaignEngine::new();
-    let rows = run_ladder_on(&engine, 40, 2018, BootMode::Warm);
+    let rows = run_ladder_on(&engine, 40, 2018);
     assert_eq!(rows.len(), GOLDEN_LADDER.len());
     for (row, &(idx, detected, successes, no_vmf)) in rows.iter().zip(&GOLDEN_LADDER) {
         assert_eq!(
@@ -150,8 +114,40 @@ fn golden_engine_table1_ladder_counts() {
     assert_eq!(stats.hits, 8 * 40 - 1);
 }
 
-/// Figure 2 through the engine: same goldens, and the per-fault cells of
-/// both mechanisms all reuse one 3AppVM template.
+/// Runs the three Figure 2 cells with a caller-built mechanism and checks
+/// them against `GOLDEN_FIG2`.
+fn assert_fig2_goldens(label: &str, make: &Factory) {
+    let engine = CampaignEngine::new();
+    for &(fault, expect) in &GOLDEN_FIG2 {
+        let mut spec = CampaignSpec::new(
+            format!("fig2-{label}-{fault}"),
+            SetupKind::ThreeAppVm,
+            fault,
+            30,
+        );
+        spec.seed = 77;
+        let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
+        let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
+        assert_eq!(
+            got, expect,
+            "fig2 {label} {fault} drifted (non_manifested, sdc, detected, successes, no_vmf)"
+        );
+    }
+}
+
+#[test]
+fn golden_fig2_nilihype_counts() {
+    assert_fig2_goldens("NiLiHype", &|| Box::new(Microreset::nilihype()));
+}
+
+#[test]
+fn golden_fig2_rehype_counts() {
+    assert_fig2_goldens("ReHype", &|| Box::new(Microreboot::rehype()));
+}
+
+/// Figure 2 through the engine: the per-fault cells of both mechanisms
+/// land on the same goldens and all reuse one 3AppVM template.
 #[test]
 fn golden_engine_fig2_counts() {
     let engine = CampaignEngine::new();
@@ -179,43 +175,84 @@ fn golden_engine_fig2_counts() {
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
 
-/// One device-campaign cell (sampled, steered) through the engine: the
-/// Failstop ring-repair row of `GOLDEN_DEVICE`.
+/// The device campaign with caller-built mechanisms: every
+/// `GOLDEN_DEVICE` row, with the virtqueue-consistency rung off and on.
+#[test]
+fn golden_device_campaign_ring_repair_counts() {
+    let engine = CampaignEngine::new();
+    for &(fault, detected, without, with) in &GOLDEN_DEVICE {
+        let run = |rung: LadderRung| {
+            let mut spec = CampaignSpec::new(
+                format!("device-{}-{fault}", rung.name()),
+                SetupKind::TwoAppVmVswitch,
+                fault,
+                20,
+            );
+            spec.seed = 2018;
+            spec.mode = ExecMode::Sampled {
+                windows: 8,
+                sampling: SamplingMode::CoverageGuided,
+                steer_handler: Some(HandlerKind::VirtioMmio),
+                depth_cycle: 1,
+            };
+            let make: &Factory =
+                &move || Box::new(Microreset::with_enhancements(rung.enhancements()));
+            let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+            let s = cell.sampled().expect("sampled cell");
+            (s.successes + s.failures, s.successes)
+        };
+        let (detected_off, off) = run(LadderRung::ReactivateTimerEvents);
+        let (detected_on, on) = run(LadderRung::VirtqueueConsistency);
+        assert_eq!(
+            (detected_off, detected_on, off, on),
+            (detected, detected, without, with),
+            "device campaign {fault} drifted (detected_off, detected_on, succ_without, succ_with)"
+        );
+        assert!(
+            on > off,
+            "{fault}: ring-consistency rung must raise the recovery rate"
+        );
+    }
+}
+
+/// The device campaign through the engine: every `GOLDEN_DEVICE` row,
+/// with the virtqueue-consistency rung off and on. The rung must raise the
+/// recovery rate on every fault type, and all six sampled cells share one
+/// 2AppVM-vswitch template.
 #[test]
 fn golden_engine_device_campaign_failstop() {
     let engine = CampaignEngine::new();
-    let mut spec = CampaignSpec::new(
-        "device-failstop",
-        SetupKind::TwoAppVmVswitch,
-        FaultType::Failstop,
-        20,
-    );
-    spec.seed = 2018;
-    spec.mechanism = MechanismSpec::Rung(LadderRung::VirtqueueConsistency);
-    spec.mode = ExecMode::Sampled {
-        windows: 8,
-        sampling: SamplingMode::CoverageGuided,
-        steer_handler: Some(HandlerKind::VirtioMmio),
-        depth_cycle: 1,
-    };
-    let cell = engine.run_spec(&spec, &mut NullSink);
-    let s = cell.sampled().expect("sampled cell");
-    let (fault, detected, _, with) = GOLDEN_DEVICE[0];
-    assert_eq!(
-        (s.successes + s.failures, s.successes),
-        (detected, with),
-        "engine device campaign {fault} drifted (detected, successes)"
-    );
-}
-
-#[test]
-fn golden_fig2_rehype_counts() {
-    for &(fault, expect) in &GOLDEN_FIG2 {
-        let r = run_campaign(SetupKind::ThreeAppVm, fault, 30, 77, Microreboot::rehype);
-        let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
+    for &(fault, detected, without, with) in &GOLDEN_DEVICE {
+        let run = |rung: LadderRung| {
+            let mut spec = CampaignSpec::new(
+                format!("device-{}-{fault}", rung.name()),
+                SetupKind::TwoAppVmVswitch,
+                fault,
+                20,
+            );
+            spec.seed = 2018;
+            spec.mechanism = MechanismSpec::Rung(rung);
+            spec.mode = ExecMode::Sampled {
+                windows: 8,
+                sampling: SamplingMode::CoverageGuided,
+                steer_handler: Some(HandlerKind::VirtioMmio),
+                depth_cycle: 1,
+            };
+            let cell = engine.run_spec(&spec, &mut NullSink);
+            let s = cell.sampled().expect("sampled cell");
+            (s.successes + s.failures, s.successes)
+        };
+        let (detected_off, off) = run(LadderRung::ReactivateTimerEvents);
+        let (detected_on, on) = run(LadderRung::VirtqueueConsistency);
         assert_eq!(
-            got, expect,
-            "fig2 ReHype {fault} drifted (non_manifested, sdc, detected, successes, no_vmf)"
+            (detected_off, detected_on, off, on),
+            (detected, detected, without, with),
+            "engine device campaign {fault} drifted (detected_off, detected_on, succ_without, succ_with)"
+        );
+        assert!(
+            on > off,
+            "{fault}: ring-consistency rung must raise the recovery rate"
         );
     }
+    assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
