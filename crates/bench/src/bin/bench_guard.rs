@@ -60,13 +60,7 @@ fn main() {
     let mut failures = Vec::new();
     let mut checked = 0;
 
-    for name in [
-        "per_step",
-        "batched",
-        "superops_off",
-        "virtio",
-        "overcommit",
-    ] {
+    for name in ["per_step", "batched", "virtio", "overcommit"] {
         let fl =
             section(&floors, name).unwrap_or_else(|| panic!("floors file has no section {name}"));
         let fr =

@@ -16,7 +16,8 @@ use std::time::Instant;
 
 use nlh_campaign::{build_system, BenchKind, SetupKind};
 use nlh_hv::MachineConfig;
-use nlh_sim::SimDuration;
+use nlh_inject::{FaultType, Injector};
+use nlh_sim::{SimDuration, SimTime};
 
 /// A pass-through allocator that counts allocations, so the benchmark can
 /// report allocs/step alongside steps/sec.
@@ -66,17 +67,24 @@ fn main() {
     );
     hv.run_for(SimDuration::from_millis(200));
 
-    // Checked path (what the trial loop drives while the injector is
-    // counting micro-ops). Since the superop dispatch layer this is
-    // `Hypervisor::run_counting`: the counting automaton rides the batched
-    // loop, fusing Compute runs and replaying the budget in bulk, instead
-    // of one `step_any` call per micro-op. A never-firing budget keeps the
-    // window open for the whole measurement.
+    // Counting path (what the trial loop drives while the injector is
+    // counting micro-ops): the batched loop with the injector as its stop
+    // rule, so every hypervisor micro-op passes the counting automaton,
+    // in bulk for fused spans. The injector arms on the first step and its
+    // budget never drains, keeping the window open for the whole
+    // measurement.
+    let mut counting = Injector::with_ops_range(
+        FaultType::Failstop,
+        0,
+        (SimTime::ZERO, SimTime::from_nanos(1)),
+        (u64::MAX - 1, u64::MAX),
+    );
     let before0 = hv.steps_executed();
     let a0 = ALLOCS.load(Ordering::Relaxed);
     let t0 = Instant::now();
     while hv.steps_executed() - before0 < steps && hv.detection().is_none() {
-        hv.run_counting(hv.now() + SimDuration::from_millis(50), u64::MAX, None, 0);
+        let deadline = hv.now() + SimDuration::from_millis(50);
+        counting.run_until(&mut hv, deadline);
     }
     let per_step_secs = t0.elapsed().as_secs_f64();
     let per_step_steps = hv.steps_executed() - before0;
@@ -95,26 +103,6 @@ fn main() {
     let batched_steps = hv.steps_executed() - before;
     let batched_allocs = ALLOCS.load(Ordering::Relaxed) - a1;
     let batched_rate = batched_steps as f64 / batched_secs;
-
-    // Superop A/B: the same batched loop with the fusion knob off
-    // (`Hypervisor::superops = false`), on a fresh system so pool and
-    // scratch warm-up match. The on/off delta is the superop layer's win
-    // in isolation.
-    let (mut shv, _slayout) = build_system(
-        MachineConfig::small(),
-        SetupKind::OneAppVm(BenchKind::UnixBench),
-        2018,
-    );
-    shv.superops = false;
-    shv.run_for(SimDuration::from_millis(200));
-    let sbefore = shv.steps_executed();
-    let ts = Instant::now();
-    while shv.steps_executed() - sbefore < steps && shv.detection().is_none() {
-        shv.run_for(SimDuration::from_millis(50));
-    }
-    let off_secs = ts.elapsed().as_secs_f64();
-    let off_steps = shv.steps_executed() - sbefore;
-    let off_rate = off_steps as f64 / off_secs;
 
     // Virtio datapath (PR 7): the 2AppVM vswitch workload, where every
     // queue-notify handler walks a descriptor-ring transaction and tx
@@ -157,7 +145,7 @@ fn main() {
     let oc_rate = oc_steps as f64 / oc_secs;
 
     let json = format!(
-        "{{\n  \"workload\": \"warm_trial/1appvm_unixbench\",\n  \"steps\": {steps},\n  \"per_step\": {{\n    \"path\": \"run_counting\",\n    \"steps_per_sec\": {per_step_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"batched\": {{\n    \"steps_per_sec\": {batched_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"superops_off\": {{\n    \"steps_per_sec\": {off_rate:.0}\n  }},\n  \"virtio\": {{\n    \"workload\": \"warm_trial/2appvm_vswitch\",\n    \"steps_per_sec\": {virtio_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"frames_forwarded\": {virtio_frames}\n  }},\n  \"overcommit\": {{\n    \"workload\": \"warm_trial/overcommit_4to1\",\n    \"steps_per_sec\": {oc_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"sched_mutations\": {oc_mutations}\n  }}\n}}\n",
+        "{{\n  \"workload\": \"warm_trial/1appvm_unixbench\",\n  \"steps\": {steps},\n  \"per_step\": {{\n    \"path\": \"injector_counting\",\n    \"steps_per_sec\": {per_step_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"batched\": {{\n    \"steps_per_sec\": {batched_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"virtio\": {{\n    \"workload\": \"warm_trial/2appvm_vswitch\",\n    \"steps_per_sec\": {virtio_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"frames_forwarded\": {virtio_frames}\n  }},\n  \"overcommit\": {{\n    \"workload\": \"warm_trial/overcommit_4to1\",\n    \"steps_per_sec\": {oc_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"sched_mutations\": {oc_mutations}\n  }}\n}}\n",
         per_step_allocs as f64 / per_step_steps.max(1) as f64,
         batched_allocs as f64 / batched_steps.max(1) as f64,
         virtio_allocs as f64 / virtio_steps.max(1) as f64,

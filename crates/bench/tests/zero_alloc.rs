@@ -11,10 +11,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use nlh_campaign::{build_system, BenchKind, SetupKind};
 use nlh_hv::MachineConfig;
-use nlh_sim::SimDuration;
+use nlh_inject::{FaultType, Injector};
+use nlh_sim::{SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -39,6 +41,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-wide and `cargo test` runs tests on
+/// parallel threads, so every test holds this lock for its whole run:
+/// otherwise one test's warm-up allocations land in another's window. The
+/// lock guards no data, so a test that failed holding it poisons nothing.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Drives the batched stepping loop (what trials run outside the
 /// injection window) for at least `n` steps of simulated work.
 fn run_steps(hv: &mut nlh_hv::Hypervisor, n: u64) {
@@ -51,6 +63,7 @@ fn run_steps(hv: &mut nlh_hv::Hypervisor, n: u64) {
 
 #[test]
 fn steady_state_stepping_allocates_nothing() {
+    let _serial = serial();
     let (mut hv, _layout) = build_system(
         MachineConfig::small(),
         SetupKind::OneAppVm(BenchKind::UnixBench),
@@ -78,6 +91,7 @@ fn steady_state_stepping_allocates_nothing() {
 
 #[test]
 fn virtio_datapath_steady_state_allocates_nothing() {
+    let _serial = serial();
     let (mut hv, _layout) = build_system(MachineConfig::small(), SetupKind::TwoAppVmVswitch, 2018);
     // Warm-up covers the virtio paths too: queue-notify programs enter the
     // per-CPU pools, and the descriptor rings are fixed-size arrays that
@@ -106,6 +120,7 @@ fn virtio_datapath_steady_state_allocates_nothing() {
 
 #[test]
 fn overcommit_datapath_steady_state_allocates_nothing() {
+    let _serial = serial();
     let (mut hv, _layout) = build_system(MachineConfig::small(), SetupKind::Overcommit(4), 2018);
     // Warm-up covers the credit scheduler's whole datapath: preemption
     // context switches, WFI block/wake switches and load-balancing
@@ -148,23 +163,34 @@ fn overcommit_datapath_steady_state_allocates_nothing() {
 
 #[test]
 fn counting_window_steady_state_allocates_nothing() {
-    // The injector's counting window (`run_counting`) rides the batched
-    // superop path since PR 10; a trial spends its whole pre-fire window
-    // here, so it gets the same exact-zero pin as the plain batched loop.
-    // The never-firing budget keeps the window open for the whole
-    // measurement.
+    let _serial = serial();
+    // The injector's counting window rides the batched loop as its stop
+    // rule; a trial spends its whole pre-fire window here, so it gets the
+    // same exact-zero pin as the plain batched loop. The injector arms on
+    // the first step and its budget never drains, keeping the window open
+    // for the whole measurement.
     let (mut hv, _layout) = build_system(
         MachineConfig::small(),
         SetupKind::OneAppVm(BenchKind::UnixBench),
         2018,
     );
     run_steps(&mut hv, 500_000);
+    let mut counting = Injector::with_ops_range(
+        FaultType::Failstop,
+        0,
+        (SimTime::ZERO, SimTime::from_nanos(1)),
+        (u64::MAX - 1, u64::MAX),
+    );
 
     let before_steps = hv.steps_executed();
     let before_allocs = ALLOCS.load(Ordering::Relaxed);
     while hv.steps_executed() - before_steps < 300_000 {
         assert!(hv.detection().is_none(), "healthy run must not detect");
-        hv.run_counting(hv.now() + SimDuration::from_millis(50), u64::MAX, None, 0);
+        let deadline = hv.now() + SimDuration::from_millis(50);
+        assert!(
+            !counting.run_until(&mut hv, deadline),
+            "budget never drains"
+        );
     }
     let steps = hv.steps_executed() - before_steps;
     let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;

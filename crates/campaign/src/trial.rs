@@ -132,14 +132,13 @@ impl Default for TrialRunOptions {
 /// boot) or [`BootCache::checkout`](crate::BootCache::checkout) (a warm
 /// start); both produce identical results (differential-tested).
 ///
-/// With default options the hypervisor runs through its batched stepping
-/// fast path wherever the injector has no per-step work: the whole
-/// pre-trigger window runs under [`Hypervisor::run_until_marker`] (which
-/// hands back the exact step on which the trigger timer fires), the
-/// micro-op-counting phase under [`Injector::run_counting`], and
-/// everything after the fault is applied under [`Hypervisor::run_until`].
-/// The executed step sequence — and therefore the [`TrialResult`] — is
-/// bit-identical to the reference loop selected by
+/// With default options the hypervisor runs through its one batched
+/// stepping loop with the injector as its stop rule
+/// ([`Injector::run_until`]): the loop races through the pre-trigger
+/// window, spends the micro-op budget in fused spans, stops on the exact
+/// step the fault fires on, and after injection runs on as a plain
+/// batched run. The executed step sequence — and therefore the
+/// [`TrialResult`] — is bit-identical to the reference loop selected by
 /// `TrialRunOptions { batched: false, .. }`. Recording only observes rare
 /// events (trigger fire, injection, detection, recovery transitions),
 /// never the per-step hot path.
@@ -262,37 +261,19 @@ pub fn run_trial_with(
                 hv.step_any();
             }
         } else {
-            // Pick the stepping strategy for this phase of the injector.
-            // `on_step` is a pure no-op while Waiting (below `fire_at`) and
-            // after Done, so those stretches run batched; the micro-op
-            // counting phase in between runs batched too, through the
-            // superop engine (`Injector::run_counting`), which replays the
-            // counting automaton in bulk and splits the batch exactly at
-            // the fire index.
-            let mut injected_now = false;
-            let stepped = if opts.batched && injector.is_done() {
-                hv.run_until(trial_end);
-                None
-            } else if opts.batched && injector.is_waiting() {
-                hv.run_until_marker(trial_end, injector.fire_at())
-            } else if opts.batched {
-                injected_now = injector.run_counting(&mut hv, trial_end);
-                None
+            let was_armed = injector.armed_at().is_some();
+            let injected_now = if opts.batched {
+                injector.run_until(&mut hv, trial_end)
             } else {
-                Some(hv.step_any())
+                let (cpu, out) = hv.step_any();
+                injector.on_step(&mut hv, cpu, out)
             };
-            let mut check_class = injected_now;
-            if let Some((cpu, out)) = stepped {
-                let was_waiting = injector.is_waiting();
-                injected_now = injector.on_step(&mut hv, cpu, out);
-                check_class = true;
-                if was_waiting && !injector.is_waiting() {
-                    record.events.push(
-                        hv.cpu_now(cpu),
-                        TrialEventKind::TriggerFired,
-                        format!("ops_budget={}", injector.ops_budget()),
-                    );
-                }
+            if let (false, Some(at)) = (was_armed, injector.armed_at()) {
+                record.events.push(
+                    at,
+                    TrialEventKind::TriggerFired,
+                    format!("ops_budget={}", injector.ops_budget()),
+                );
             }
             if injected_now {
                 record.injection = injector.injection_point().copied();
@@ -315,7 +296,7 @@ pub fn run_trial_with(
             // longer trigger detection in this model; the
             // classification is already determined, so skip simulating
             // the rest of the run.
-            if check_class && hv.detection().is_none() {
+            if injected_now && hv.detection().is_none() {
                 let class = match injector.outcome() {
                     Some(InjectionOutcome::NonManifested) => Some(TrialClass::NonManifested),
                     Some(InjectionOutcome::Sdc) => Some(TrialClass::Sdc),

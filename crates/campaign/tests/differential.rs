@@ -16,39 +16,23 @@
 //! this comparison).
 
 use nlh_campaign::{
-    build_system, run_trial_with, BenchKind, BootCache, SetupKind, SystemLayout, TrialConfig,
-    TrialResult, TrialRunOptions,
+    build_system, run_trial_with, BenchKind, BootCache, SetupKind, TrialConfig, TrialResult,
+    TrialRunOptions,
 };
 use nlh_core::{Enhancements, Microreboot, Microreset, RecoveryMechanism};
-use nlh_hv::Hypervisor;
 use nlh_inject::FaultType;
 use proptest::prelude::*;
-
-/// Runs the trial body on `hv`, batched or through the reference loop.
-fn trial_on(
-    hv: Hypervisor,
-    layout: &SystemLayout,
-    cfg: &TrialConfig,
-    mech: &dyn RecoveryMechanism,
-    batched: bool,
-) -> TrialResult {
-    let opts = TrialRunOptions {
-        batched,
-        ..TrialRunOptions::default()
-    };
-    run_trial_with(hv, layout, cfg, mech, opts).0
-}
 
 /// A trial on a freshly booted system.
 fn cold_trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism) -> TrialResult {
     let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-    trial_on(hv, &layout, cfg, mech, true)
+    run_trial_with(hv, &layout, cfg, mech, TrialRunOptions::default()).0
 }
 
 /// A trial on a clone of the cache's post-boot template.
 fn warm_trial(cfg: &TrialConfig, mech: &dyn RecoveryMechanism, cache: &BootCache) -> TrialResult {
     let (hv, layout) = cache.checkout(&cfg.machine, cfg.setup, cfg.seed);
-    trial_on(hv, &layout, cfg, mech, true)
+    run_trial_with(hv, &layout, cfg, mech, TrialRunOptions::default()).0
 }
 
 fn setups() -> impl Strategy<Value = SetupKind> {
@@ -128,11 +112,16 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 
-    /// Stepper fast path == reference stepper, bit for bit. The fast side
-    /// runs batched stepping; the reference side steps one checked
-    /// micro-op at a time. `TrialResult::steps` participates in the
-    /// equality, so the two must execute identical step sequences — not
-    /// merely reach the same classification.
+    /// The one batched loop == the one reference oracle, bit for bit. The
+    /// fast side runs the batched loop with the injector as its stop rule
+    /// (fused micro-op spans, bulk idle windows, unchecked steps); the
+    /// reference side steps one checked micro-op at a time and feeds every
+    /// step to the injector. Across every setup family (credit overcommit
+    /// and the virtio vswitch included) and fault type, the full
+    /// [`TrialResult`] must match (`steps` participates, so the two must
+    /// execute identical step sequences, not merely reach the same
+    /// classification), and so must the trial record (trigger, injection
+    /// point, every event time) and the final machine's state digest.
     #[test]
     fn batched_equals_reference_stepper(
         seed in 0u64..100_000,
@@ -141,39 +130,20 @@ proptest! {
     ) {
         let mech = Microreset::nilihype();
         let cfg = TrialConfig::new(setup, fault, seed);
-        let (fast_hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        let (ref_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        let fast = trial_on(fast_hv, &layout, &cfg, &mech, true);
-        let reference = trial_on(ref_hv, &layout, &cfg, &mech, false);
+        let run = |batched| {
+            let (hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
+            let opts = TrialRunOptions {
+                batched,
+                ..TrialRunOptions::default()
+            };
+            let (result, record, hv) = run_trial_with(hv, &layout, &cfg, &mech, opts);
+            (result, record, hv.state_digest())
+        };
+        let (fast, fast_record, fast_digest) = run(true);
+        let (reference, ref_record, ref_digest) = run(false);
         prop_assert_eq!(fast, reference);
-    }
-
-    /// Superop dispatch three ways: fused (superops on, the default),
-    /// unfused batched (superops off — every micro-op through the single
-    /// dispatch), and the per-step reference loop, all producing the same
-    /// full [`TrialResult`] across every setup family (including credit
-    /// overcommit and the virtio vswitch) and fault type. `steps`
-    /// participates in the equality, so fused runs, bulk idle windows and
-    /// the batched counting window must execute — and count — the exact
-    /// reference step sequence.
-    #[test]
-    fn superops_equal_unfused_and_reference(
-        seed in 0u64..100_000,
-        setup in setups(),
-        fault in faults(),
-    ) {
-        let mech = Microreset::nilihype();
-        let cfg = TrialConfig::new(setup, fault, seed);
-        let (fused_hv, layout) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        let (mut plain_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        plain_hv.superops = false;
-        let (mut ref_hv, _) = build_system(cfg.machine.clone(), cfg.setup, cfg.seed);
-        ref_hv.superops = false;
-        let fused = trial_on(fused_hv, &layout, &cfg, &mech, true);
-        let plain = trial_on(plain_hv, &layout, &cfg, &mech, true);
-        let reference = trial_on(ref_hv, &layout, &cfg, &mech, false);
-        prop_assert_eq!(&fused, &plain);
-        prop_assert_eq!(fused, reference);
+        prop_assert_eq!(fast_record, ref_record);
+        prop_assert_eq!(fast_digest, ref_digest);
     }
 
     /// Same comparison at the hypervisor level with tracing wide open:

@@ -56,8 +56,7 @@ fn hvm_trial(hvm: bool, seed: u64) -> bool {
                 return false;
             }
         } else {
-            let (cpu, out) = hv.step_any();
-            inj.on_step(&mut hv, cpu, out);
+            inj.run_until(&mut hv, end);
         }
     }
     let app = hv.domains.last().unwrap();

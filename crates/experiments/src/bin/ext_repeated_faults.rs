@@ -35,14 +35,9 @@ fn survival(seed: u64, n_faults: u32) -> u32 {
             2_000,
         );
         let settle_end = window.1 + SimDuration::from_secs(1);
-        // Run through the injection and a settling period.
-        while hv.now() < settle_end {
-            if hv.detection().is_some() {
-                break;
-            }
-            let (cpu, out) = hv.step_any();
-            inj.on_step(&mut hv, cpu, out);
-        }
+        // Run to the injection (a fail-stop fault is detected on the
+        // spot) or through the settling period.
+        inj.run_until(&mut hv, settle_end);
         match hv.detection() {
             Some(_) => {
                 if mech.recover(&mut hv).is_err() {

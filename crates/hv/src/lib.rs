@@ -25,7 +25,10 @@
 //!   the [`domain::GuestProgram`] trait workloads implement.
 //! * [`detect`] — the panic and watchdog (hang) detectors that initiate
 //!   recovery.
-//! * [`Hypervisor`] — the aggregate machine, stepped one micro-op at a time.
+//! * [`Hypervisor`] — the aggregate machine, stepped one micro-op at a time
+//!   by one batched loop ([`Hypervisor::run_batched`]) whose callers differ
+//!   only in their [`StopRule`], checked against one unbatched reference
+//!   ([`Hypervisor::run_until_unbatched`]).
 //!
 //! The simulation is fully deterministic: all randomness flows through a
 //! seeded [`nlh_sim::Pcg64`].
@@ -60,7 +63,7 @@ pub mod timers;
 
 pub use config::{HvTuning, MachineConfig};
 pub use hypercalls::HandlerKind;
-pub use hypervisor::{CpuMode, Hypervisor, StepOutcome};
+pub use hypervisor::{CpuMode, Hypervisor, StepOutcome, StopRule};
 
 /// Re-exported id types, so downstream crates rarely need `nlh-sim` directly.
 pub use nlh_sim::{CpuId, DomId, IrqVector, LockId, PageNum, VcpuId};

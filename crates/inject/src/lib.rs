@@ -28,7 +28,7 @@
 #![deny(missing_docs)]
 
 use nlh_hv::chaos::CorruptionKind;
-use nlh_hv::{CpuId, HandlerKind, Hypervisor, StepOutcome};
+use nlh_hv::{CpuId, HandlerKind, Hypervisor, StepOutcome, StopRule};
 use nlh_sim::{Pcg64, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +191,7 @@ pub struct Injector {
     model: ManifestModel,
     rng: Pcg64,
     fire_at: SimTime,
+    armed_at: Option<SimTime>,
     phase: Phase,
     ops_budget: u64,
     ops_range: (u64, u64),
@@ -246,6 +247,7 @@ impl Injector {
             fault,
             rng,
             fire_at,
+            armed_at: None,
             phase: Phase::Waiting,
             ops_budget,
             ops_range,
@@ -266,6 +268,12 @@ impl Injector {
     /// When the first-level trigger fires.
     pub fn fire_at(&self) -> SimTime {
         self.fire_at
+    }
+
+    /// The clock of the step that armed the micro-op counter (the first
+    /// step to reach [`Injector::fire_at`]), once armed.
+    pub fn armed_at(&self) -> Option<SimTime> {
+        self.armed_at
     }
 
     /// The manifestation outcome, once injected.
@@ -329,56 +337,18 @@ impl Injector {
         self.point.as_ref()
     }
 
-    /// Whether the injector is still waiting for the first-level timer.
+    /// Runs `hv` batched toward `deadline` through the rest of the trigger
+    /// chain and injects on the step the chain fires on: the injector is
+    /// the [`StopRule`] of [`Hypervisor::run_batched`]. Returns `true` if
+    /// the fault was injected; otherwise the deadline (or an organic
+    /// detection) stopped the run with the chain's progress carried over.
+    /// After the fault is applied the call is a plain batched run.
     ///
-    /// In this phase `on_step` only compares the stepped CPU's clock to
-    /// [`Injector::fire_at`] — it has no side effects — so a driver may run
-    /// the hypervisor in a batched loop and hand over only the step on
-    /// which the clock first reaches `fire_at` (see
-    /// `Hypervisor::run_until_marker`).
-    pub fn is_waiting(&self) -> bool {
-        self.phase == Phase::Waiting
-    }
-
-    /// Whether the fault has been applied (the trigger chain is spent).
-    /// From here `on_step` is a no-op, so the remainder of a trial can run
-    /// batched without consulting the injector.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// Whether the first-level timer has fired and the injector is counting
-    /// hypervisor micro-ops toward the second-level trigger. In this phase
-    /// a driver may hand the whole window to [`Injector::run_counting`]
-    /// instead of feeding steps one at a time.
-    pub fn is_counting(&self) -> bool {
-        matches!(self.phase, Phase::Counting(_))
-    }
-
-    /// Drives the hypervisor's batched engine through the counting window:
-    /// equivalent to stepping one micro-op at a time and feeding every step
-    /// to [`Injector::on_step`], but executed on the superop/batched path
-    /// (`Hypervisor::run_counting`), which fuses Compute runs while the
-    /// budget drains and splits the batch exactly at the fire index.
-    /// Returns `true` if the fault was injected before `deadline`;
-    /// otherwise the deadline was reached (or an organic detection froze
-    /// the machine) with the remaining budget carried over. Draws exactly
-    /// the same randomness as the per-step path (none until injection);
-    /// bit-identity is pinned by differential tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the injector is in the counting phase
-    /// ([`Injector::is_counting`]).
-    pub fn run_counting(&mut self, hv: &mut Hypervisor, deadline: SimTime) -> bool {
-        let left = match self.phase {
-            Phase::Counting(left) => left,
-            _ => panic!("run_counting requires the counting phase"),
-        };
-        let w = hv.run_counting(deadline, left, self.only_handler, self.depth_left);
-        self.depth_left = w.depth_left;
-        self.phase = Phase::Counting(w.left);
-        match w.fired {
+    /// Executes the same steps and draws the same randomness as feeding
+    /// every step of [`Hypervisor::step_any`] to [`Injector::on_step`]
+    /// (pinned by the differential tests).
+    pub fn run_until(&mut self, hv: &mut Hypervisor, deadline: SimTime) -> bool {
+        match hv.run_batched(deadline, self) {
             Some(cpu) => {
                 self.inject(hv, cpu);
                 true
@@ -390,53 +360,59 @@ impl Injector {
     /// Feeds one simulation step to the trigger chain; call after every
     /// [`Hypervisor::step_any`]. Returns `true` at the step that injects.
     pub fn on_step(&mut self, hv: &mut Hypervisor, cpu: CpuId, outcome: StepOutcome) -> bool {
-        match self.phase {
-            Phase::Done => false,
-            Phase::Waiting => {
-                if hv.cpu_now(cpu) >= self.fire_at {
-                    self.phase = Phase::Counting(self.ops_budget);
-                    // The armed counter may fire on this very step.
-                    self.on_step(hv, cpu, outcome)
-                } else {
-                    false
-                }
+        if self.trigger(hv, cpu, outcome) {
+            self.inject(hv, cpu);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// The two-level trigger automaton: advances it past one step and
+    /// returns `true` if the fault must be injected right after that step.
+    fn trigger(&mut self, hv: &Hypervisor, cpu: CpuId, outcome: StepOutcome) -> bool {
+        if self.phase == Phase::Waiting {
+            if hv.cpu_now(cpu) < self.fire_at {
+                return false;
             }
-            Phase::Counting(left) => {
-                if outcome != StepOutcome::HvOp {
-                    return false;
-                }
-                if left == 0 {
-                    // Inject only while the CPU is still inside hypervisor
-                    // code: there is no "between handlers" gap on real
-                    // hardware — the exit path is still hypervisor
-                    // execution, accounted to the next entry here.
-                    if !hv.cpu_mid_program(cpu) {
-                        return false;
-                    }
-                    if let Some(filter) = self.only_handler {
-                        let here = hv.cpu_program_context(cpu).map(|(c, _)| c.handler_kind());
-                        if here != Some(filter) {
-                            return false;
-                        }
-                        if self.depth_left > 0 {
-                            self.depth_left -= 1;
-                            return false;
-                        }
-                    }
-                    self.inject(hv, cpu);
-                    true
-                } else {
-                    self.phase = Phase::Counting(left - 1);
-                    false
-                }
+            // The first-level timer fires; the armed counter may fire on
+            // this very step.
+            self.phase = Phase::Counting(self.ops_budget);
+            self.armed_at = Some(hv.cpu_now(cpu));
+        }
+        let Phase::Counting(left) = self.phase else {
+            return false;
+        };
+        if outcome != StepOutcome::HvOp {
+            return false;
+        }
+        if left > 0 {
+            self.phase = Phase::Counting(left - 1);
+            return false;
+        }
+        // Inject only while the CPU is still inside hypervisor code: there
+        // is no "between handlers" gap on real hardware — the exit path is
+        // still hypervisor execution, accounted to the next entry here.
+        if !hv.cpu_mid_program(cpu) {
+            return false;
+        }
+        if let Some(filter) = self.only_handler {
+            let here = hv.cpu_program_context(cpu).map(|(c, _)| c.handler_kind());
+            if here != Some(filter) {
+                return false;
+            }
+            if self.depth_left > 0 {
+                self.depth_left -= 1;
+                return false;
             }
         }
+        true
     }
 
     fn inject(&mut self, hv: &mut Hypervisor, cpu: CpuId) {
         self.phase = Phase::Done;
         self.injected_on = Some(cpu);
-        // `on_step` guarantees `cpu_mid_program(cpu)` here, so a program
+        // `trigger` guarantees `cpu_mid_program(cpu)` here, so a program
         // context always exists.
         if let Some((cause, pc)) = hv.cpu_program_context(cpu) {
             self.point = Some(InjectionPoint {
@@ -482,6 +458,35 @@ impl Injector {
                 }
             }
         }
+    }
+}
+
+/// The trigger chain as a batched stop rule: waiting, it is a clock
+/// marker at [`Injector::fire_at`]; counting, it lets fused spans spend
+/// the remaining micro-op budget and sees every fire attempt singly; done,
+/// it never stops. Drive it through [`Injector::run_until`], which applies
+/// the fault on the step the rule stops at.
+impl StopRule for Injector {
+    fn marker(&self) -> Option<SimTime> {
+        (self.phase == Phase::Waiting).then_some(self.fire_at)
+    }
+
+    fn span_budget(&self) -> u64 {
+        match self.phase {
+            Phase::Counting(left) => left,
+            _ => u64::MAX,
+        }
+    }
+
+    fn after_span(&mut self, ops: u64) {
+        if let Phase::Counting(left) = &mut self.phase {
+            *left -= ops;
+        }
+    }
+
+    #[inline]
+    fn after_step(&mut self, hv: &Hypervisor, cpu: CpuId, out: StepOutcome) -> bool {
+        self.trigger(hv, cpu, out)
     }
 }
 
@@ -600,6 +605,44 @@ mod tests {
         let twin = Injector::new(FaultType::Failstop, 9, window(), 50);
         assert_eq!(inj.fire_at(), twin.fire_at());
         assert_eq!(inj.ops_budget(), twin.ops_budget());
+    }
+
+    #[test]
+    fn batched_run_injects_where_per_step_feeding_does() {
+        let deadline = SimTime::from_secs(1);
+        for seed in 0..6u64 {
+            let make = || {
+                let inj = Injector::new(FaultType::Code, seed, window(), 200);
+                if seed % 2 == 1 {
+                    inj.steer_to_handler(HandlerKind::TimerInterrupt)
+                        .with_steer_depth(seed)
+                } else {
+                    inj
+                }
+            };
+            let mut fast_hv = Hypervisor::new(MachineConfig::small(), seed);
+            let mut fast = make();
+            let fast_fired = fast.run_until(&mut fast_hv, deadline);
+
+            let mut ref_hv = Hypervisor::new(MachineConfig::small(), seed);
+            let mut reference = make();
+            let mut ref_fired = false;
+            while !ref_fired && ref_hv.detection().is_none() && ref_hv.now() < deadline {
+                let (cpu, out) = ref_hv.step_any();
+                ref_fired = reference.on_step(&mut ref_hv, cpu, out);
+            }
+
+            assert!(
+                fast_fired,
+                "seed {seed}: the fault lands before the deadline"
+            );
+            assert_eq!(fast_fired, ref_fired, "seed {seed}");
+            assert_eq!(fast.armed_at(), reference.armed_at(), "seed {seed}");
+            assert_eq!(fast.injection_point(), reference.injection_point());
+            assert_eq!(fast.outcome(), reference.outcome(), "seed {seed}");
+            assert_eq!(fast_hv.steps_executed(), ref_hv.steps_executed());
+            assert_eq!(fast_hv.state_digest(), ref_hv.state_digest());
+        }
     }
 
     #[test]
