@@ -2,7 +2,8 @@
 //! records (`replay`) and suite manifests (`campaign_server`) — reject
 //! damaged input with an `Err`, never a panic.
 //!
-//! The inputs are the checked-in files themselves, cut at every character
+//! Every checked-in manifest must parse. The damaged inputs are the
+//! golden trial records and the CI manifest, cut at every character
 //! boundary and hit with random single-character edits (replace, insert,
 //! delete). A manifest that still parses must also be runnable: every
 //! sampled job's `windows` must be a valid coverage-map width, since the
@@ -71,6 +72,33 @@ fn checked_in_inputs_parse() {
     }
     let suite = SuiteSpec::parse(MANIFEST).expect("ci manifest parses");
     assert_eq!(suite.jobs.len(), 3);
+
+    // Every checked-in manifest parses into a runnable suite with unique
+    // job names (the engine rejects duplicates before running anything).
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../experiments/manifests");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("manifest directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|e| e != "manifest") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("manifest reads");
+        let suite = SuiteSpec::parse(&text)
+            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
+        assert!(!suite.jobs.is_empty(), "{} has no jobs", path.display());
+        check_manifest(&text);
+        let mut names: Vec<&str> = suite.jobs.iter().map(|j| j.spec.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            suite.jobs.len(),
+            "{} repeats a job name",
+            path.display()
+        );
+        seen += 1;
+    }
+    assert!(seen >= 4, "found {seen} manifests in {dir}");
 }
 
 #[test]

@@ -1,45 +1,52 @@
-//! **Campaign server** — the one-command experiment suite (EXPERIMENTS.md).
+//! **Campaign server** — the one front end for every campaign a manifest
+//! can state (EXPERIMENTS.md).
 //!
-//! Runs a whole job graph of campaign cells on one resident
-//! [`CampaignEngine`]: every cell shares a single boot cache, so a suite
-//! that touches the same `(machine, setup)` key many times (the ladder's
-//! eight rungs, Figure 2's six campaigns, ...) pays each template build
-//! once. Telemetry streams to stdout while cells run — per-cell recovery
-//! rate with its 95% Wilson interval tightening live — and `--json FILE`
-//! writes a machine-readable suite summary (the CI artifact).
+//! Runs a manifest's job graph of campaign cells (see `SuiteSpec::parse`)
+//! on one resident [`CampaignEngine`]: every cell shares a single boot
+//! cache, so a suite that touches the same `(machine, setup)` key many
+//! times (the ladder's eight rungs, Figure 2's six campaigns, ...) pays
+//! each template build once. Telemetry streams to stdout while cells run —
+//! per-cell recovery rate with its 95% Wilson interval tightening live —
+//! then a table with one line per cell, and `--json FILE` writes a
+//! machine-readable suite summary (the CI artifact). Sampled cells also
+//! report their first residual failure and coverage; the JSON embeds each
+//! one's handler × ops-window coverage map.
 //!
-//! Input is either a manifest file (see `SuiteSpec::parse`; exemplar at
-//! `crates/experiments/manifests/ci_suite.manifest`) or a built-in suite:
+//! The checked-in manifests under `crates/experiments/manifests/`:
 //!
-//! * `--builtin ci` (default) — three cells exercising the job graph, one
-//!   per campaign family (sharded fig2 cell, sharded ladder-top cell,
-//!   sampled device cell), at the golden-test seeds.
-//! * `--builtin suite` — the full quick-scale EXPERIMENTS.md campaign
-//!   suite: all eight Table I rungs, all six Figure 2 cells, and the six
-//!   device-campaign cells, at the exact golden-test configurations.
+//! * `ci_suite.manifest` — three cells, one per campaign family, with a
+//!   dependency edge so the job graph is exercised.
+//! * `suite.manifest` — the quick-scale campaign suite: all eight Table I
+//!   rungs, all six Figure 2 cells and the six device-campaign cells.
+//! * `guided.manifest` — uniform vs coverage-guided trigger sampling.
+//! * `overcommit.manifest` — recovery rate vs overcommit ratio, with the
+//!   scheduler-consistency rung off and on under steered faults.
 //!
 //! `--isolated` runs each job on its own fresh engine (a per-job cache, as
 //! one process per experiment binary would have) and `--cold-boot` forces
 //! every trial to boot from scratch; both exist to measure what the
 //! resident engine saves.
+//!
+//! Bad input — arguments, an unreadable or malformed manifest, a broken
+//! job graph — prints the error and exits with status 2.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use nlh_campaign::{
-    setup_manifest_name, BootMode, CampaignEngine, CampaignSnapshot, CampaignSpec, CellOutput,
-    CellResult, ExecMode, JobOutcome, MechanismSpec, SamplingMode, SetupKind, SuiteSpec,
-    TelemetrySink,
+    setup_manifest_name, BootMode, CacheCounters, CampaignEngine, CampaignSnapshot, CellOutput,
+    CellResult, ExecMode, JobOutcome, MechanismSpec, SuiteSpec, TelemetrySink,
 };
-use nlh_core::LadderRung;
 use nlh_experiments::hr;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
 use nlh_sim::stats::Proportion;
 
+const USAGE: &str = "usage: campaign_server MANIFEST [--json FILE] [--cold-boot] [--isolated] \
+                     [--quiet] [--cache-cap BYTES]";
+
 struct Args {
-    manifest: Option<String>,
-    builtin: String,
+    manifest: String,
     json: Option<String>,
     cold_boot: bool,
     isolated: bool,
@@ -47,10 +54,16 @@ struct Args {
     cache_cap: Option<u64>,
 }
 
+/// Prints `msg` and exits with status 2, the bad-input status.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("campaign_server: {msg}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
+    let mut manifest = None;
     let mut out = Args {
-        manifest: None,
-        builtin: "ci".into(),
+        manifest: String::new(),
         json: None,
         cold_boot: false,
         isolated: false,
@@ -59,9 +72,11 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut val = |name: &str| {
+            it.next()
+                .unwrap_or_else(|| fail(format!("{name} needs a value")))
+        };
         match a.as_str() {
-            "--builtin" => out.builtin = val("--builtin"),
             "--json" => out.json = Some(val("--json")),
             "--cold-boot" => out.cold_boot = true,
             "--isolated" => out.isolated = true,
@@ -70,110 +85,19 @@ fn parse_args() -> Args {
                 out.cache_cap = Some(
                     val("--cache-cap")
                         .parse()
-                        .expect("--cache-cap needs a byte count"),
+                        .unwrap_or_else(|_| fail("--cache-cap needs a byte count")),
                 )
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: campaign_server [MANIFEST] [--builtin ci|suite] [--json FILE] \
-                     [--cold-boot] [--isolated] [--quiet] [--cache-cap BYTES]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
-            other if !other.starts_with('-') => out.manifest = Some(other.to_string()),
-            other => panic!("unknown option {other}; try --help"),
+            other if !other.starts_with('-') => manifest = Some(other.to_string()),
+            other => fail(format!("unknown option {other}\n{USAGE}")),
         }
     }
+    out.manifest = manifest.unwrap_or_else(|| fail(format!("no manifest given\n{USAGE}")));
     out
-}
-
-/// The `--builtin ci` suite: one cell per campaign family, with a
-/// dependency edge so the job graph is exercised, at golden-test seeds.
-fn builtin_ci() -> SuiteSpec {
-    let mut suite = SuiteSpec::default();
-    let mut fig2 = CampaignSpec::new(
-        "fig2-failstop",
-        SetupKind::ThreeAppVm,
-        FaultType::Failstop,
-        30,
-    );
-    fig2.seed = 77;
-    suite.push(fig2);
-    let mut ladder = CampaignSpec::new(
-        "ladder-top",
-        SetupKind::OneAppVm(nlh_campaign::BenchKind::UnixBench),
-        FaultType::Failstop,
-        40,
-    );
-    ladder.mechanism = MechanismSpec::Rung(LadderRung::VirtqueueConsistency);
-    suite.push(ladder);
-    let mut device = CampaignSpec::new(
-        "device-failstop",
-        SetupKind::TwoAppVmVswitch,
-        FaultType::Failstop,
-        20,
-    );
-    device.mechanism = MechanismSpec::Rung(LadderRung::VirtqueueConsistency);
-    device.mode = ExecMode::Sampled {
-        windows: 8,
-        sampling: SamplingMode::CoverageGuided,
-        steer_handler: Some(HandlerKind::VirtioMmio),
-        depth_cycle: 1,
-    };
-    suite.push_after(device, &["fig2-failstop"]);
-    suite
-}
-
-/// The `--builtin suite` graph: the quick-scale EXPERIMENTS.md campaign
-/// suite at the exact golden-test configurations (ladder 40×8 @ seed
-/// 2018, fig2 30×6 @ seed 77, device 20×6 @ seed 2018).
-fn builtin_suite() -> SuiteSpec {
-    let mut suite = SuiteSpec::default();
-    for rung in LadderRung::ALL {
-        let mut spec = CampaignSpec::new(
-            format!("ladder-{}", rung.name()),
-            SetupKind::OneAppVm(nlh_campaign::BenchKind::UnixBench),
-            FaultType::Failstop,
-            40,
-        );
-        spec.mechanism = MechanismSpec::Rung(rung);
-        suite.push(spec);
-    }
-    for mechanism in [MechanismSpec::Nilihype, MechanismSpec::Rehype] {
-        for fault in FaultType::ALL {
-            let mut spec = CampaignSpec::new(
-                format!("fig2-{}-{fault}", mechanism.manifest_name()),
-                SetupKind::ThreeAppVm,
-                fault,
-                30,
-            );
-            spec.seed = 77;
-            spec.mechanism = mechanism;
-            suite.push(spec);
-        }
-    }
-    for rung in [
-        LadderRung::ReactivateTimerEvents,
-        LadderRung::VirtqueueConsistency,
-    ] {
-        for fault in FaultType::ALL {
-            let mut spec = CampaignSpec::new(
-                format!("device-{}-{fault}", rung.name()),
-                SetupKind::TwoAppVmVswitch,
-                fault,
-                20,
-            );
-            spec.mechanism = MechanismSpec::Rung(rung);
-            spec.mode = ExecMode::Sampled {
-                windows: 8,
-                sampling: SamplingMode::CoverageGuided,
-                steer_handler: Some(HandlerKind::VirtioMmio),
-                depth_cycle: 1,
-            };
-            suite.push(spec);
-        }
-    }
-    suite
 }
 
 /// Streams snapshot lines to stdout as cells progress.
@@ -189,29 +113,72 @@ impl TelemetrySink for PrintSink {
     }
 }
 
+/// A cell's (detected, successes). A sampled cell detects exactly the
+/// trials it either recovered or counted as residual failures.
+fn counts(output: &CellOutput) -> (u64, u64) {
+    match output {
+        CellOutput::Sharded(r) => (r.detected, r.successes),
+        CellOutput::Sampled(s) => (s.successes + s.failures, s.successes),
+    }
+}
+
+/// `s` as a JSON string literal. Job names and the suite label come from
+/// the manifest and the command line, so anything may be in them.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c.is_control() => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// One row of the JSON summary.
 fn json_job(out: &mut String, outcome: &JobOutcome, last: bool) {
     let cell = &outcome.cell;
-    let (mode, detected, successes) = match &cell.output {
-        CellOutput::Sharded(r) => ("sharded", r.detected, r.successes),
-        CellOutput::Sampled(s) => ("sampled", s.successes + s.failures, s.successes),
-    };
+    let (detected, successes) = counts(&cell.output);
     let p = Proportion::new(successes, detected);
     let (lo, hi) = p.wilson_95();
-    let stopped = cell
-        .stopped_at
-        .map(|n| n.to_string())
-        .unwrap_or_else(|| "null".into());
+    let opt = |n: Option<u64>| n.map_or_else(|| "null".into(), |n| n.to_string());
+    let mode = match cell.output {
+        CellOutput::Sharded(_) => "sharded",
+        CellOutput::Sampled(_) => "sampled",
+    };
     let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"name\": \"{}\",", outcome.name);
+    let _ = writeln!(out, "      \"name\": {},", json_str(&outcome.name));
     let _ = writeln!(out, "      \"mode\": \"{mode}\",");
     let _ = writeln!(out, "      \"executed\": {},", cell.executed);
-    let _ = writeln!(out, "      \"stopped_at\": {stopped},");
+    let _ = writeln!(out, "      \"stopped_at\": {},", opt(cell.stopped_at));
     let _ = writeln!(out, "      \"detected\": {detected},");
     let _ = writeln!(out, "      \"successes\": {successes},");
     let _ = writeln!(out, "      \"rate\": {:.6},", p.value());
     let _ = writeln!(out, "      \"wilson_lo\": {lo:.6},");
     let _ = writeln!(out, "      \"wilson_hi\": {hi:.6},");
+    if let Some(s) = cell.sampled() {
+        let first = s.first_failure_trial.map(|i| i + 1);
+        let map = s.coverage.to_json();
+        let _ = writeln!(out, "      \"first_failure\": {},", opt(first));
+        let _ = writeln!(
+            out,
+            "      \"covered_cells\": {},",
+            s.coverage.covered_cells()
+        );
+        let _ = writeln!(
+            out,
+            "      \"coverage\": {},",
+            map.trim_end().replace('\n', "\n      ")
+        );
+    }
     let _ = writeln!(out, "      \"cache_hits\": {},", cell.cache.hits);
     let _ = writeln!(out, "      \"cache_misses\": {},", cell.cache.misses);
     let _ = writeln!(out, "      \"cache_evictions\": {}", cell.cache.evictions);
@@ -222,10 +189,10 @@ fn json_summary(
     label: &str,
     outcomes: &[JobOutcome],
     wall_secs: f64,
-    cache: nlh_campaign::CacheCounters,
+    cache: CacheCounters,
 ) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"suite\": \"{label}\",");
+    let _ = writeln!(out, "  \"suite\": {},", json_str(label));
     let _ = writeln!(out, "  \"jobs_run\": {},", outcomes.len());
     let _ = writeln!(out, "  \"wall_secs\": {wall_secs:.3},");
     let _ = writeln!(
@@ -245,35 +212,33 @@ fn json_summary(
 
 fn cell_line(outcome: &JobOutcome) -> String {
     let cell = &outcome.cell;
-    let (detected, successes) = match &cell.output {
-        CellOutput::Sharded(r) => (r.detected, r.successes),
-        CellOutput::Sampled(s) => (s.successes + s.failures, s.successes),
-    };
+    let (detected, successes) = counts(&cell.output);
     let p = Proportion::new(successes, detected);
-    format!(
-        "{:<34} {:>5} {:>9} {:>16} {:>6}/{}",
+    let mut line = format!(
+        "{:<38} {:>5} {:>9} {:>16} {:>8}",
         outcome.name,
         cell.executed,
         format!("{successes}/{detected}"),
         format!("{p}"),
-        cell.cache.misses,
-        cell.cache.hits,
-    )
+        format!("{}/{}", cell.cache.misses, cell.cache.hits),
+    );
+    if let Some(s) = cell.sampled() {
+        let first = s
+            .first_failure_trial
+            .map_or_else(|| "-".into(), |i| (i + 1).to_string());
+        let total = HandlerKind::ALL.len() * s.coverage.windows();
+        let covered = format!("{}/{total}", s.coverage.covered_cells());
+        let _ = write!(line, " {first:>10} {covered:>8}");
+    }
+    line
 }
 
 fn main() {
     let args = parse_args();
-    let (label, suite) = match (&args.manifest, args.builtin.as_str()) {
-        (Some(path), _) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-            let suite = SuiteSpec::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-            (path.clone(), suite)
-        }
-        (None, "ci") => ("ci".to_string(), builtin_ci()),
-        (None, "suite") => ("suite".to_string(), builtin_suite()),
-        (None, other) => panic!("unknown builtin suite {other:?} (have: ci, suite)"),
-    };
-    let mut suite = suite;
+    let label = &args.manifest;
+    let text = std::fs::read_to_string(label)
+        .unwrap_or_else(|e| fail(format!("cannot read {label}: {e}")));
+    let mut suite = SuiteSpec::parse(&text).unwrap_or_else(|e| fail(format!("{label}: {e}")));
     if args.cold_boot {
         for job in &mut suite.jobs {
             job.spec.boot = BootMode::Cold;
@@ -300,7 +265,7 @@ fn main() {
         // edges carry no data, so submission order is a valid execution
         // order for measurement purposes.
         let mut outcomes = Vec::new();
-        let mut cache = nlh_campaign::CacheCounters::default();
+        let mut cache = CacheCounters::default();
         for job in &suite.jobs {
             let engine = CampaignEngine::new();
             let cell: CellResult = engine.run_spec(&job.spec, &mut sink);
@@ -321,15 +286,15 @@ fn main() {
         };
         let outcomes = engine
             .run_suite(&suite, &mut sink)
-            .unwrap_or_else(|e| panic!("suite graph error: {e}"));
+            .unwrap_or_else(|e| fail(format!("{label}: {e}")));
         (outcomes, engine.cache().counters())
     };
     let wall_secs = started.elapsed().as_secs_f64();
 
     hr();
     println!(
-        "{:<34} {:>5} {:>9} {:>16} {:>8}",
-        "job", "run", "succ/det", "rate [95% CI]", "miss/hit"
+        "{:<38} {:>5} {:>9} {:>16} {:>8} {:>10} {:>8}",
+        "job", "run", "succ/det", "rate [95% CI]", "miss/hit", "first-fail", "covered"
     );
     hr();
     for outcome in &outcomes {
@@ -348,8 +313,8 @@ fn main() {
         cache.resident_bytes / 1024,
     );
     if let Some(path) = &args.json {
-        std::fs::write(path, json_summary(&label, &outcomes, wall_secs, cache))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(path, json_summary(label, &outcomes, wall_secs, cache))
+            .unwrap_or_else(|e| fail(format!("cannot write {path}: {e}")));
         println!("suite summary written to {path}");
     }
 
@@ -371,12 +336,50 @@ fn main() {
             .iter()
             .find(|o| o.name == s.name)
             .expect("every job ran");
-        if let CellOutput::Sharded(r) = &outcome.cell.output {
-            assert_eq!(
-                (r.detected, r.successes),
-                (30, 30),
-                "fig2 failstop golden counts drifted on the engine path"
-            );
-        }
+        assert_eq!(
+            counts(&outcome.cell.output),
+            (30, 30),
+            "fig2 failstop golden counts drifted on the engine path"
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nlh_campaign::{CoverageMap, SampledCampaign, SamplingMode};
+
+    #[test]
+    fn json_summary_escapes_names_and_label() {
+        let sampled = SampledCampaign {
+            mode: SamplingMode::CoverageGuided,
+            trials: 2,
+            first_failure_trial: Some(0),
+            failures: 1,
+            successes: 1,
+            coverage: CoverageMap::new(8),
+            first_failure_record: None,
+        };
+        let outcome = JobOutcome {
+            name: "a\"b\\c\u{1}".into(),
+            cell: CellResult {
+                output: CellOutput::Sampled(sampled),
+                executed: 2,
+                stopped_at: None,
+                cache: CacheCounters::default(),
+                per_trial: Vec::new(),
+            },
+        };
+        let json = json_summary(
+            "dir\\x\".manifest",
+            &[outcome],
+            0.5,
+            CacheCounters::default(),
+        );
+        assert!(json.contains(r#""suite": "dir\\x\".manifest","#), "{json}");
+        assert!(json.contains(r#""name": "a\"b\\c\u0001","#), "{json}");
+        assert!(json.contains("\"first_failure\": 1,"), "{json}");
+        assert!(json.contains("\"covered_cells\": 0,"), "{json}");
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'), "{json}");
     }
 }

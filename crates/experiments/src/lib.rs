@@ -4,13 +4,18 @@
 //! paper's evaluation; see `EXPERIMENTS.md` at the workspace root for the
 //! index and for paper-vs-measured comparisons.
 //!
-//! All binaries accept:
+//! The binaries that parse [`ExpOptions`] accept:
 //!
 //! * `--trials N` — trials per campaign (defaults are sized to finish in a
 //!   couple of minutes; the paper-scale counts are documented per binary).
 //! * `--full` — use the paper's campaign sizes (1000 Failstop / 5000
 //!   Register / 2000 Code, 1000 per ladder rung).
 //! * `--seed S` — base seed (default 2018, the year of the paper).
+//!
+//! That is every binary except `campaign_server` and `replay`, which take
+//! their own flags (each prints them with `--help`). `campaign_server`
+//! runs every campaign stated as data: the manifests under
+//! `crates/experiments/manifests/`.
 //!
 //! Campaigns warm-start every trial from the campaign engine's boot cache;
 //! `warmstart` and `campaign_server --cold-boot` run the cold-boot

@@ -12,15 +12,17 @@
 //! constants: print the actual values (each assertion message carries
 //! them) and update the tables below.
 //!
-//! Every table is reached two ways through [`CampaignEngine`]: by naming
-//! the mechanism in the spec ([`MechanismSpec`], the `golden_engine_*`
-//! tests, which also check template sharing) and by handing
+//! Every table is reached two ways through [`CampaignEngine`]: by running
+//! the cells of the checked-in manifests that `campaign_server` runs (the
+//! `golden_engine_*` tests and the overcommit and guided goldens, which
+//! also check template sharing), and by handing
 //! [`CampaignEngine::run_spec_with`] a caller-built mechanism, the path the
-//! ablation binaries take.
+//! ablation binaries take. The first way pins the manifests themselves: a
+//! changed cell in `suite.manifest` shifts a count here.
 
 use nilihype::campaign::{
-    run_ladder_on, BenchKind, CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink,
-    SamplingMode, SetupKind,
+    BenchKind, CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink, SamplingMode,
+    SetupKind, SuiteSpec,
 };
 use nilihype::hv::HandlerKind;
 use nilihype::inject::FaultType;
@@ -52,16 +54,52 @@ const GOLDEN_FIG2: [(FaultType, [u64; 5]); 3] = [
     (FaultType::Code, [13, 2, 15, 11, 9]),
 ];
 
-/// Device-heavy steered campaigns (`device_campaign` binary): 2AppVM
-/// vswitch, faults held for the `VirtioMmio` handler, coverage-guided,
-/// 20 trials, seed 2018. Rows: (fault, detected, successes without the
-/// virtqueue-consistency rung, successes with it). Same seed corpus on
-/// both sides — detection counts are mechanism-independent.
+/// Device-heavy steered campaigns (the `device-*` jobs of
+/// `suite.manifest`): 2AppVM vswitch, faults held for the `VirtioMmio`
+/// handler, coverage-guided, 20 trials, seed 2018. Rows: (fault,
+/// detected, successes without the virtqueue-consistency rung, successes
+/// with it). Same seed corpus on both sides — detection counts are
+/// mechanism-independent.
 const GOLDEN_DEVICE: [(FaultType, u64, u64, u64); 3] = [
     (FaultType::Failstop, 20, 3, 20),
     (FaultType::Register, 4, 0, 4),
     (FaultType::Code, 11, 0, 8),
 ];
+
+/// Overcommit campaign at 2:1 (the `overcommit-2-steered-*` jobs of
+/// `overcommit.manifest`): faults depth-steered into `Scheduler` programs,
+/// depth cycle 16, coverage-guided, 20 trials per fault type, seed 2018.
+/// Rows: (mechanism, detected, successes), each summed over the three
+/// fault types — the rung-off and rung-on cells of EXPERIMENTS.md's 2:1 row.
+const GOLDEN_OVERCOMMIT_STEERED: [(MechanismSpec, u64, u64); 2] = [
+    (MechanismSpec::NilihypeNoSchedFix, 35, 23),
+    (MechanismSpec::Nilihype, 35, 32),
+];
+
+/// Uniform vs coverage-guided sampling (`guided.manifest`): 1AppVM
+/// UnixBench, fail-stop, full NiLiHype, 120 trials, seed 2018. Rows:
+/// (sampling, 1-based first residual-failure trial, failures, successes).
+const GOLDEN_GUIDED: [(SamplingMode, u64, u64, u64); 2] = [
+    (SamplingMode::Uniform, 37, 6, 114),
+    (SamplingMode::CoverageGuided, 38, 2, 118),
+];
+
+const SUITE_MANIFEST: &str = include_str!("../crates/experiments/manifests/suite.manifest");
+const OVERCOMMIT_MANIFEST: &str =
+    include_str!("../crates/experiments/manifests/overcommit.manifest");
+const GUIDED_MANIFEST: &str = include_str!("../crates/experiments/manifests/guided.manifest");
+
+/// The cells of a checked-in manifest whose job names start with
+/// `prefix`, in file order.
+fn manifest_cells(manifest: &str, prefix: &str) -> Vec<CampaignSpec> {
+    SuiteSpec::parse(manifest)
+        .expect("checked-in manifest parses")
+        .jobs
+        .into_iter()
+        .map(|job| job.spec)
+        .filter(|spec| spec.name.starts_with(prefix))
+        .collect()
+}
 
 /// The Table I ladder with each rung's `Microreset` built by the caller.
 #[test]
@@ -86,25 +124,22 @@ fn golden_table1_ladder_counts() {
     }
 }
 
-/// The Table I ladder through the engine: one template build for all
-/// eight rungs. The `campaign_server` CI suite checks its cells against
-/// these same goldens.
+/// The Table I ladder through the engine, from `suite.manifest`'s
+/// `ladder-*` jobs: one template build for all eight rungs.
 #[test]
 fn golden_engine_table1_ladder_counts() {
     let engine = CampaignEngine::new();
-    let rows = run_ladder_on(&engine, 40, 2018);
-    assert_eq!(rows.len(), GOLDEN_LADDER.len());
-    for (row, &(idx, detected, successes, no_vmf)) in rows.iter().zip(&GOLDEN_LADDER) {
+    let cells = manifest_cells(SUITE_MANIFEST, "ladder-");
+    assert_eq!(cells.len(), GOLDEN_LADDER.len());
+    for (spec, &(idx, detected, successes, no_vmf)) in cells.iter().zip(&GOLDEN_LADDER) {
+        assert_eq!(spec.mechanism, MechanismSpec::Rung(LadderRung::ALL[idx]));
+        let cell = engine.run_spec(spec, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
         assert_eq!(
-            (
-                idx,
-                row.result.detected,
-                row.result.successes,
-                row.result.no_vmf
-            ),
+            (idx, r.detected, r.successes, r.no_vmf),
             (idx, detected, successes, no_vmf),
-            "engine ladder rung {:?} drifted (index, detected, successes, no_vmf)",
-            row.rung
+            "engine ladder cell {} drifted (index, detected, successes, no_vmf)",
+            spec.name
         );
     }
     // The engine built the 1AppVM template once; all other checkouts of
@@ -146,31 +181,32 @@ fn golden_fig2_rehype_counts() {
     assert_fig2_goldens("ReHype", &|| Box::new(Microreboot::rehype()));
 }
 
-/// Figure 2 through the engine: the per-fault cells of both mechanisms
-/// land on the same goldens and all reuse one 3AppVM template.
+/// Figure 2 through the engine, from `suite.manifest`'s `fig2-*` jobs:
+/// the per-fault cells of both mechanisms land on the same goldens and all
+/// reuse one 3AppVM template.
 #[test]
 fn golden_engine_fig2_counts() {
     let engine = CampaignEngine::new();
-    for mechanism in [MechanismSpec::Nilihype, MechanismSpec::Rehype] {
-        for &(fault, expect) in &GOLDEN_FIG2 {
-            let mut spec = CampaignSpec::new(
-                format!("fig2-{}-{fault}", mechanism.manifest_name()),
-                SetupKind::ThreeAppVm,
-                fault,
-                30,
-            );
-            spec.seed = 77;
-            spec.mechanism = mechanism;
-            let cell = engine.run_spec(&spec, &mut NullSink);
-            let r = cell.sharded().expect("sharded cell");
-            let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
-            assert_eq!(
-                got,
-                expect,
-                "engine fig2 {} {fault} drifted (non_manifested, sdc, detected, successes, no_vmf)",
-                mechanism.manifest_name()
-            );
-        }
+    let cells = manifest_cells(SUITE_MANIFEST, "fig2-");
+    let grid: Vec<_> = cells.iter().map(|s| (s.mechanism, s.fault)).collect();
+    let expected: Vec<_> = [MechanismSpec::Nilihype, MechanismSpec::Rehype]
+        .into_iter()
+        .flat_map(|m| GOLDEN_FIG2.iter().map(move |&(fault, _)| (m, fault)))
+        .collect();
+    assert_eq!(grid, expected, "suite.manifest's fig2 grid");
+    for spec in &cells {
+        let (_, expect) = GOLDEN_FIG2
+            .iter()
+            .find(|(fault, _)| *fault == spec.fault)
+            .expect("golden row per fault");
+        let cell = engine.run_spec(spec, &mut NullSink);
+        let r = cell.sharded().expect("sharded cell");
+        let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
+        assert_eq!(
+            &got, expect,
+            "engine fig2 cell {} drifted (non_manifested, sdc, detected, successes, no_vmf)",
+            spec.name
+        );
     }
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
@@ -215,30 +251,23 @@ fn golden_device_campaign_ring_repair_counts() {
     }
 }
 
-/// The device campaign through the engine: every `GOLDEN_DEVICE` row,
-/// with the virtqueue-consistency rung off and on. The rung must raise the
-/// recovery rate on every fault type, and all six sampled cells share one
+/// The device campaign through the engine, from `suite.manifest`'s
+/// `device-*` jobs: every `GOLDEN_DEVICE` row, with the
+/// virtqueue-consistency rung off and on. The rung must raise the recovery
+/// rate on every fault type, and all six sampled cells share one
 /// 2AppVM-vswitch template.
 #[test]
 fn golden_engine_device_campaign_failstop() {
     let engine = CampaignEngine::new();
+    let cells = manifest_cells(SUITE_MANIFEST, "device-");
+    assert_eq!(cells.len(), 2 * GOLDEN_DEVICE.len());
     for &(fault, detected, without, with) in &GOLDEN_DEVICE {
         let run = |rung: LadderRung| {
-            let mut spec = CampaignSpec::new(
-                format!("device-{}-{fault}", rung.name()),
-                SetupKind::TwoAppVmVswitch,
-                fault,
-                20,
-            );
-            spec.seed = 2018;
-            spec.mechanism = MechanismSpec::Rung(rung);
-            spec.mode = ExecMode::Sampled {
-                windows: 8,
-                sampling: SamplingMode::CoverageGuided,
-                steer_handler: Some(HandlerKind::VirtioMmio),
-                depth_cycle: 1,
-            };
-            let cell = engine.run_spec(&spec, &mut NullSink);
+            let spec = cells
+                .iter()
+                .find(|s| s.fault == fault && s.mechanism == MechanismSpec::Rung(rung))
+                .unwrap_or_else(|| panic!("suite.manifest has a {fault} cell at {rung:?}"));
+            let cell = engine.run_spec(spec, &mut NullSink);
             let s = cell.sampled().expect("sampled cell");
             (s.successes + s.failures, s.successes)
         };
@@ -255,4 +284,58 @@ fn golden_engine_device_campaign_failstop() {
         );
     }
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
+}
+
+/// The 2:1 steered arms of `overcommit.manifest`, summed per arm over the
+/// three fault types; all six cells share one Overcommit(2) template.
+#[test]
+fn golden_overcommit_steered_counts() {
+    let engine = CampaignEngine::new();
+    let cells = manifest_cells(OVERCOMMIT_MANIFEST, "overcommit-2-steered-");
+    assert_eq!(cells.len(), 2 * FaultType::ALL.len());
+    for &(mechanism, detected, successes) in &GOLDEN_OVERCOMMIT_STEERED {
+        let mut sum = (0, 0);
+        for spec in cells.iter().filter(|s| s.mechanism == mechanism) {
+            let cell = engine.run_spec(spec, &mut NullSink);
+            let s = cell.sampled().expect("sampled cell");
+            sum.0 += s.successes + s.failures;
+            sum.1 += s.successes;
+        }
+        assert_eq!(
+            sum,
+            (detected, successes),
+            "overcommit 2:1 steered {} drifted (detected, successes)",
+            mechanism.manifest_name()
+        );
+    }
+    assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
+}
+
+/// `guided.manifest`: the same seed corpus under uniform and
+/// coverage-guided sampling, sharing one 1AppVM template.
+#[test]
+fn golden_guided_first_failure() {
+    let engine = CampaignEngine::new();
+    let cells = manifest_cells(GUIDED_MANIFEST, "");
+    assert_eq!(cells.len(), GOLDEN_GUIDED.len());
+    for (spec, &(sampling, first, failures, successes)) in cells.iter().zip(&GOLDEN_GUIDED) {
+        assert!(
+            matches!(spec.mode, ExecMode::Sampled { sampling: s, .. } if s == sampling),
+            "job {} samples {sampling:?}",
+            spec.name
+        );
+        let cell = engine.run_spec(spec, &mut NullSink);
+        let s = cell.sampled().expect("sampled cell");
+        assert_eq!(
+            (
+                s.first_failure_trial.map(|i| i + 1),
+                s.failures,
+                s.successes
+            ),
+            (Some(first), failures, successes),
+            "guided.manifest job {} drifted (first failure, failures, successes)",
+            spec.name
+        );
+    }
+    assert_eq!(engine.cache().counters().misses, 1, "two cells, one build");
 }
