@@ -12,13 +12,8 @@
 //!
 //! The cache is the resident campaign engine's shared service: one cache
 //! outlives many campaigns, so a whole suite pays each template build once
-//! (see `engine.rs`). To keep a full-suite job graph from holding every
-//! template resident forever, the cache accounts an estimated byte size
-//! per template ([`nlh_hv::Hypervisor::estimated_template_bytes`]) and
-//! evicts least-recently-used templates beyond an optional byte cap.
-//! Eviction is invisible to trial results: a re-built template is
-//! bit-identical to the evicted one (boots are deterministic), so only the
-//! hit/miss/eviction counters can tell the difference.
+//! (see `engine.rs`). Templates stay resident for the cache's lifetime:
+//! there is one per distinct key a suite touches, a handful at most.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,47 +38,27 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Checkouts that had to build a template.
     pub misses: u64,
-    /// Templates evicted to stay under the byte cap.
-    pub evictions: u64,
-    /// Estimated bytes of the currently resident templates.
-    pub resident_bytes: u64,
     /// Number of currently resident templates.
     pub resident_templates: u64,
 }
 
 impl CacheCounters {
-    /// Counter deltas since `earlier` (resident gauges are taken from
+    /// Counter deltas since `earlier` (the resident gauge is taken from
     /// `self`, the later snapshot).
     pub fn since(&self, earlier: &CacheCounters) -> CacheCounters {
         CacheCounters {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-            resident_bytes: self.resident_bytes,
             resident_templates: self.resident_templates,
         }
     }
 }
 
-/// One resident template with its LRU bookkeeping.
-#[derive(Debug)]
-struct CacheEntry {
-    template: Template,
-    bytes: u64,
-    last_used: u64,
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CacheInner {
-    templates: HashMap<(MachineConfig, SetupKind), CacheEntry>,
-    /// Monotone use clock; the entry with the smallest stamp is the LRU
-    /// eviction victim.
-    clock: u64,
-    total_bytes: u64,
-    cap_bytes: u64,
+    templates: HashMap<(MachineConfig, SetupKind), Template>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 /// A cache of pristine post-boot systems, keyed by machine + setup.
@@ -102,36 +77,16 @@ impl Default for BootCache {
 }
 
 impl BootCache {
-    /// Creates an empty cache with no byte cap (templates stay resident
-    /// for the cache's lifetime — the historical per-campaign behaviour).
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        BootCache::with_capacity(u64::MAX)
-    }
-
-    /// Creates an empty cache that evicts least-recently-used templates
-    /// once the estimated resident bytes exceed `cap_bytes`. The most
-    /// recently inserted template is never evicted, so a cap smaller than
-    /// any single template degrades to "resident set of one", not to a
-    /// build-per-checkout storm.
-    pub fn with_capacity(cap_bytes: u64) -> Self {
         BootCache {
-            inner: Mutex::new(CacheInner {
-                templates: HashMap::new(),
-                clock: 0,
-                total_bytes: 0,
-                cap_bytes,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            inner: Mutex::new(CacheInner::default()),
         }
     }
 
     /// Returns a ready-to-run system for `seed`: a deep clone of the cached
     /// post-boot template with every RNG re-derived from `seed`. Builds and
-    /// caches the template on first use of a `(machine, setup)` key —
-    /// evicting least-recently-used templates if the insertion pushes the
-    /// cache over its byte cap.
+    /// caches the template on first use of a `(machine, setup)` key.
     pub fn checkout(
         &self,
         machine: &MachineConfig,
@@ -140,12 +95,9 @@ impl BootCache {
     ) -> (Hypervisor, SystemLayout) {
         let template = {
             let mut inner = self.inner.lock().unwrap();
-            inner.clock += 1;
-            let stamp = inner.clock;
-            match inner.templates.get_mut(&(machine.clone(), setup)) {
-                Some(entry) => {
-                    entry.last_used = stamp;
-                    let template = Arc::clone(&entry.template);
+            match inner.templates.get(&(machine.clone(), setup)) {
+                Some(template) => {
+                    let template = Arc::clone(template);
                     inner.hits += 1;
                     template
                 }
@@ -154,17 +106,9 @@ impl BootCache {
                     // one key must produce exactly one build.
                     inner.misses += 1;
                     let built = Arc::new(build_system(machine.clone(), setup, TEMPLATE_SEED));
-                    let bytes = built.0.estimated_template_bytes();
-                    inner.templates.insert(
-                        (machine.clone(), setup),
-                        CacheEntry {
-                            template: Arc::clone(&built),
-                            bytes,
-                            last_used: stamp,
-                        },
-                    );
-                    inner.total_bytes += bytes;
-                    inner.evict_beyond_cap(stamp);
+                    inner
+                        .templates
+                        .insert((machine.clone(), setup), Arc::clone(&built));
                     built
                 }
             }
@@ -187,35 +131,7 @@ impl BootCache {
         CacheCounters {
             hits: inner.hits,
             misses: inner.misses,
-            evictions: inner.evictions,
-            resident_bytes: inner.total_bytes,
             resident_templates: inner.templates.len() as u64,
-        }
-    }
-}
-
-impl CacheInner {
-    /// Evicts least-recently-used templates until the resident estimate
-    /// fits the cap, never evicting the entry stamped `keep_stamp` (the
-    /// one being inserted or refreshed right now).
-    fn evict_beyond_cap(&mut self, keep_stamp: u64) {
-        while self.total_bytes > self.cap_bytes {
-            let victim = self
-                .templates
-                .iter()
-                .filter(|(_, e)| e.last_used != keep_stamp)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(key) => {
-                    let entry = self.templates.remove(&key).expect("victim exists");
-                    self.total_bytes -= entry.bytes;
-                    self.evictions += 1;
-                }
-                // Only the just-inserted template remains; it stays
-                // resident even over-cap.
-                None => break,
-            }
         }
     }
 }
@@ -236,8 +152,6 @@ mod tests {
         assert_eq!(cache.stats(), (1, 2));
         let c = cache.counters();
         assert_eq!(c.resident_templates, 2);
-        assert!(c.resident_bytes > 0);
-        assert_eq!(c.evictions, 0);
     }
 
     #[test]
@@ -277,86 +191,5 @@ mod tests {
         let (hits, misses) = cache.stats();
         assert_eq!(misses, 1, "exactly one build despite 8 threads");
         assert_eq!(hits, 7);
-    }
-
-    #[test]
-    fn lru_cap_evicts_oldest_key_first() {
-        let machine = MachineConfig::small();
-        let a = SetupKind::OneAppVm(BenchKind::UnixBench);
-        let b = SetupKind::OneAppVm(BenchKind::BlkBench);
-        // Size the cap off a real template so exactly one fits.
-        let probe = BootCache::new();
-        probe.checkout(&machine, a, 0);
-        let one_template = probe.counters().resident_bytes;
-
-        let cache = BootCache::with_capacity(one_template);
-        cache.checkout(&machine, a, 1); // build A
-        cache.checkout(&machine, b, 2); // build B, evict A
-        let c = cache.counters();
-        assert_eq!(c.evictions, 1, "A evicted to fit B");
-        assert_eq!(c.resident_templates, 1);
-        cache.checkout(&machine, a, 3); // rebuild A, evict B
-        let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.evictions), (0, 3, 2));
-    }
-
-    #[test]
-    fn lru_refresh_protects_recently_used_keys() {
-        let machine = MachineConfig::small();
-        let a = SetupKind::OneAppVm(BenchKind::UnixBench);
-        let b = SetupKind::OneAppVm(BenchKind::BlkBench);
-        let c_kind = SetupKind::OneAppVm(BenchKind::NetBench);
-        // Measure each template's estimate so the cap holds exactly two.
-        let probe = BootCache::new();
-        probe.checkout(&machine, a, 0);
-        let bytes_a = probe.counters().resident_bytes;
-        probe.checkout(&machine, b, 0);
-        let bytes_b = probe.counters().resident_bytes - bytes_a;
-        probe.checkout(&machine, c_kind, 0);
-        let bytes_c = probe.counters().resident_bytes - bytes_a - bytes_b;
-
-        let cache = BootCache::with_capacity(bytes_a + bytes_b.max(bytes_c));
-        cache.checkout(&machine, a, 1); // build A
-        cache.checkout(&machine, b, 2); // build B
-        cache.checkout(&machine, a, 3); // hit A: B is now LRU
-        cache.checkout(&machine, c_kind, 4); // build C, evict B
-        let counters = cache.counters();
-        assert_eq!(counters.evictions, 1);
-        let (hv, _) = cache.checkout(&machine, a, 5); // still a hit
-        assert_eq!(hv.domains.len(), 2);
-        assert_eq!(cache.counters().hits, 2);
-    }
-
-    #[test]
-    fn undersized_cap_keeps_latest_template_resident() {
-        let machine = MachineConfig::small();
-        let cache = BootCache::with_capacity(1); // smaller than any template
-        let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
-        cache.checkout(&machine, setup, 1);
-        cache.checkout(&machine, setup, 2);
-        let c = cache.counters();
-        // The sole template is never its own eviction victim, so the
-        // second checkout is still a hit.
-        assert_eq!((c.hits, c.misses, c.evictions), (1, 1, 0));
-        assert_eq!(c.resident_templates, 1);
-    }
-
-    #[test]
-    fn eviction_then_rebuild_is_bit_identical() {
-        let machine = MachineConfig::small();
-        let a = SetupKind::OneAppVm(BenchKind::UnixBench);
-        let b = SetupKind::OneAppVm(BenchKind::BlkBench);
-        let probe = BootCache::new();
-        probe.checkout(&machine, a, 0);
-        let one_template = probe.counters().resident_bytes;
-
-        let cache = BootCache::with_capacity(one_template);
-        let (hv_before, layout_before) = cache.checkout(&machine, a, 77);
-        cache.checkout(&machine, b, 1); // evicts A
-        let (hv_after, layout_after) = cache.checkout(&machine, a, 77); // rebuild
-        assert!(cache.counters().evictions >= 1);
-        assert_eq!(layout_before, layout_after);
-        assert_eq!(hv_before.rng, hv_after.rng);
-        assert_eq!(hv_before.state_digest(), hv_after.state_digest());
     }
 }

@@ -64,7 +64,7 @@ pub struct CellResult {
     /// trials.
     pub stopped_at: Option<u64>,
     /// Boot-cache activity attributable to this cell (counter deltas
-    /// around the cell; gauges are post-cell values).
+    /// around the cell; the resident gauge is the post-cell value).
     pub cache: CacheCounters,
     /// Seed-ordered per-trial results (sharded cells only; empty for
     /// sampled cells). The equivalence suite compares these one-for-one
@@ -143,18 +143,10 @@ impl Default for CampaignEngine {
 }
 
 impl CampaignEngine {
-    /// An engine with an unbounded shared boot cache.
+    /// An engine with an empty shared boot cache.
     pub fn new() -> Self {
         CampaignEngine {
             cache: BootCache::new(),
-        }
-    }
-
-    /// An engine whose shared cache evicts least-recently-used templates
-    /// beyond `cap_bytes` of estimated resident size.
-    pub fn with_cache_capacity(cap_bytes: u64) -> Self {
-        CampaignEngine {
-            cache: BootCache::with_capacity(cap_bytes),
         }
     }
 

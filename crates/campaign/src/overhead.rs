@@ -29,18 +29,6 @@ pub struct OverheadPoint {
     pub hv_share: f64,
 }
 
-impl OverheadPoint {
-    /// Overhead of the full mechanism vs stock, in percent.
-    pub fn overhead_full(&self) -> f64 {
-        overhead_percent(self.cycles_full, self.cycles_stock)
-    }
-
-    /// Overhead of NiLiHype* (no logging) vs stock, in percent.
-    pub fn overhead_no_logging(&self) -> f64 {
-        overhead_percent(self.cycles_no_logging, self.cycles_stock)
-    }
-}
-
 /// Percent increase of `with` over `base`.
 pub fn overhead_percent(with: u64, base: u64) -> f64 {
     if base == 0 {

@@ -301,11 +301,6 @@ pub fn parse_setup(s: &str) -> Option<SetupKind> {
     None
 }
 
-/// Parses a [`HandlerKind`] by its display name.
-pub fn parse_handler(s: &str) -> Option<HandlerKind> {
-    HandlerKind::ALL.into_iter().find(|h| h.to_string() == s)
-}
-
 /// A partially parsed manifest job.
 struct ManifestJob {
     name: String,
@@ -372,7 +367,8 @@ impl ManifestJob {
                 _ => return Err(bad("sampling (uniform|guided)")),
             },
             "steer" => {
-                self.steer_handler = Some(parse_handler(value).ok_or_else(|| bad("handler"))?)
+                self.steer_handler =
+                    Some(HandlerKind::from_name(value).ok_or_else(|| bad("handler"))?)
             }
             "depth-cycle" => self.depth_cycle = value.parse().map_err(|_| bad("integer"))?,
             "boot" => match value {
@@ -394,6 +390,9 @@ impl ManifestJob {
                 .after
                 .extend(value.split(',').map(|s| s.trim().to_string())),
             _ => return Err("unknown key".into()),
+        }
+        if self.sampled && self.boot == BootMode::Cold {
+            return Err("sampled jobs always warm-start; boot = cold is not supported".into());
         }
         Ok(())
     }
@@ -448,12 +447,16 @@ mod tests {
     #[test]
     fn setup_names_round_trip() {
         for setup in [
+            SetupKind::OneAppVm(BenchKind::BlkBench),
             SetupKind::OneAppVm(BenchKind::UnixBench),
+            SetupKind::OneAppVm(BenchKind::NetBench),
+            SetupKind::OneAppVm(BenchKind::VirtioBlkBench),
             SetupKind::OneAppVm(BenchKind::VirtioNetBench),
             SetupKind::ThreeAppVm,
             SetupKind::TwoAppVmSharedCpu,
             SetupKind::TwoAppVmVswitch,
-            SetupKind::Overcommit(4),
+            SetupKind::Overcommit(1),
+            SetupKind::Overcommit(8),
         ] {
             assert_eq!(parse_setup(&setup_manifest_name(setup)), Some(setup));
         }
@@ -463,22 +466,23 @@ mod tests {
 
     #[test]
     fn mechanism_names_round_trip() {
-        for mech in [
+        let mut specs = vec![
             MechanismSpec::Nilihype,
             MechanismSpec::Rehype,
-            MechanismSpec::Rung(LadderRung::SchedConsistency),
             MechanismSpec::NilihypeNoSchedFix,
-        ] {
+        ];
+        specs.extend(LadderRung::ALL.map(MechanismSpec::Rung));
+        for mech in specs {
             assert_eq!(MechanismSpec::parse(&mech.manifest_name()), Some(mech));
+            // A built mechanism reports its manifest name, so trial records
+            // replay it; the top rung is the full set, i.e. NiLiHype itself.
+            let expected = match mech {
+                MechanismSpec::Rung(LadderRung::VirtqueueConsistency) => "NiLiHype".into(),
+                _ => mech.manifest_name(),
+            };
+            assert_eq!(mech.build().name(), expected);
         }
         assert_eq!(MechanismSpec::parse("Rung(Nope)"), None);
-    }
-
-    #[test]
-    fn handler_names_parse() {
-        assert_eq!(parse_handler("VirtioMmio"), Some(HandlerKind::VirtioMmio));
-        assert_eq!(parse_handler("Scheduler"), Some(HandlerKind::Scheduler));
-        assert_eq!(parse_handler("nope"), None);
     }
 
     #[test]
@@ -561,6 +565,10 @@ stop-check-every = 10
         );
         assert!(SuiteSpec::parse("[job a]\nwat").is_err(), "not key = value");
         assert!(SuiteSpec::parse("[job a]\nsetup = ThreeAppVm\nbogus = 1").is_err());
+        assert!(
+            SuiteSpec::parse("[job a]\nsteer = nope").is_err(),
+            "unknown handler"
+        );
         let sampled = |windows: &str| {
             format!(
                 "[job a]\nsetup = TwoAppVmVswitch\nfault = Failstop\ntrials = 1\n\
@@ -573,5 +581,13 @@ stop-check-every = 10
             "windows > MAX_TRIGGER_OPS"
         );
         assert!(SuiteSpec::parse(&sampled("2000")).is_ok());
+        // Sampled cells always warm-start, whichever key comes last.
+        let cold_sampled = "[job a]\nsetup = ThreeAppVm\nfault = Code\ntrials = 1\n\
+                            boot = cold\nmode = sampled";
+        let err = SuiteSpec::parse(cold_sampled).unwrap_err();
+        assert!(err.starts_with("manifest line 6: mode:"), "{err}");
+        let sampled_cold = "[job a]\nmode = sampled\nboot = cold";
+        let err = SuiteSpec::parse(sampled_cold).unwrap_err();
+        assert!(err.starts_with("manifest line 3: boot:"), "{err}");
     }
 }

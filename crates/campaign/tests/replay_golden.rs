@@ -13,14 +13,15 @@
 //! `cargo run --release -p nlh-experiments --bin replay -- --seed 3 \
 //!     --out crates/campaign/tests/data/golden_residual_trial.log`
 
-use nlh_campaign::{mechanism_for_name, BootCache, TrialClass, TrialRecord};
+use nlh_campaign::{BootCache, MechanismSpec, TrialClass, TrialRecord};
 
 const GOLDEN: &str = include_str!("data/golden_residual_trial.log");
 
 #[test]
 fn golden_residual_failure_replays_identically() {
     let record = TrialRecord::from_text(GOLDEN).expect("golden log parses");
-    let mech = mechanism_for_name(&record.mechanism)
+    let mech = MechanismSpec::parse(&record.mechanism)
+        .map(|m| m.build())
         .unwrap_or_else(|| panic!("golden log names unknown mechanism {}", record.mechanism));
 
     let cache = BootCache::new();

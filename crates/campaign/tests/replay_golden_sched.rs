@@ -20,7 +20,7 @@
 //!     --seed 2277 \
 //!     --out crates/campaign/tests/data/golden_sched_residual_trial.log`
 
-use nlh_campaign::{mechanism_for_name, BootCache, TrialClass, TrialRecord};
+use nlh_campaign::{BootCache, MechanismSpec, TrialClass, TrialRecord};
 use nlh_hv::HandlerKind;
 
 const GOLDEN: &str = include_str!("data/golden_sched_residual_trial.log");
@@ -54,7 +54,8 @@ fn golden_sched_residual_failure_replays_identically() {
         "golden log must show the scheduler-consistency recovery phase"
     );
 
-    let mech = mechanism_for_name(&record.mechanism)
+    let mech = MechanismSpec::parse(&record.mechanism)
+        .map(|m| m.build())
         .unwrap_or_else(|| panic!("golden log names unknown mechanism {}", record.mechanism));
     let cache = BootCache::new();
     let result = record

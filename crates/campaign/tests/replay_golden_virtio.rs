@@ -18,7 +18,7 @@
 //!     --setup vswitch --fault Code --steer VirtioMmio --seed 2020 \
 //!     --out crates/campaign/tests/data/golden_virtio_residual_trial.log`
 
-use nlh_campaign::{mechanism_for_name, BootCache, TrialClass, TrialRecord};
+use nlh_campaign::{BootCache, MechanismSpec, TrialClass, TrialRecord};
 use nlh_hv::HandlerKind;
 
 const GOLDEN: &str = include_str!("data/golden_virtio_residual_trial.log");
@@ -49,7 +49,8 @@ fn golden_virtio_residual_failure_replays_identically() {
         "golden log must show the ring-repair recovery phase"
     );
 
-    let mech = mechanism_for_name(&record.mechanism)
+    let mech = MechanismSpec::parse(&record.mechanism)
+        .map(|m| m.build())
         .unwrap_or_else(|| panic!("golden log names unknown mechanism {}", record.mechanism));
     let cache = BootCache::new();
     let result = record

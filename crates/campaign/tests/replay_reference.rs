@@ -12,11 +12,12 @@
 //! [`TrialResult`]s and trial records are equal — the two executions of a
 //! recorded residual-failure trial may not differ in any observable way.
 
-use nlh_campaign::{mechanism_for_name, BootCache, TrialRecord, TrialRunOptions};
+use nlh_campaign::{BootCache, MechanismSpec, TrialRecord, TrialRunOptions};
 
 fn replay_batched_and_reference(golden: &str) {
     let record = TrialRecord::from_text(golden).expect("golden log parses");
-    let mech = mechanism_for_name(&record.mechanism)
+    let mech = MechanismSpec::parse(&record.mechanism)
+        .map(|m| m.build())
         .unwrap_or_else(|| panic!("golden log names unknown mechanism {}", record.mechanism));
     let cache = BootCache::new();
 

@@ -21,30 +21,14 @@ use crate::shared;
 
 /// Recovery by rolling back to a post-boot checkpoint and re-integrating
 /// preserved state (Section II-B's microreboot variant).
-#[derive(Debug, Clone)]
-pub struct CheckpointRestore {
-    cost: CostModel,
-}
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointRestore;
 
 impl CheckpointRestore {
     /// The checkpoint-rollback mechanism with the paper-calibrated cost
     /// model.
     pub fn new() -> Self {
-        CheckpointRestore {
-            cost: CostModel::paper(),
-        }
-    }
-
-    /// Overrides the latency cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-}
-
-impl Default for CheckpointRestore {
-    fn default() -> Self {
-        CheckpointRestore::new()
+        CheckpointRestore
     }
 }
 
@@ -73,6 +57,7 @@ impl RecoveryMechanism for CheckpointRestore {
             return Err(RecoveryError::RecoveryRoutineCorrupted);
         }
         let cfg = hv.config.clone();
+        let cost = CostModel::paper();
         let mut steps: Vec<RecoveryStep> = Vec::new();
         let mut push = |name: &str, d: SimDuration| {
             steps.push(RecoveryStep {
@@ -102,7 +87,7 @@ impl RecoveryMechanism for CheckpointRestore {
         let timers_reactivated = shared::reactivate_timers(hv);
         push(
             "Restore post-boot checkpoint image",
-            self.cost.record_old_heap(&cfg) * 2, // copy in + fix-ups
+            cost.record_old_heap(&cfg) * 2, // copy in + fix-ups
         );
 
         // --- Re-integration, as in ReHype (Table II memory steps minus the
@@ -112,11 +97,11 @@ impl RecoveryMechanism for CheckpointRestore {
         let pfd_repaired = hv.pft.consistency_scan();
         push(
             "Restore and check consistency of page frame entries",
-            self.cost.pfd_scan(&cfg),
+            cost.pfd_scan(&cfg),
         );
         push(
             "Re-integrate preserved heap state",
-            self.cost.recreate_heap(&cfg),
+            cost.recreate_heap(&cfg),
         );
         shared::apply_undo(hv);
         let requests_retried = shared::mark_retries(hv, true, true);

@@ -17,7 +17,7 @@ pub struct RecoveryStep {
 /// What a recovery run did.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryReport {
-    /// Mechanism name (`"NiLiHype"` / `"ReHype"`).
+    /// Mechanism name (see [`RecoveryMechanism::name`]).
     pub mechanism: String,
     /// Per-step latency breakdown (the raw material of Tables II/III).
     pub steps: Vec<RecoveryStep>,
@@ -80,7 +80,10 @@ impl std::error::Error for RecoveryError {}
 /// Implementations: [`crate::Microreset`] (NiLiHype) and
 /// [`crate::Microreboot`] (ReHype).
 pub trait RecoveryMechanism {
-    /// Mechanism name for reports.
+    /// Mechanism name for reports and trial records. It names the exact
+    /// configuration: the campaign-manifest spelling (`NiLiHype`, `ReHype`,
+    /// `Rung(<rung>)`, `NiLiHype-NoSchedFix`) where a manifest can name it,
+    /// so a recorded trial can be replayed with the same mechanism.
     fn name(&self) -> &str;
 
     /// The normal-operation support features (logging, FS/GS save, ...)

@@ -89,31 +89,18 @@ impl Default for ReHypeConfig {
 #[derive(Debug, Clone)]
 pub struct Microreboot {
     config: ReHypeConfig,
-    cost: CostModel,
 }
 
 impl Microreboot {
     /// ReHype as evaluated in the paper.
     pub fn rehype() -> Self {
-        Microreboot {
-            config: ReHypeConfig::full(),
-            cost: CostModel::paper(),
-        }
+        Microreboot::with_config(ReHypeConfig::full())
     }
 
     /// ReHype with an explicit configuration (for the Section IV port
     /// ladder and ablations).
     pub fn with_config(config: ReHypeConfig) -> Self {
-        Microreboot {
-            config,
-            cost: CostModel::paper(),
-        }
-    }
-
-    /// Overrides the latency cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
+        Microreboot { config }
     }
 
     /// The active configuration.
@@ -123,8 +110,15 @@ impl Microreboot {
 }
 
 impl RecoveryMechanism for Microreboot {
+    /// `ReHype` for the paper's configuration; any other (a port-ladder
+    /// rung, an ablation) is `Microreboot(custom)`, a name no campaign
+    /// manifest accepts, so its trial records cannot replay as ReHype.
     fn name(&self) -> &str {
-        "ReHype"
+        if self.config == ReHypeConfig::full() {
+            "ReHype"
+        } else {
+            "Microreboot(custom)"
+        }
     }
 
     fn op_support(&self) -> OpSupport {
@@ -153,6 +147,7 @@ impl RecoveryMechanism for Microreboot {
         }
         let c = &self.config;
         let cfg = hv.config.clone();
+        let cost = CostModel::paper();
         let mut steps: Vec<RecoveryStep> = Vec::new();
         let mut push = |name: &str, d: SimDuration| {
             steps.push(RecoveryStep {
@@ -172,19 +167,16 @@ impl RecoveryMechanism for Microreboot {
         );
 
         // --- Hardware initialization (Table II: 412 ms). ---
-        push("Early initialize of the boot CPU", self.cost.early_boot_cpu);
+        push("Early initialize of the boot CPU", cost.early_boot_cpu);
         push(
             "Initialize and wait for other CPUs to come online",
-            self.cost.init_other_cpus(&cfg),
+            cost.init_other_cpus(&cfg),
         );
         push(
             "Verify, connect and setup local APIC and setup IO APIC",
-            self.cost.apic_setup,
+            cost.apic_setup,
         );
-        push(
-            "Initialize and calibrate TSC timer",
-            self.cost.tsc_calibrate,
-        );
+        push("Initialize and calibrate TSC timer", cost.tsc_calibrate);
         // The reboot re-initializes hardware + boot-initialized state:
         for pc in hv.percpu.iter_mut() {
             pc.local_irq_count = 0;
@@ -207,27 +199,27 @@ impl RecoveryMechanism for Microreboot {
         // --- Memory initialization (Table II: 266 ms). ---
         push(
             "Record allocated pages of old heap",
-            self.cost.record_old_heap(&cfg),
+            cost.record_old_heap(&cfg),
         );
         let pfd_repaired = hv.pft.consistency_scan();
         push(
             "Restore and check consistency of page frame entries",
-            self.cost.pfd_scan(&cfg),
+            cost.pfd_scan(&cfg),
         );
         push(
             "Re-initialize the page frame descriptor for un-preserved pages",
-            self.cost.reinit_unpreserved(&cfg),
+            cost.reinit_unpreserved(&cfg),
         );
         hv.heap.rebuild_freelist();
-        push("Recreate the new heap", self.cost.recreate_heap(&cfg));
+        push("Recreate the new heap", cost.recreate_heap(&cfg));
 
         // --- Misc (Table II: 35 ms). ---
-        push("SMP initialization", self.cost.smp_init);
+        push("SMP initialization", cost.smp_init);
         push(
             "Identify valid page frame, relocate boot up modules",
-            self.cost.relocate_modules,
+            cost.relocate_modules,
         );
-        push("Others", self.cost.boot_others);
+        push("Others", cost.boot_others);
 
         // --- Re-integration + shared enhancements. ---
         let mut locks_released = shared::release_heap_locks(hv);

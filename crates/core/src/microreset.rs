@@ -12,7 +12,7 @@ use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 
 use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
-use crate::enhancements::Enhancements;
+use crate::enhancements::{Enhancements, LadderRung};
 use crate::latency::CostModel;
 use crate::shared;
 
@@ -39,40 +39,33 @@ pub enum DiscardPolicy {
 #[derive(Debug, Clone)]
 pub struct Microreset {
     enhancements: Enhancements,
-    cost: CostModel,
     policy: DiscardPolicy,
+    name: String,
 }
 
 impl Microreset {
     /// NiLiHype as evaluated in the paper: all enhancements on.
     pub fn nilihype() -> Self {
-        Microreset {
-            enhancements: Enhancements::full(),
-            cost: CostModel::paper(),
-            policy: DiscardPolicy::AllThreads,
-        }
+        Microreset::with_enhancements(Enhancements::full())
     }
 
     /// A microreset with an explicit enhancement set (used for the Table I
     /// ladder and ablations).
     pub fn with_enhancements(enhancements: Enhancements) -> Self {
-        Microreset {
-            enhancements,
-            cost: CostModel::paper(),
-            policy: DiscardPolicy::AllThreads,
-        }
-    }
-
-    /// Overrides the latency cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
+        Microreset::configured(enhancements, DiscardPolicy::AllThreads)
     }
 
     /// Overrides the discard policy (Section III-C design choice).
-    pub fn with_policy(mut self, policy: DiscardPolicy) -> Self {
-        self.policy = policy;
-        self
+    pub fn with_policy(self, policy: DiscardPolicy) -> Self {
+        Microreset::configured(self.enhancements, policy)
+    }
+
+    fn configured(enhancements: Enhancements, policy: DiscardPolicy) -> Self {
+        Microreset {
+            name: config_name(&enhancements, policy),
+            enhancements,
+            policy,
+        }
     }
 
     /// The active enhancement set.
@@ -86,9 +79,34 @@ impl Microreset {
     }
 }
 
+/// The name a trial record stores for a microreset configuration: the
+/// campaign-manifest spelling for the configurations a manifest can name
+/// (`NiLiHype`, `NiLiHype-NoSchedFix`, `Rung(<rung>)`), and
+/// `Microreset(custom)`, which no manifest accepts, for any other. A
+/// replay therefore rebuilds exactly the mechanism that ran, or refuses.
+fn config_name(e: &Enhancements, policy: DiscardPolicy) -> String {
+    let full = Enhancements::full();
+    let no_sched_fix = Enhancements {
+        sched_consistency: false,
+        ..full
+    };
+    if policy != DiscardPolicy::AllThreads {
+        "Microreset(custom)".into()
+    } else if *e == full {
+        "NiLiHype".into()
+    } else if *e == no_sched_fix {
+        "NiLiHype-NoSchedFix".into()
+    } else {
+        match LadderRung::ALL.into_iter().find(|r| r.enhancements() == *e) {
+            Some(rung) => format!("Rung({})", rung.name()),
+            None => "Microreset(custom)".into(),
+        }
+    }
+}
+
 impl RecoveryMechanism for Microreset {
     fn name(&self) -> &str {
-        "NiLiHype"
+        &self.name
     }
 
     fn op_support(&self) -> OpSupport {
@@ -112,6 +130,7 @@ impl RecoveryMechanism for Microreset {
             return Err(RecoveryError::RecoveryRoutineCorrupted);
         }
         let e = &self.enhancements;
+        let cost = CostModel::paper();
         let mut steps: Vec<RecoveryStep> = Vec::new();
         let mut push = |name: &str, d: SimDuration| {
             steps.push(RecoveryStep {
@@ -213,7 +232,7 @@ impl RecoveryMechanism for Microreset {
             pfd_repaired = hv.pft.consistency_scan();
             push(
                 "Restore and check consistency of page frame entries",
-                self.cost.pfd_scan(&hv.config),
+                cost.pfd_scan(&hv.config),
             );
         }
         if e.reactivate_timer_events {
@@ -242,7 +261,7 @@ impl RecoveryMechanism for Microreset {
 
         // --- FS/GS consequence + resume. ---
         hv.finish_fsgs(&abandon.in_hv_vcpus, e.save_fsgs);
-        push("Resume normal operation", self.cost.microreset_others / 2);
+        push("Resume normal operation", cost.microreset_others / 2);
 
         let total = steps.iter().fold(SimDuration::ZERO, |a, s| a + s.duration);
         hv.resume_after(total);

@@ -22,10 +22,8 @@
 //! * `overcommit.manifest` — recovery rate vs overcommit ratio, with the
 //!   scheduler-consistency rung off and on under steered faults.
 //!
-//! `--isolated` runs each job on its own fresh engine (a per-job cache, as
-//! one process per experiment binary would have) and `--cold-boot` forces
-//! every trial to boot from scratch; both exist to measure what the
-//! resident engine saves.
+//! A job whose manifest says `boot = cold` boots every trial from
+//! scratch instead of checking it out of the shared cache.
 //!
 //! Bad input — arguments, an unreadable or malformed manifest, a broken
 //! job graph — prints the error and exits with status 2.
@@ -34,24 +32,20 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use nlh_campaign::{
-    setup_manifest_name, BootMode, CacheCounters, CampaignEngine, CampaignSnapshot, CellOutput,
-    CellResult, ExecMode, JobOutcome, MechanismSpec, SuiteSpec, TelemetrySink,
+    setup_manifest_name, CacheCounters, CampaignEngine, CampaignSnapshot, CellOutput, ExecMode,
+    JobOutcome, MechanismSpec, SuiteSpec, TelemetrySink,
 };
 use nlh_experiments::hr;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
 use nlh_sim::stats::Proportion;
 
-const USAGE: &str = "usage: campaign_server MANIFEST [--json FILE] [--cold-boot] [--isolated] \
-                     [--quiet] [--cache-cap BYTES]";
+const USAGE: &str = "usage: campaign_server MANIFEST [--json FILE] [--quiet]";
 
 struct Args {
     manifest: String,
     json: Option<String>,
-    cold_boot: bool,
-    isolated: bool,
     quiet: bool,
-    cache_cap: Option<u64>,
 }
 
 /// Prints `msg` and exits with status 2, the bad-input status.
@@ -65,10 +59,7 @@ fn parse_args() -> Args {
     let mut out = Args {
         manifest: String::new(),
         json: None,
-        cold_boot: false,
-        isolated: false,
         quiet: false,
-        cache_cap: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -78,16 +69,7 @@ fn parse_args() -> Args {
         };
         match a.as_str() {
             "--json" => out.json = Some(val("--json")),
-            "--cold-boot" => out.cold_boot = true,
-            "--isolated" => out.isolated = true,
             "--quiet" => out.quiet = true,
-            "--cache-cap" => {
-                out.cache_cap = Some(
-                    val("--cache-cap")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--cache-cap needs a byte count")),
-                )
-            }
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -180,8 +162,7 @@ fn json_job(out: &mut String, outcome: &JobOutcome, last: bool) {
         );
     }
     let _ = writeln!(out, "      \"cache_hits\": {},", cell.cache.hits);
-    let _ = writeln!(out, "      \"cache_misses\": {},", cell.cache.misses);
-    let _ = writeln!(out, "      \"cache_evictions\": {}", cell.cache.evictions);
+    let _ = writeln!(out, "      \"cache_misses\": {}", cell.cache.misses);
     let _ = writeln!(out, "    }}{}", if last { "" } else { "," });
 }
 
@@ -197,9 +178,8 @@ fn json_summary(
     let _ = writeln!(out, "  \"wall_secs\": {wall_secs:.3},");
     let _ = writeln!(
         out,
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \
-         \"resident_templates\": {}, \"resident_bytes\": {}}},",
-        cache.hits, cache.misses, cache.evictions, cache.resident_templates, cache.resident_bytes
+        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"resident_templates\": {}}},",
+        cache.hits, cache.misses, cache.resident_templates
     );
     let _ = writeln!(out, "  \"jobs\": [");
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -238,57 +218,22 @@ fn main() {
     let label = &args.manifest;
     let text = std::fs::read_to_string(label)
         .unwrap_or_else(|e| fail(format!("cannot read {label}: {e}")));
-    let mut suite = SuiteSpec::parse(&text).unwrap_or_else(|e| fail(format!("{label}: {e}")));
-    if args.cold_boot {
-        for job in &mut suite.jobs {
-            job.spec.boot = BootMode::Cold;
-        }
-    }
+    let suite = SuiteSpec::parse(&text).unwrap_or_else(|e| fail(format!("{label}: {e}")));
 
     println!(
-        "campaign server: suite {:?}, {} jobs, {} engine, {} boot",
+        "campaign server: suite {:?}, {} jobs, resident engine (shared cache)",
         label,
         suite.jobs.len(),
-        if args.isolated {
-            "per-job (isolated)"
-        } else {
-            "resident (shared cache)"
-        },
-        if args.cold_boot { "cold" } else { "warm" },
     );
     hr();
 
     let mut sink = PrintSink { quiet: args.quiet };
     let started = Instant::now();
-    let (outcomes, cache) = if args.isolated {
-        // Per-job shape: a fresh engine (and cache) per job. Dependency
-        // edges carry no data, so submission order is a valid execution
-        // order for measurement purposes.
-        let mut outcomes = Vec::new();
-        let mut cache = CacheCounters::default();
-        for job in &suite.jobs {
-            let engine = CampaignEngine::new();
-            let cell: CellResult = engine.run_spec(&job.spec, &mut sink);
-            let c = engine.cache().counters();
-            cache.hits += c.hits;
-            cache.misses += c.misses;
-            cache.evictions += c.evictions;
-            outcomes.push(JobOutcome {
-                name: job.spec.name.clone(),
-                cell,
-            });
-        }
-        (outcomes, cache)
-    } else {
-        let engine = match args.cache_cap {
-            Some(cap) => CampaignEngine::with_cache_capacity(cap),
-            None => CampaignEngine::new(),
-        };
-        let outcomes = engine
-            .run_suite(&suite, &mut sink)
-            .unwrap_or_else(|e| fail(format!("{label}: {e}")));
-        (outcomes, engine.cache().counters())
-    };
+    let engine = CampaignEngine::new();
+    let outcomes = engine
+        .run_suite(&suite, &mut sink)
+        .unwrap_or_else(|e| fail(format!("{label}: {e}")));
+    let cache = engine.cache().counters();
     let wall_secs = started.elapsed().as_secs_f64();
 
     hr();
@@ -302,15 +247,12 @@ fn main() {
     }
     hr();
     println!(
-        "{} jobs in {:.2}s; boot cache: {} builds, {} warm checkouts, {} evictions, \
-         {} resident templates (~{} KiB)",
+        "{} jobs in {:.2}s; boot cache: {} builds, {} warm checkouts, {} resident templates",
         outcomes.len(),
         wall_secs,
         cache.misses,
         cache.hits,
-        cache.evictions,
         cache.resident_templates,
-        cache.resident_bytes / 1024,
     );
     if let Some(path) = &args.json {
         std::fs::write(path, json_summary(label, &outcomes, wall_secs, cache))
@@ -347,7 +289,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlh_campaign::{CoverageMap, SampledCampaign, SamplingMode};
+    use nlh_campaign::{CellResult, CoverageMap, SampledCampaign, SamplingMode};
 
     #[test]
     fn json_summary_escapes_names_and_label() {

@@ -14,9 +14,11 @@
 //!   fault-free reference execution and report the first divergent step.
 //!
 //! `--out FILE` writes the record's text form (how golden logs are made).
+//! `--setup` and `--mech` take the campaign manifests' spellings, e.g.
+//! `OneAppVm(UnixBench)`, `Overcommit(8)`, `NiLiHype`, `Rung(Basic)`.
 
 use nlh_campaign::{
-    bisect_trials, mechanism_for_name, run_trial_with, BenchKind, BootCache, SetupKind,
+    bisect_trials, parse_setup, run_trial_with, BenchKind, BootCache, MechanismSpec, SetupKind,
     TrialConfig, TrialRecord, TrialRunOptions,
 };
 use nlh_hv::HandlerKind;
@@ -26,7 +28,7 @@ struct Args {
     seed: u64,
     setup: SetupKind,
     fault: FaultType,
-    mech: String,
+    mech: MechanismSpec,
     ops: Option<(u64, u64)>,
     steer: Option<HandlerKind>,
     steer_depth: u64,
@@ -40,7 +42,7 @@ fn parse_args() -> Args {
         seed: 2018,
         setup: SetupKind::OneAppVm(BenchKind::UnixBench),
         fault: FaultType::Failstop,
-        mech: "NiLiHype".to_string(),
+        mech: MechanismSpec::Nilihype,
         ops: None,
         steer: None,
         steer_depth: 0,
@@ -56,33 +58,20 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--seed" => args.seed = val("--seed").parse().expect("--seed needs an integer"),
             "--setup" => {
-                args.setup = match val("--setup").as_str() {
-                    "blk" => SetupKind::OneAppVm(BenchKind::BlkBench),
-                    "unix" => SetupKind::OneAppVm(BenchKind::UnixBench),
-                    "net" => SetupKind::OneAppVm(BenchKind::NetBench),
-                    "3appvm" => SetupKind::ThreeAppVm,
-                    "shared" => SetupKind::TwoAppVmSharedCpu,
-                    "vblk" => SetupKind::OneAppVm(BenchKind::VirtioBlkBench),
-                    "vnet" => SetupKind::OneAppVm(BenchKind::VirtioNetBench),
-                    "vswitch" => SetupKind::TwoAppVmVswitch,
-                    "oc1" => SetupKind::Overcommit(1),
-                    "oc2" => SetupKind::Overcommit(2),
-                    "oc4" => SetupKind::Overcommit(4),
-                    "oc8" => SetupKind::Overcommit(8),
-                    other => {
-                        panic!(
-                            "unknown setup {other} \
-                             (blk|unix|net|3appvm|shared|vblk|vnet|vswitch|oc1|oc2|oc4|oc8)"
-                        )
-                    }
-                }
+                let v = val("--setup");
+                args.setup = parse_setup(&v)
+                    .unwrap_or_else(|| panic!("unknown setup {v} (e.g. OneAppVm(UnixBench))"));
             }
             "--fault" => {
                 let v = val("--fault");
                 args.fault = FaultType::from_name(&v)
                     .unwrap_or_else(|| panic!("unknown fault {v} (Failstop|Register|Code)"));
             }
-            "--mech" => args.mech = val("--mech"),
+            "--mech" => {
+                let v = val("--mech");
+                args.mech = MechanismSpec::parse(&v)
+                    .unwrap_or_else(|| panic!("unknown mechanism {v} (e.g. NiLiHype)"));
+            }
             "--ops-lo" => ops_lo = Some(val("--ops-lo").parse::<u64>().expect("integer")),
             "--ops-hi" => ops_hi = Some(val("--ops-hi").parse::<u64>().expect("integer")),
             "--steer" => {
@@ -122,8 +111,7 @@ fn main() {
         }
         None => {
             let config = TrialConfig::new(args.setup, args.fault, args.seed);
-            let mech = mechanism_for_name(&args.mech)
-                .unwrap_or_else(|| panic!("unknown mechanism {} (NiLiHype|ReHype)", args.mech));
+            let mech = args.mech.build();
             let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
             let opts = TrialRunOptions {
                 trigger_ops: args.ops,
@@ -144,7 +132,8 @@ fn main() {
     }
 
     // Replay from the boot cache and hold the record to its own claims.
-    let mech = mechanism_for_name(&record.mechanism)
+    let mech = MechanismSpec::parse(&record.mechanism)
+        .map(|m| m.build())
         .unwrap_or_else(|| panic!("record names unknown mechanism {}", record.mechanism));
     let result = record
         .replay(mech.as_ref(), &cache)

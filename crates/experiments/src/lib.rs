@@ -18,8 +18,7 @@
 //! `crates/experiments/manifests/`.
 //!
 //! Campaigns warm-start every trial from the campaign engine's boot cache;
-//! `warmstart` and `campaign_server --cold-boot` run the cold-boot
-//! baseline.
+//! a manifest job with `boot = cold` boots each of its trials from scratch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -141,12 +141,6 @@ impl Hypervisor {
     pub fn wedge_cpu(&mut self, cpu: CpuId) {
         self.set_cpu_mode(cpu, CpuMode::Wedged);
     }
-
-    /// Whether `cpu` is currently executing hypervisor code (has in-flight
-    /// frames). Used by the injector's second-level trigger bookkeeping.
-    pub fn cpu_in_hv(&self, cpu: CpuId) -> bool {
-        self.cpu_mode(cpu) == CpuMode::Hv
-    }
 }
 
 #[cfg(test)]

@@ -545,16 +545,6 @@ impl Program {
         }
     }
 
-    /// Creates a program whose side effects are undo-logged.
-    pub fn new_logged(cause: EntryCause, ops: Vec<MicroOp>, mut runs: Vec<u16>) -> Self {
-        compile_runs(&ops, &mut runs);
-        Program {
-            cause,
-            body: ProgramBody::Pooled(ops, runs),
-            logged: true,
-        }
-    }
-
     /// Creates an unlogged program over a precompiled static template and
     /// its precompiled fusion table (which must match what
     /// `compile_runs(ops)` would produce).

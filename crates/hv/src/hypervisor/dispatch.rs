@@ -24,7 +24,7 @@
 //!    the loop goes back to 1.
 //!
 //! The differential tests pin the whole loop against the reference: the
-//! same step sequence, step count, trace ring and trial result.
+//! same step sequence, step count, final state digest and trial result.
 //!
 //! The loop is generic over its stop rule, so the fault injector's
 //! instance is compiled in the injector's crate. The functions the loop

@@ -3,7 +3,8 @@
 //! A [`Hypervisor`] owns every subsystem (memory, locks, scheduler, timers,
 //! interrupts, domains) plus per-CPU runtime state. The simulation advances
 //! by stepping the CPU with the smallest local clock; a step is either a
-//! slice of guest execution or exactly one hypervisor [`MicroOp`]. All the
+//! slice of guest execution or exactly one hypervisor
+//! [`MicroOp`](crate::hypercalls::MicroOp). All the
 //! recovery-relevant residue — held locks, interrupt nesting, partial
 //! hypercalls, unprogrammed APIC timers — arises from abandoning these
 //! micro-op programs mid-flight.
@@ -23,14 +24,13 @@
 
 use std::collections::VecDeque;
 
-use nlh_sim::trace::{TraceLevel, TraceRing};
 use nlh_sim::{CpuId, DomId, LockId, PageNum, Pcg64, SimDuration, SimTime, VcpuId};
 
 use crate::accounting::CycleAccounting;
 use crate::config::{HvTuning, MachineConfig};
 use crate::detect::{Detection, DetectionKind};
 use crate::domain::{Domain, DomainSpec, DomainState};
-use crate::hypercalls::{EntryCause, MicroOp, OpSupport, Program, ProgramPool, UndoEntry};
+use crate::hypercalls::{EntryCause, OpSupport, Program, ProgramPool, UndoEntry};
 use crate::interrupts::{IrqSubsystem, VEC_BLK, VEC_NET};
 use crate::locks::{LockPlacement, LockRegistry};
 use crate::mem::{Heap, HeapObjKind, PageFrameTable, PageState};
@@ -144,8 +144,6 @@ pub struct Hypervisor {
     pub accounting: CycleAccounting,
     /// The trial's deterministic RNG.
     pub rng: Pcg64,
-    /// Debug trace ring.
-    pub trace: TraceRing,
     /// External NetBench traffic source, if configured.
     pub net: Option<NetTraffic>,
     /// `(seq, time)` of every NetBench reply observed by the sender.
@@ -305,7 +303,6 @@ impl Hypervisor {
             locks,
             pft,
             rng: Pcg64::seed_from_u64(seed),
-            trace: TraceRing::disabled(),
             net: None,
             net_replies: Vec::new(),
             virtio: nlh_virtio::VirtioState::new(),
@@ -526,15 +523,6 @@ impl Hypervisor {
         self.stacks[cpu.index()].last().map(|f| f.program.len())
     }
 
-    /// The micro-op `cpu` would execute next, or `None` if the CPU is not
-    /// mid-program (or its program is exhausted). Divergence bisection uses
-    /// this to report *what* the first divergent step was about to do.
-    pub fn cpu_current_op(&self, cpu: CpuId) -> Option<MicroOp> {
-        self.stacks[cpu.index()]
-            .last()
-            .and_then(|f| f.program.ops().get(f.pc).copied())
-    }
-
     /// A deterministic fingerprint of the machine's mutable state.
     ///
     /// Divergence bisection runs two trials to the same step count and
@@ -544,7 +532,7 @@ impl Hypervisor {
     /// memory, locks, scheduler, timers, interrupts, domains (including
     /// workload state), undo log, network state, detection — and excludes
     /// host-side bookkeeping that does not affect simulated behaviour
-    /// (the trace ring, program pools, the scheduler-pick cache), so a
+    /// (program pools, the scheduler-pick cache), so a
     /// batched and an unbatched run of the same trial digest identically.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
@@ -603,36 +591,6 @@ impl Hypervisor {
     /// time for its steps/sec throughput counter.
     pub fn steps_executed(&self) -> u64 {
         self.steps
-    }
-
-    /// A coarse estimate of this machine's host-resident footprint in
-    /// bytes, dominated by the per-page-frame descriptors and the
-    /// per-domain page lists. The boot cache uses this to account for
-    /// cached templates under its LRU byte cap; it only needs to rank
-    /// template sizes consistently, not to match the allocator byte for
-    /// byte. Deterministic for a given machine/setup (it reads container
-    /// lengths, never capacities or host pointers).
-    pub fn estimated_template_bytes(&self) -> u64 {
-        // Rough per-element descriptor sizes; fixed so the estimate is
-        // stable across hosts and rustc layouts.
-        const PAGE_DESC: u64 = 48;
-        const PER_CPU: u64 = 512;
-        const PER_DOMAIN: u64 = 1024;
-        const PER_TIMER_OR_LOCK: u64 = 64;
-        let pages = self.config.num_pages() as u64;
-        let owned: u64 = self
-            .domains
-            .iter()
-            .map(|d| (d.owned_pages.len() + d.pinned_pages.len()) as u64 * 8)
-            .sum();
-        let queued: u64 = self.create_queue.len() as u64 * PER_DOMAIN;
-        pages * PAGE_DESC
-            + owned
-            + self.percpu.len() as u64 * PER_CPU
-            + self.domains.len() as u64 * PER_DOMAIN
-            + queued
-            + (self.locks.len() + self.timers.total_len()) as u64 * PER_TIMER_OR_LOCK
-            + self.virtio.devices.len() as u64 * 4096
     }
 
     /// Number of physical CPUs.
@@ -700,7 +658,6 @@ impl Hypervisor {
     pub fn raise_panic(&mut self, cpu: CpuId, reason: impl Into<String>) {
         if self.detection.is_none() {
             let d = Detection::new(self.cpu_now[cpu.index()], cpu, DetectionKind::Panic, reason);
-            nlh_sim::trace_event!(self.trace, d.at, TraceLevel::Event, "PANIC: {d}");
             self.detection = Some(d);
         }
     }
@@ -709,7 +666,6 @@ impl Hypervisor {
     pub fn raise_hang(&mut self, cpu: CpuId, reason: impl Into<String>) {
         if self.detection.is_none() {
             let d = Detection::new(self.cpu_now[cpu.index()], cpu, DetectionKind::Hang, reason);
-            nlh_sim::trace_event!(self.trace, d.at, TraceLevel::Event, "HANG: {d}");
             self.detection = Some(d);
         }
     }

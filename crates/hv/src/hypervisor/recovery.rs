@@ -1,7 +1,6 @@
 //! The recovery surface: the entry points the `nlh-core` mechanisms call
 //! to abandon in-flight hypervisor execution, repair residue, and resume.
 
-use nlh_sim::trace::TraceLevel;
 use nlh_sim::{CpuId, LockId, SimDuration, VcpuId};
 
 use super::{CpuMode, Hypervisor};
@@ -166,12 +165,6 @@ impl Hypervisor {
         // The clocks were just rewritten wholesale: the cached `step_any`
         // pick is meaningless now.
         self.next_valid = false;
-        nlh_sim::trace_event!(
-            self.trace,
-            resume_at,
-            TraceLevel::Event,
-            "resumed after recovery ({latency})"
-        );
     }
 
     /// Reprograms every CPU's APIC timer from its software timer heap

@@ -32,13 +32,6 @@ pub enum TimerEventKind {
     OneShot(u64),
 }
 
-impl TimerEventKind {
-    /// Whether this kind is supposed to recur forever.
-    pub fn is_recurring(self) -> bool {
-        !matches!(self, TimerEventKind::OneShot(_))
-    }
-}
-
 /// A pending software timer event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimerEvent {

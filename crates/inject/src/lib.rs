@@ -307,11 +307,6 @@ impl Injector {
         self
     }
 
-    /// The handler filter, if the injector was steered.
-    pub fn steered_handler(&self) -> Option<HandlerKind> {
-        self.only_handler
-    }
-
     /// Delays a steered injection by `depth` additional micro-ops executed
     /// *inside* the steered handler (carrying across program instances if
     /// one retires first). Without it a steered fault almost always lands

@@ -12,7 +12,6 @@
 //!   hypervisor substrate cannot confuse, say, a physical CPU with a vCPU.
 //! * [`stats`] — means, proportions and confidence intervals used by the
 //!   fault-injection campaigns.
-//! * [`trace`] — a bounded in-memory trace ring used for debugging trials.
 //!
 //! # Example
 //!
@@ -34,7 +33,6 @@ mod ids;
 mod rng;
 pub mod stats;
 mod time;
-pub mod trace;
 
 pub use ids::{CpuId, DomId, IrqVector, LockId, PageNum, VcpuId};
 pub use rng::Pcg64;
