@@ -12,11 +12,9 @@
 //! streams, so a cell's results do not depend on what else the engine ran
 //! (pinned by the `engine_equivalence` suite).
 //!
-//! Cells name their mechanism by [`crate::MechanismSpec`] and run through
-//! [`CampaignEngine::run_spec`]; mechanisms a spec cannot name (custom
-//! enhancement sets, ReHype port configurations, checkpoint/restore) run
-//! through [`CampaignEngine::run_spec_with`], which takes a mechanism
-//! factory instead.
+//! Cells name their mechanism by [`crate::MechanismSpec`], which spells
+//! every configuration, and run through [`CampaignEngine::run_spec`]; the
+//! engine builds the spec's mechanism once per worker.
 //!
 //! Execution is batched: workers pull trial indices from an atomic
 //! counter and return `(index, result)` pairs, which the engine sorts and
@@ -31,7 +29,6 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use nlh_core::RecoveryMechanism;
 use nlh_sim::stats::Proportion;
 
 use crate::boot_cache::{BootCache, CacheCounters};
@@ -155,39 +152,16 @@ impl CampaignEngine {
         &self.cache
     }
 
-    /// Runs one cell with the spec's own mechanism, streaming snapshots
-    /// to `sink`.
+    /// Runs one cell, streaming snapshots to `sink`.
     pub fn run_spec(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
-        self.run_spec_with(spec, &|| spec.mechanism.build(), sink)
-    }
-
-    /// Runs one cell with mechanisms from `make_mechanism` in place of
-    /// [`CampaignSpec::mechanism`], streaming snapshots to `sink`. The
-    /// factory is called once per worker thread (sharded cells) or once
-    /// per cell (sampled cells), plus once for the result's mechanism
-    /// name, so it must build identically configured mechanisms.
-    pub fn run_spec_with(
-        &self,
-        spec: &CampaignSpec,
-        make_mechanism: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
         match spec.mode {
-            ExecMode::Sharded => self.run_sharded(spec, make_mechanism, sink),
+            ExecMode::Sharded => self.run_sharded(spec, sink),
             ExecMode::Sampled {
                 windows,
                 sampling,
                 steer_handler,
                 depth_cycle,
-            } => self.run_sampled(
-                spec,
-                make_mechanism().as_ref(),
-                windows,
-                sampling,
-                steer_handler,
-                depth_cycle,
-                sink,
-            ),
+            } => self.run_sampled(spec, windows, sampling, steer_handler, depth_cycle, sink),
         }
     }
 
@@ -221,12 +195,7 @@ impl CampaignEngine {
         }
     }
 
-    fn run_sharded(
-        &self,
-        spec: &CampaignSpec,
-        make_mechanism: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
+    fn run_sharded(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
         let trials = spec.trials;
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -262,7 +231,7 @@ impl CampaignEngine {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(|| {
-                            let mech = make_mechanism();
+                            let mech = spec.mechanism.build();
                             let mut out: Vec<(u64, TrialResult)> = Vec::new();
                             let mut setup_ns = 0u64;
                             let mut run_ns = 0u64;
@@ -358,8 +327,7 @@ impl CampaignEngine {
         let wall_secs = started.elapsed().as_secs_f64();
         let cache = self.cache_delta(spec.boot, &before);
 
-        let mechanism = make_mechanism().name().to_string();
-        let mut shard = Shard::new(mechanism);
+        let mut shard = Shard::new(spec.mechanism.name());
         for r in &results {
             shard.add(r);
         }
@@ -415,11 +383,9 @@ impl CampaignEngine {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_sampled(
         &self,
         spec: &CampaignSpec,
-        mech: &dyn RecoveryMechanism,
         windows: usize,
         sampling: crate::coverage::SamplingMode,
         steer_handler: Option<nlh_hv::HandlerKind>,
@@ -432,6 +398,7 @@ impl CampaignEngine {
             StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
             StopPolicy::FixedTrials => spec.snapshot_every,
         };
+        let mech = spec.mechanism.build();
         let mut stopped_at: Option<u64> = None;
         let sampled = {
             let stopped_at = &mut stopped_at;
@@ -470,7 +437,7 @@ impl CampaignEngine {
                 &self.cache,
                 spec.setup,
                 spec.fault,
-                mech,
+                mech.as_ref(),
                 spec.seed,
                 spec.trials,
                 windows,
@@ -630,23 +597,6 @@ mod tests {
         assert_eq!(first.cache.misses, 1);
         assert_eq!(second.cache.misses, 0, "template already resident");
         assert_eq!(second.cache.hits, 4);
-    }
-
-    #[test]
-    fn run_spec_with_runs_the_factory_mechanism() {
-        let engine = CampaignEngine::new();
-        let s = spec("basic", 6);
-        let basic = || -> Box<dyn RecoveryMechanism> {
-            Box::new(nlh_core::Microreset::with_enhancements(
-                nlh_core::Enhancements::none(),
-            ))
-        };
-        let cell = engine.run_spec_with(&s, &basic, &mut NullSink);
-        let r = cell.sharded().expect("sharded cell");
-        assert_eq!(r.detected, 6, "failstop always detected");
-        assert_eq!(r.successes, 0, "the factory, not spec.mechanism, ran");
-        let full = engine.run_spec(&s, &mut NullSink);
-        assert!(full.sharded().unwrap().successes > 0);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The Table I enhancement ladder: measurement-driven incremental
 //! development of NiLiHype (Section V-B).
 
-use nlh_core::LadderRung;
+use nlh_core::{LadderRung, MechanismSpec};
 use nlh_inject::FaultType;
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::CampaignResult;
 use crate::engine::{CampaignEngine, CellOutput};
 use crate::setup::{BenchKind, SetupKind};
-use crate::spec::{CampaignSpec, MechanismSpec};
+use crate::spec::CampaignSpec;
 use crate::stream::NullSink;
 
 /// One row of the reproduced Table I.
@@ -40,7 +40,7 @@ pub fn run_ladder_on(
                 trials_per_rung,
             );
             spec.seed = base_seed;
-            spec.mechanism = MechanismSpec::Rung(rung);
+            spec.mechanism = MechanismSpec::rung(rung);
             let cell = engine.run_spec(&spec, &mut NullSink);
             let result = match cell.output {
                 CellOutput::Sharded(r) => r,

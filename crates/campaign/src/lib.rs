@@ -40,14 +40,14 @@ pub use coverage::{
 };
 pub use engine::{CampaignEngine, CellOutput, CellResult, JobOutcome, SuiteError};
 pub use ladder::{run_ladder_on, LadderRow};
+pub use nlh_core::MechanismSpec;
 pub use overhead::{measure_hv_cycles, overhead_percent, OverheadPoint};
 pub use record::{
     EventRing, RecordedOutcome, TrialEvent, TrialEventKind, TrialRecord, EVENT_RING_CAPACITY,
 };
 pub use setup::{build_system, reseed_system, BenchKind, SetupKind, SystemLayout};
 pub use spec::{
-    parse_setup, setup_manifest_name, CampaignSpec, ExecMode, JobSpec, MechanismSpec, StopPolicy,
-    SuiteSpec,
+    parse_setup, setup_manifest_name, CampaignSpec, ExecMode, JobSpec, StopPolicy, SuiteSpec,
 };
 pub use stream::{CampaignSnapshot, MemorySink, NullSink, TelemetrySink};
 pub use trial::{

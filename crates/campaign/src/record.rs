@@ -196,9 +196,10 @@ pub struct TrialRecord {
     /// steered handler. Written only when nonzero, so older records and
     /// golden logs are byte-identical.
     pub steer_depth: u64,
-    /// The mechanism's [`RecoveryMechanism::name`]: a
-    /// [`crate::MechanismSpec`] manifest name (`"NiLiHype"`,
-    /// `"Rung(Basic)"`, ...) that replay rebuilds, or a name it rejects.
+    /// The mechanism's [`RecoveryMechanism::name`]: the
+    /// [`crate::MechanismSpec`] spelling of its configuration
+    /// (`"NiLiHype"`, `"Rung(Basic)"`, `"NiLiHype(-pfd_scan)"`, ...),
+    /// which replay parses and rebuilds.
     pub mechanism: String,
     /// When the first-level trigger timer was set to fire.
     pub fire_at: SimTime,

@@ -6,9 +6,12 @@
 //! graph and submitted to the resident [`crate::CampaignEngine`] instead
 //! of hand-rolling loops in every experiment binary. Specs parse from a
 //! line-oriented manifest format (`SuiteSpec::parse`), the input of the
-//! `campaign_server` binary.
+//! `campaign_server` binary. A cell names its mechanism by a
+//! [`MechanismSpec`] spelling (`NiLiHype`, `Rung(Basic)`,
+//! `NiLiHype(-pfd_scan)`, `ReHype(-nonidem_mitigation)`, ...), so every
+//! configuration a campaign runs is data.
 
-use nlh_core::{Enhancements, LadderRung, Microreboot, Microreset, RecoveryMechanism};
+use nlh_core::MechanismSpec;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
 
@@ -16,64 +19,6 @@ use crate::campaign::BootMode;
 use crate::coverage::SamplingMode;
 use crate::setup::{BenchKind, SetupKind};
 use crate::trial::MAX_TRIGGER_OPS;
-
-/// Which recovery mechanism a spec runs, by construction recipe rather
-/// than by trait object, so specs stay plain data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechanismSpec {
-    /// Full NiLiHype (microreset with every enhancement).
-    Nilihype,
-    /// Full ReHype (microreboot).
-    Rehype,
-    /// Microreset capped at a Table I ladder rung (cumulative
-    /// enhancements up to and including the rung).
-    Rung(LadderRung),
-    /// Full NiLiHype minus the scheduling-metadata-consistency rung (the
-    /// overcommit campaign's ablation arm).
-    NilihypeNoSchedFix,
-}
-
-impl MechanismSpec {
-    /// Instantiates the mechanism.
-    pub fn build(&self) -> Box<dyn RecoveryMechanism> {
-        match self {
-            MechanismSpec::Nilihype => Box::new(Microreset::nilihype()),
-            MechanismSpec::Rehype => Box::new(Microreboot::rehype()),
-            MechanismSpec::Rung(rung) => {
-                Box::new(Microreset::with_enhancements(rung.enhancements()))
-            }
-            MechanismSpec::NilihypeNoSchedFix => {
-                let mut e = Enhancements::full();
-                e.sched_consistency = false;
-                Box::new(Microreset::with_enhancements(e))
-            }
-        }
-    }
-
-    /// The manifest name (`NiLiHype`, `ReHype`, `Rung(SchedConsistency)`,
-    /// `NiLiHype-NoSchedFix`).
-    pub fn manifest_name(&self) -> String {
-        match self {
-            MechanismSpec::Nilihype => "NiLiHype".into(),
-            MechanismSpec::Rehype => "ReHype".into(),
-            MechanismSpec::Rung(rung) => format!("Rung({})", rung.name()),
-            MechanismSpec::NilihypeNoSchedFix => "NiLiHype-NoSchedFix".into(),
-        }
-    }
-
-    /// Parses a [`MechanismSpec::manifest_name`].
-    pub fn parse(s: &str) -> Option<MechanismSpec> {
-        match s {
-            "NiLiHype" => Some(MechanismSpec::Nilihype),
-            "ReHype" => Some(MechanismSpec::Rehype),
-            "NiLiHype-NoSchedFix" => Some(MechanismSpec::NilihypeNoSchedFix),
-            _ => {
-                let inner = s.strip_prefix("Rung(")?.strip_suffix(')')?;
-                LadderRung::from_name(inner).map(MechanismSpec::Rung)
-            }
-        }
-    }
-}
 
 /// How the engine executes a spec's trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +105,7 @@ impl CampaignSpec {
             fault,
             trials,
             seed: 2018,
-            mechanism: MechanismSpec::Nilihype,
+            mechanism: MechanismSpec::nilihype(),
             mode: ExecMode::Sharded,
             boot: BootMode::Warm,
             stop: StopPolicy::FixedTrials,
@@ -330,7 +275,7 @@ impl ManifestJob {
             fault: None,
             trials: None,
             seed: 2018,
-            mechanism: MechanismSpec::Nilihype,
+            mechanism: MechanismSpec::nilihype(),
             sampled: false,
             windows: crate::coverage::DEFAULT_OPS_WINDOWS,
             sampling: SamplingMode::CoverageGuided,
@@ -465,27 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_names_round_trip() {
-        let mut specs = vec![
-            MechanismSpec::Nilihype,
-            MechanismSpec::Rehype,
-            MechanismSpec::NilihypeNoSchedFix,
-        ];
-        specs.extend(LadderRung::ALL.map(MechanismSpec::Rung));
-        for mech in specs {
-            assert_eq!(MechanismSpec::parse(&mech.manifest_name()), Some(mech));
-            // A built mechanism reports its manifest name, so trial records
-            // replay it; the top rung is the full set, i.e. NiLiHype itself.
-            let expected = match mech {
-                MechanismSpec::Rung(LadderRung::VirtqueueConsistency) => "NiLiHype".into(),
-                _ => mech.manifest_name(),
-            };
-            assert_eq!(mech.build().name(), expected);
-        }
-        assert_eq!(MechanismSpec::parse("Rung(Nope)"), None);
-    }
-
-    #[test]
     fn manifest_parses_a_two_job_graph() {
         let text = "
 # a tiny suite
@@ -515,7 +439,7 @@ after = off
         assert_eq!(suite.jobs[1].after, vec!["off".to_string()]);
         assert_eq!(
             suite.jobs[1].spec.mechanism,
-            MechanismSpec::Rung(LadderRung::VirtqueueConsistency)
+            MechanismSpec::rung(nlh_core::LadderRung::VirtqueueConsistency)
         );
         match suite.jobs[1].spec.mode {
             ExecMode::Sampled { steer_handler, .. } => {
@@ -539,7 +463,11 @@ stop-check-every = 10
         let suite = SuiteSpec::parse(text).unwrap();
         let spec = &suite.jobs[0].spec;
         assert_eq!(spec.seed, 2018, "default seed");
-        assert_eq!(spec.mechanism, MechanismSpec::Nilihype, "default mechanism");
+        assert_eq!(
+            spec.mechanism,
+            MechanismSpec::nilihype(),
+            "default mechanism"
+        );
         assert_eq!(spec.mode, ExecMode::Sharded, "default mode");
         assert_eq!(spec.boot, BootMode::Warm, "default boot");
         assert_eq!(

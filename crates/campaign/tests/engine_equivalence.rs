@@ -116,7 +116,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Failstop,
             10,
             2018,
-            MechanismSpec::Nilihype,
+            MechanismSpec::nilihype(),
             BootMode::Warm,
         ),
         (
@@ -124,7 +124,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Register,
             8,
             41,
-            MechanismSpec::Rung(LadderRung::SchedConsistency),
+            MechanismSpec::rung(LadderRung::SchedConsistency),
             BootMode::Warm,
         ),
         (
@@ -132,7 +132,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Code,
             8,
             77,
-            MechanismSpec::Rehype,
+            MechanismSpec::rehype(),
             BootMode::Warm,
         ),
         (
@@ -140,7 +140,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Register,
             8,
             99,
-            MechanismSpec::Nilihype,
+            MechanismSpec::nilihype(),
             BootMode::Cold,
         ),
         (
@@ -148,7 +148,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Failstop,
             6,
             2018,
-            MechanismSpec::Nilihype,
+            MechanismSpec::nilihype(),
             BootMode::Warm,
         ),
         (
@@ -156,7 +156,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Code,
             6,
             7,
-            MechanismSpec::NilihypeNoSchedFix,
+            MechanismSpec::parse("NiLiHype-NoSchedFix").unwrap(),
             BootMode::Warm,
         ),
         (
@@ -164,7 +164,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             FaultType::Failstop,
             6,
             11,
-            MechanismSpec::Nilihype,
+            MechanismSpec::nilihype(),
             BootMode::Cold,
         ),
     ];
@@ -174,7 +174,7 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
         spec.mechanism = mechanism;
         spec.boot = boot;
         let cell = engine.run_spec(&spec, &mut NullSink);
-        let label = format!("{setup:?}/{fault}/{}/{boot:?}", mechanism.manifest_name());
+        let label = format!("{setup:?}/{fault}/{}/{boot:?}", mechanism.name());
         let r = cell.sharded().unwrap();
         let mech = spec.mechanism.build();
         assert_eq!(r.mechanism, mech.name(), "{label}: mechanism");

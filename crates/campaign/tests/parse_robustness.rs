@@ -5,7 +5,8 @@
 //! Every checked-in manifest must parse. The damaged inputs are the
 //! golden trial records and the CI manifest, cut at every character
 //! boundary and hit with random single-character edits (replace, insert,
-//! delete). A manifest that still parses must also be runnable: every
+//! delete), and a subtractive mechanism spelling hit with punctuation
+//! edits. A manifest that still parses must also be runnable: every
 //! sampled job's `windows` must be a valid coverage-map width, since the
 //! engine would otherwise assert mid-suite after earlier jobs had run.
 
@@ -121,6 +122,28 @@ fn every_manifest_replacement_parses_runnable_or_fails() {
     for pos in 0..MANIFEST.chars().count() {
         for ch in 0..ALPHABET.len() {
             check_manifest(&mutate(MANIFEST, 0, pos, ch));
+        }
+    }
+}
+
+/// A subtractive mechanism spelling with one `(`, `)`, `-` or `,` put in
+/// at any position (replacing a character or inserted), or with any one
+/// character deleted: every edit is an `Err`, never a panic and never some
+/// other configuration.
+#[test]
+fn mutated_mechanism_spellings_fail() {
+    const SPELLING: &str = "NiLiHype(-pfd_scan,discard=faulting)";
+    let job = |mechanism: &str| {
+        format!("[job a]\nsetup = ThreeAppVm\nfault = Code\ntrials = 1\nmechanism = {mechanism}")
+    };
+    assert!(SuiteSpec::parse(&job(SPELLING)).is_ok());
+    let punctuation = ['(', ')', '-', ','].map(|c| ALPHABET.iter().position(|&a| a == c).unwrap());
+    for pos in 0..SPELLING.len() {
+        for (op, ch) in (0..3).flat_map(|op| punctuation.map(|ch| (op, ch))) {
+            let line = mutate(SPELLING, op, pos, ch);
+            if line != SPELLING {
+                assert!(SuiteSpec::parse(&job(&line)).is_err(), "{line} parsed");
+            }
         }
     }
 }

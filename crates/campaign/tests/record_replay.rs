@@ -10,13 +10,10 @@
 //! and final state digest. Nothing the trial did escaped the record.
 
 use nlh_campaign::{
-    bisect_trials, run_trial_with, BenchKind, BootCache, MechanismSpec, SetupKind, TrialConfig,
-    TrialRecord, TrialResult, TrialRunOptions,
+    bisect_trials, run_trial_with, BenchKind, BootCache, MechanismSpec, SetupKind, SuiteSpec,
+    TrialConfig, TrialRecord, TrialResult, TrialRunOptions,
 };
-use nlh_core::{
-    DiscardPolicy, Enhancements, LadderRung, Microreboot, Microreset, ReHypeConfig,
-    RecoveryMechanism,
-};
+use nlh_core::{LadderRung, Microreset, RecoveryMechanism};
 use nlh_inject::FaultType;
 use proptest::prelude::*;
 
@@ -104,81 +101,71 @@ proptest! {
     }
 }
 
-/// Every mechanism a manifest can name records itself under that name, so
-/// a replay rebuilds the mechanism that ran. Ladder rungs and the no-sched-fix
-/// arm once recorded as `NiLiHype` and replayed as full NiLiHype, which
-/// drifted at the injection point.
+/// Records the first detected trial of `mechanism` among `seeds`, checks
+/// the record names the mechanism's spelling, and replays it from its text
+/// form with the mechanism that spelling parses to.
+fn assert_detected_trial_replays(
+    mechanism: MechanismSpec,
+    setup: SetupKind,
+    fault: FaultType,
+    seeds: std::ops::Range<u64>,
+    cache: &BootCache,
+) {
+    let name = mechanism.name();
+    let mech = mechanism.build();
+    let (original, record) = seeds
+        .map(|seed| recorded_trial(&TrialConfig::new(setup, fault, seed), mech.as_ref(), cache))
+        .find(|(result, _)| result.observations.detected)
+        .unwrap_or_else(|| panic!("{name}: no detected {setup:?}/{fault} trial"));
+    assert_eq!(record.mechanism, name);
+    let parsed = TrialRecord::from_text(&record.to_text()).expect("record parses");
+    let rebuilt = MechanismSpec::parse(&parsed.mechanism)
+        .unwrap_or_else(|| panic!("{name}: record names {}", parsed.mechanism))
+        .build();
+    let replayed = parsed
+        .replay(rebuilt.as_ref(), cache)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(original, replayed, "{name}");
+}
+
+/// Every mechanism the campaign manifests name records itself under that
+/// name, so a replay rebuilds the mechanism that ran. Ladder rungs and the
+/// no-sched-fix arm once recorded as `NiLiHype` and replayed as full
+/// NiLiHype, which drifted at the injection point.
 #[test]
 fn every_nameable_mechanism_replays_from_its_record() {
     let cache = BootCache::new();
     let mut specs = vec![
-        MechanismSpec::Nilihype,
-        MechanismSpec::Rehype,
-        MechanismSpec::NilihypeNoSchedFix,
+        MechanismSpec::nilihype(),
+        MechanismSpec::rehype(),
+        MechanismSpec::parse("NiLiHype-NoSchedFix").unwrap(),
     ];
-    specs.extend(LadderRung::ALL.map(MechanismSpec::Rung));
+    specs.extend(LadderRung::ALL.map(MechanismSpec::rung));
     for spec in specs {
-        let mech = spec.build();
-        let (original, record) = (2018..2048)
-            .map(|seed| {
-                let cfg = TrialConfig::new(
-                    SetupKind::OneAppVm(BenchKind::UnixBench),
-                    FaultType::Failstop,
-                    seed,
-                );
-                recorded_trial(&cfg, mech.as_ref(), &cache)
-            })
-            .find(|(result, _)| result.observations.detected)
-            .unwrap_or_else(|| panic!("{spec:?}: no detected trial in 30 seeds"));
-        let parsed = TrialRecord::from_text(&record.to_text()).expect("record parses");
-        let rebuilt = MechanismSpec::parse(&parsed.mechanism)
-            .unwrap_or_else(|| panic!("{spec:?}: record names {}", parsed.mechanism))
-            .build();
-        let replayed = parsed
-            .replay(rebuilt.as_ref(), &cache)
-            .unwrap_or_else(|e| panic!("{spec:?} (recorded as {}): {e}", parsed.mechanism));
-        assert_eq!(original, replayed, "{spec:?}");
+        let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
+        assert_detected_trial_replays(spec, setup, FaultType::Failstop, 2018..2048, &cache);
     }
 }
 
-/// A configuration no manifest can name records a name the manifest parser
-/// rejects, so its record refuses to replay as a different mechanism.
+/// Every configuration the one-knob ablations run (the `mechanism` of each
+/// job in `ablations.manifest`, on that job's setup, fault and seeds)
+/// replays from a recorded detected trial: discard-faulting, undo logging
+/// off, the scan off, the ReHype port rungs and checkpoint rollback.
 #[test]
-fn unnameable_mechanisms_refuse_to_replay() {
+fn ablation_mechanisms_replay_from_their_records() {
+    let manifest = include_str!("../../experiments/manifests/ablations.manifest");
+    let suite = SuiteSpec::parse(manifest).expect("ablations.manifest parses");
     let cache = BootCache::new();
-    let cfg = TrialConfig::new(
-        SetupKind::OneAppVm(BenchKind::UnixBench),
-        FaultType::Failstop,
-        2018,
-    );
-    let custom: [Box<dyn RecoveryMechanism>; 3] = [
-        Box::new(Microreset::nilihype().with_policy(DiscardPolicy::FaultingThreadOnly)),
-        Box::new(Microreset::with_enhancements(Enhancements {
-            nonidem_mitigation: false,
-            ..Enhancements::full()
-        })),
-        Box::new(Microreboot::with_config(ReHypeConfig::initial_port())),
-    ];
-    for mech in custom {
-        let (_, record) = recorded_trial(&cfg, mech.as_ref(), &cache);
-        assert_eq!(
-            MechanismSpec::parse(&record.mechanism),
-            None,
-            "{}",
-            record.mechanism
-        );
-        for named in [
-            Microreset::nilihype(),
-            Microreset::with_enhancements(Enhancements::none()),
-        ] {
-            assert!(
-                record.replay(&named, &cache).is_err(),
-                "{}",
-                record.mechanism
-            );
+    let mut seen = Vec::new();
+    for spec in suite.jobs.iter().map(|job| &job.spec) {
+        if seen.contains(&spec.mechanism) {
+            continue;
         }
-        assert!(record.replay(&Microreboot::rehype(), &cache).is_err());
+        let seeds = spec.seed..spec.seed + spec.trials;
+        assert_detected_trial_replays(spec.mechanism, spec.setup, spec.fault, seeds, &cache);
+        seen.push(spec.mechanism);
     }
+    assert_eq!(seen.len(), 8, "distinct ablation mechanisms");
 }
 
 /// End-to-end bisection: a detected fail-stop trial must diverge from its

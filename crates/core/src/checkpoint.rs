@@ -21,16 +21,8 @@ use crate::shared;
 
 /// Recovery by rolling back to a post-boot checkpoint and re-integrating
 /// preserved state (Section II-B's microreboot variant).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CheckpointRestore;
-
-impl CheckpointRestore {
-    /// The checkpoint-rollback mechanism with the paper-calibrated cost
-    /// model.
-    pub fn new() -> Self {
-        CheckpointRestore
-    }
-}
 
 impl RecoveryMechanism for CheckpointRestore {
     fn name(&self) -> &str {
@@ -155,7 +147,7 @@ mod tests {
         // the boot — dominated by state re-integration.
         let mut hv = Hypervisor::new(MachineConfig::paper(), 1);
         hv.raise_panic(CpuId(0), "fault");
-        let ckpt = CheckpointRestore::new().recover(&mut hv).unwrap();
+        let ckpt = CheckpointRestore.recover(&mut hv).unwrap();
         assert!(
             ckpt.total.as_millis() > 200 && ckpt.total.as_millis() < 713,
             "checkpoint restore: {}",
@@ -175,7 +167,7 @@ mod tests {
         hv.percpu[3].local_irq_count = 2;
         hv.percpu[5].apic.disarm();
         hv.raise_panic(CpuId(0), "fault");
-        CheckpointRestore::new().recover(&mut hv).unwrap();
+        CheckpointRestore.recover(&mut hv).unwrap();
         assert!(!hv.boot_scratch_corrupted);
         assert!(!hv.heap.is_freelist_corrupted());
         let v = check_quiescent(&hv);
@@ -187,7 +179,7 @@ mod tests {
         let mut hv = Hypervisor::new(MachineConfig::small(), 3);
         hv.run_for(SimDuration::from_millis(60));
         hv.raise_panic(CpuId(2), "fault");
-        CheckpointRestore::new().recover(&mut hv).unwrap();
+        CheckpointRestore.recover(&mut hv).unwrap();
         hv.run_for(SimDuration::from_secs(1));
         assert!(hv.detection().is_none(), "{:?}", hv.detection());
     }

@@ -94,6 +94,27 @@ impl Enhancements {
         }
     }
 
+    /// Every flag by its field name, in declaration order: the
+    /// vocabulary of [`crate::MechanismSpec`]'s subtractive spellings.
+    pub fn flags_mut(&mut self) -> [(&'static str, &mut bool); 14] {
+        [
+            ("release_heap_locks", &mut self.release_heap_locks),
+            ("hypercall_retry", &mut self.hypercall_retry),
+            ("syscall_retry", &mut self.syscall_retry),
+            ("batched_retry", &mut self.batched_retry),
+            ("nonidem_mitigation", &mut self.nonidem_mitigation),
+            ("save_fsgs", &mut self.save_fsgs),
+            ("ack_interrupts", &mut self.ack_interrupts),
+            ("pfd_scan", &mut self.pfd_scan),
+            ("clear_irq_count", &mut self.clear_irq_count),
+            ("sched_consistency", &mut self.sched_consistency),
+            ("reprogram_timer", &mut self.reprogram_timer),
+            ("unlock_static_locks", &mut self.unlock_static_locks),
+            ("reactivate_timer_events", &mut self.reactivate_timer_events),
+            ("virtqueue_consistency", &mut self.virtqueue_consistency),
+        ]
+    }
+
     /// The shared "ReHype mechanisms" block (row 3 of Table I adds this).
     fn with_rehype_shared(mut self) -> Self {
         self.release_heap_locks = true;
@@ -105,13 +126,6 @@ impl Enhancements {
         self.ack_interrupts = true;
         self.pfd_scan = true;
         self
-    }
-}
-
-impl Default for Enhancements {
-    /// The full, evaluated configuration.
-    fn default() -> Self {
-        Enhancements::full()
     }
 }
 
@@ -181,13 +195,6 @@ impl LadderRung {
         }
     }
 
-    /// Parses the name produced by [`LadderRung::name`] (the `Debug`
-    /// variant identifier). The inverse lookup used when a campaign suite
-    /// manifest names a rung-capped mechanism.
-    pub fn from_name(s: &str) -> Option<LadderRung> {
-        LadderRung::ALL.into_iter().find(|r| r.name() == s)
-    }
-
     /// The paper's measured recovery rate for this rung, when reported.
     pub fn paper_rate(self) -> Option<f64> {
         match self {
@@ -239,26 +246,8 @@ mod tests {
     fn ladder_is_cumulative() {
         let mut prev_count = 0usize;
         for rung in LadderRung::ALL {
-            let e = rung.enhancements();
-            let count = [
-                e.release_heap_locks,
-                e.hypercall_retry,
-                e.syscall_retry,
-                e.batched_retry,
-                e.nonidem_mitigation,
-                e.save_fsgs,
-                e.ack_interrupts,
-                e.pfd_scan,
-                e.clear_irq_count,
-                e.sched_consistency,
-                e.reprogram_timer,
-                e.unlock_static_locks,
-                e.reactivate_timer_events,
-                e.virtqueue_consistency,
-            ]
-            .iter()
-            .filter(|b| **b)
-            .count();
+            let mut e = rung.enhancements();
+            let count = e.flags_mut().iter().filter(|(_, on)| **on).count();
             assert!(count >= prev_count, "{rung:?} lost enhancements");
             prev_count = count;
         }
@@ -286,12 +275,10 @@ mod tests {
     }
 
     #[test]
-    fn rung_names_round_trip() {
+    fn rung_names_are_variant_identifiers() {
         for rung in LadderRung::ALL {
-            assert_eq!(LadderRung::from_name(rung.name()), Some(rung));
             assert_eq!(rung.name(), format!("{rung:?}"));
         }
-        assert_eq!(LadderRung::from_name("NoSuchRung"), None);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! All three implement [`RecoveryMechanism`]; a campaign drives the
 //! simulation, and when a detector fires it calls
-//! [`RecoveryMechanism::recover`].
+//! [`RecoveryMechanism::recover`]. A [`MechanismSpec`] names any
+//! configuration of the three as plain data, with one spelling each
+//! (`NiLiHype`, `Rung(Basic)`, `NiLiHype(-pfd_scan)`, `ReHype`, ...).
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@ mod checkpoint;
 mod clr;
 mod enhancements;
 mod latency;
+mod mechanism;
 mod microreboot;
 mod microreset;
 mod shared;
@@ -56,5 +59,6 @@ pub use checkpoint::CheckpointRestore;
 pub use clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
 pub use enhancements::{Enhancements, LadderRung};
 pub use latency::CostModel;
+pub use mechanism::MechanismSpec;
 pub use microreboot::{Microreboot, ReHypeConfig};
 pub use microreset::{DiscardPolicy, Microreset};

@@ -16,13 +16,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
 use crate::latency::CostModel;
+use crate::mechanism::MechanismSpec;
 use crate::shared;
 
 /// ReHype configuration: the x86-64 port enhancements of Section IV.
 ///
 /// The "initial port" (65% recovery rate) lacked all four; adding syscall
 /// retry, batched-hypercall retry and FS/GS saving brought it to 84%, and
-/// the non-idempotent-hypercall mitigation to 96%.
+/// the non-idempotent-hypercall mitigation to 96%. As mechanism spellings
+/// the ladder is
+/// `ReHype(-syscall_retry,-batched_retry,-save_fsgs,-nonidem_mitigation)`,
+/// `ReHype(-nonidem_mitigation)` and `ReHype`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReHypeConfig {
     /// Retry forwarded syscalls (x86-64 traps syscalls into the hypervisor).
@@ -52,36 +56,17 @@ impl ReHypeConfig {
         }
     }
 
-    /// The initial x86-64 port (Section IV): before the four port
-    /// enhancements.
-    pub fn initial_port() -> Self {
-        ReHypeConfig {
-            syscall_retry: false,
-            batched_retry: false,
-            save_fsgs: false,
-            nonidem_mitigation: false,
-            ioapic_log: true,
-            bootline_log: true,
-        }
-    }
-
-    /// The port with syscall retry, batched retry and FS/GS save, but
-    /// without the non-idempotent mitigation (the 84% configuration).
-    pub fn port_plus_three() -> Self {
-        ReHypeConfig {
-            syscall_retry: true,
-            batched_retry: true,
-            save_fsgs: true,
-            nonidem_mitigation: false,
-            ioapic_log: true,
-            bootline_log: true,
-        }
-    }
-}
-
-impl Default for ReHypeConfig {
-    fn default() -> Self {
-        ReHypeConfig::full()
+    /// Every flag by its field name, in declaration order: the
+    /// vocabulary of [`crate::MechanismSpec`]'s subtractive spellings.
+    pub fn flags_mut(&mut self) -> [(&'static str, &mut bool); 6] {
+        [
+            ("syscall_retry", &mut self.syscall_retry),
+            ("batched_retry", &mut self.batched_retry),
+            ("save_fsgs", &mut self.save_fsgs),
+            ("nonidem_mitigation", &mut self.nonidem_mitigation),
+            ("ioapic_log", &mut self.ioapic_log),
+            ("bootline_log", &mut self.bootline_log),
+        ]
     }
 }
 
@@ -89,6 +74,7 @@ impl Default for ReHypeConfig {
 #[derive(Debug, Clone)]
 pub struct Microreboot {
     config: ReHypeConfig,
+    name: String,
 }
 
 impl Microreboot {
@@ -100,25 +86,17 @@ impl Microreboot {
     /// ReHype with an explicit configuration (for the Section IV port
     /// ladder and ablations).
     pub fn with_config(config: ReHypeConfig) -> Self {
-        Microreboot { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ReHypeConfig {
-        &self.config
+        Microreboot {
+            config,
+            name: MechanismSpec::Microreboot(config).name(),
+        }
     }
 }
 
 impl RecoveryMechanism for Microreboot {
-    /// `ReHype` for the paper's configuration; any other (a port-ladder
-    /// rung, an ablation) is `Microreboot(custom)`, a name no campaign
-    /// manifest accepts, so its trial records cannot replay as ReHype.
+    /// The configuration's [`MechanismSpec::name`].
     fn name(&self) -> &str {
-        if self.config == ReHypeConfig::full() {
-            "ReHype"
-        } else {
-            "Microreboot(custom)"
-        }
+        &self.name
     }
 
     fn op_support(&self) -> OpSupport {
@@ -356,9 +334,13 @@ mod tests {
 
     #[test]
     fn initial_port_lacks_the_four_enhancements() {
-        let c = ReHypeConfig::initial_port();
-        assert!(!c.syscall_retry && !c.batched_retry && !c.save_fsgs && !c.nonidem_mitigation);
-        assert!(c.bootline_log && c.ioapic_log);
+        let c = ReHypeConfig {
+            syscall_retry: false,
+            batched_retry: false,
+            save_fsgs: false,
+            nonidem_mitigation: false,
+            ..ReHypeConfig::full()
+        };
         let s = Microreboot::with_config(c).op_support();
         assert!(!s.undo_logging && !s.save_fsgs && !s.batched_completion_log);
         assert!(s.ioapic_write_log && s.bootline_log);

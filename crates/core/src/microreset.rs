@@ -12,8 +12,9 @@ use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 
 use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
-use crate::enhancements::{Enhancements, LadderRung};
+use crate::enhancements::Enhancements;
 use crate::latency::CostModel;
+use crate::mechanism::MechanismSpec;
 use crate::shared;
 
 /// Which execution threads microreset discards (Section III-C).
@@ -22,12 +23,11 @@ use crate::shared;
 /// faulting CPU's thread is discussed as an alternative "expected to be
 /// more complex to implement and result in lower recovery rate" because of
 /// interactions between surviving threads and the recovery process. Both
-/// are implemented here so the claim can be tested (see the
-/// `ablation_discard` experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// are implemented here so the claim can be tested (the `discard-*` cells
+/// of `ablations.manifest`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscardPolicy {
     /// Discard every hypervisor execution thread (NiLiHype's choice).
-    #[default]
     AllThreads,
     /// Discard only the thread of the CPU that detected the error; other
     /// CPUs resume their in-flight handlers after recovery — and then trip
@@ -52,59 +52,26 @@ impl Microreset {
     /// A microreset with an explicit enhancement set (used for the Table I
     /// ladder and ablations).
     pub fn with_enhancements(enhancements: Enhancements) -> Self {
-        Microreset::configured(enhancements, DiscardPolicy::AllThreads)
+        Microreset::new(enhancements, DiscardPolicy::AllThreads)
     }
 
-    /// Overrides the discard policy (Section III-C design choice).
-    pub fn with_policy(self, policy: DiscardPolicy) -> Self {
-        Microreset::configured(self.enhancements, policy)
-    }
-
-    fn configured(enhancements: Enhancements, policy: DiscardPolicy) -> Self {
+    /// A microreset with an explicit enhancement set and discard policy
+    /// (Section III-C design choice).
+    pub fn new(enhancements: Enhancements, policy: DiscardPolicy) -> Self {
+        let spec = MechanismSpec::Microreset {
+            enhancements,
+            discard: policy,
+        };
         Microreset {
-            name: config_name(&enhancements, policy),
+            name: spec.name(),
             enhancements,
             policy,
-        }
-    }
-
-    /// The active enhancement set.
-    pub fn enhancements(&self) -> &Enhancements {
-        &self.enhancements
-    }
-
-    /// The active discard policy.
-    pub fn policy(&self) -> DiscardPolicy {
-        self.policy
-    }
-}
-
-/// The name a trial record stores for a microreset configuration: the
-/// campaign-manifest spelling for the configurations a manifest can name
-/// (`NiLiHype`, `NiLiHype-NoSchedFix`, `Rung(<rung>)`), and
-/// `Microreset(custom)`, which no manifest accepts, for any other. A
-/// replay therefore rebuilds exactly the mechanism that ran, or refuses.
-fn config_name(e: &Enhancements, policy: DiscardPolicy) -> String {
-    let full = Enhancements::full();
-    let no_sched_fix = Enhancements {
-        sched_consistency: false,
-        ..full
-    };
-    if policy != DiscardPolicy::AllThreads {
-        "Microreset(custom)".into()
-    } else if *e == full {
-        "NiLiHype".into()
-    } else if *e == no_sched_fix {
-        "NiLiHype-NoSchedFix".into()
-    } else {
-        match LadderRung::ALL.into_iter().find(|r| r.enhancements() == *e) {
-            Some(rung) => format!("Rung({})", rung.name()),
-            None => "Microreset(custom)".into(),
         }
     }
 }
 
 impl RecoveryMechanism for Microreset {
+    /// The configuration's [`MechanismSpec::name`].
     fn name(&self) -> &str {
         &self.name
     }

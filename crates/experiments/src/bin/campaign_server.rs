@@ -21,6 +21,9 @@
 //! * `guided.manifest` — uniform vs coverage-guided trigger sampling.
 //! * `overcommit.manifest` — recovery rate vs overcommit ratio, with the
 //!   scheduler-consistency rung off and on under steered faults.
+//! * `ablations.manifest` — the one-knob comparisons: discard policy,
+//!   undo logging, the page-frame scan, the ReHype port ladder and the
+//!   design space, each configuration named by its mechanism spelling.
 //!
 //! A job whose manifest says `boot = cold` boots every trial from
 //! scratch instead of checking it out of the shared cache.
@@ -269,7 +272,7 @@ fn main() {
             && s.fault == FaultType::Failstop
             && s.trials == 30
             && s.seed == 77
-            && s.mechanism == MechanismSpec::Nilihype
+            && s.mechanism == MechanismSpec::nilihype()
             && s.mode == ExecMode::Sharded;
         if !golden_fig2_failstop {
             continue;

@@ -23,7 +23,7 @@ fn run_cell(
     mechanism: MechanismSpec,
 ) -> CampaignResult {
     let mut spec = CampaignSpec::new(
-        format!("fig2-{}-{fault}", mechanism.manifest_name()),
+        format!("fig2-{}-{fault}", mechanism.name()),
         SetupKind::ThreeAppVm,
         fault,
         trials,
@@ -55,8 +55,8 @@ fn main() {
             FaultType::Register => opts.count(500, 5000),
             FaultType::Code => opts.count(300, 2000),
         };
-        let ni = run_cell(&engine, &opts, fault, trials, MechanismSpec::Nilihype);
-        let re = run_cell(&engine, &opts, fault, trials, MechanismSpec::Rehype);
+        let ni = run_cell(&engine, &opts, fault, trials, MechanismSpec::nilihype());
+        let re = run_cell(&engine, &opts, fault, trials, MechanismSpec::rehype());
         println!(
             "{:10} {:>18} {:>18} {:>18} {:>18}",
             fault.to_string(),

@@ -13,9 +13,11 @@
 //! * `--seed S` — base seed (default 2018, the year of the paper).
 //!
 //! That is every binary except `campaign_server` and `replay`, which take
-//! their own flags (each prints them with `--help`). `campaign_server`
-//! runs every campaign stated as data: the manifests under
-//! `crates/experiments/manifests/`.
+//! their own flags (`campaign_server --help` prints its usage; `replay`
+//! prints its usage on an unknown argument). `campaign_server` runs every
+//! campaign stated as data: the manifests under
+//! `crates/experiments/manifests/`, including the one-knob ablations
+//! (`ablations.manifest`).
 //!
 //! Campaigns warm-start every trial from the campaign engine's boot cache;
 //! a manifest job with `boot = cold` boots each of its trials from scratch.

@@ -11,20 +11,21 @@ use nilihype::campaign::{
     NullSink, SetupKind,
 };
 use nilihype::inject::FaultType;
-use nilihype::recovery::{LadderRung, Microreboot, ReHypeConfig, RecoveryMechanism};
+use nilihype::recovery::LadderRung;
 
-/// Runs a sharded campaign cell on `engine` with mechanisms from `make`.
+/// Runs a sharded campaign cell of `mechanism` on `engine`.
 fn campaign(
     engine: &CampaignEngine,
     setup: SetupKind,
     fault: FaultType,
     trials: u64,
     seed: u64,
-    make: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+    mechanism: MechanismSpec,
 ) -> CampaignResult {
     let mut spec = CampaignSpec::new("cell", setup, fault, trials);
     spec.seed = seed;
-    let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+    spec.mechanism = mechanism;
+    let cell = engine.run_spec(&spec, &mut NullSink);
     cell.sharded().expect("sharded cell").clone()
 }
 
@@ -69,21 +70,22 @@ fn section4_port_ladder_tracks_paper_shape() {
     // Paper: 65% -> 84% -> 96%.
     let trials = 150;
     let engine = CampaignEngine::new();
-    let rate = |config: ReHypeConfig| {
+    let rate = |spelling: &str| {
         campaign(
             &engine,
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             trials,
             2018,
-            &|| Box::new(Microreboot::with_config(config)),
+            MechanismSpec::parse(spelling).expect("a mechanism spelling"),
         )
         .success_rate()
         .value()
     };
-    let initial = rate(ReHypeConfig::initial_port());
-    let plus_three = rate(ReHypeConfig::port_plus_three());
-    let full = rate(ReHypeConfig::full());
+    // The port-* cells of ablations.manifest.
+    let initial = rate("ReHype(-syscall_retry,-batched_retry,-save_fsgs,-nonidem_mitigation)");
+    let plus_three = rate("ReHype(-nonidem_mitigation)");
+    let full = rate("ReHype");
     assert!(
         (0.45..0.80).contains(&initial),
         "initial port ~65%: {initial}"
@@ -100,19 +102,24 @@ fn section4_port_ladder_tracks_paper_shape() {
 fn figure2_shape_failstop_parity_and_code_gap() {
     let engine = CampaignEngine::new();
     let fig2 = |fault, trials, mechanism: MechanismSpec| {
-        campaign(&engine, SetupKind::ThreeAppVm, fault, trials, 2018, &|| {
-            mechanism.build()
-        })
+        campaign(
+            &engine,
+            SetupKind::ThreeAppVm,
+            fault,
+            trials,
+            2018,
+            mechanism,
+        )
     };
     // Failstop: the two mechanisms are essentially identical (paper Fig 2).
-    let ni = fig2(FaultType::Failstop, 60, MechanismSpec::Nilihype);
-    let re = fig2(FaultType::Failstop, 60, MechanismSpec::Rehype);
+    let ni = fig2(FaultType::Failstop, 60, MechanismSpec::nilihype());
+    let re = fig2(FaultType::Failstop, 60, MechanismSpec::rehype());
     let gap = (ni.success_rate().value() - re.success_rate().value()).abs();
     assert!(gap < 0.08, "failstop parity: {gap}");
 
     // Code faults: ReHype's reboot gives it an edge (paper: ~2%).
-    let ni = fig2(FaultType::Code, 250, MechanismSpec::Nilihype);
-    let re = fig2(FaultType::Code, 250, MechanismSpec::Rehype);
+    let ni = fig2(FaultType::Code, 250, MechanismSpec::nilihype());
+    let re = fig2(FaultType::Code, 250, MechanismSpec::rehype());
     assert!(
         re.success_rate().value() >= ni.success_rate().value() - 0.02,
         "ReHype should not lose on Code faults: {} vs {}",

@@ -6,24 +6,21 @@ use nilihype::campaign::{
     NullSink, SetupKind, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
 };
 use nilihype::inject::FaultType;
-use nilihype::recovery::{Enhancements, Microreboot, Microreset, ReHypeConfig, RecoveryMechanism};
+use nilihype::recovery::{LadderRung, MechanismSpec, Microreset, ReHypeConfig, RecoveryMechanism};
 
-fn nilihype() -> Box<dyn RecoveryMechanism> {
-    Box::new(Microreset::nilihype())
-}
-
-/// Runs a sharded campaign cell on `engine` with mechanisms from `make`.
+/// Runs a sharded campaign cell of `mechanism` on `engine`.
 fn campaign(
     engine: &CampaignEngine,
     setup: SetupKind,
     fault: FaultType,
     trials: u64,
     seed: u64,
-    make: &(dyn Fn() -> Box<dyn RecoveryMechanism> + Sync),
+    mechanism: MechanismSpec,
 ) -> CampaignResult {
     let mut spec = CampaignSpec::new("cell", setup, fault, trials);
     spec.seed = seed;
-    let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+    spec.mechanism = mechanism;
+    let cell = engine.run_spec(&spec, &mut NullSink);
     cell.sharded().expect("sharded cell").clone()
 }
 
@@ -65,7 +62,7 @@ fn nilihype_recovers_most_failstop_faults_three_appvm() {
         FaultType::Failstop,
         40,
         77,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert_eq!(r.detected, 40);
     assert!(
@@ -84,7 +81,7 @@ fn rehype_recovers_most_failstop_faults_three_appvm() {
         FaultType::Failstop,
         40,
         77,
-        &|| Box::new(Microreboot::rehype()),
+        MechanismSpec::rehype(),
     );
     assert!(
         r.success_rate().value() > 0.85,
@@ -104,7 +101,7 @@ fn code_faults_recover_less_often_than_failstop() {
         FaultType::Failstop,
         60,
         99,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     let code = campaign(
         &engine,
@@ -112,7 +109,7 @@ fn code_faults_recover_less_often_than_failstop() {
         FaultType::Code,
         180,
         99,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert!(
         code.success_rate().value() < failstop.success_rate().value(),
@@ -130,7 +127,7 @@ fn register_faults_match_paper_manifestation_breakdown() {
         FaultType::Register,
         300,
         123,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     let (nm, sdc, det) = r.manifestation_breakdown();
     assert!((nm - 0.748).abs() < 0.08, "non-manifested {nm}");
@@ -147,7 +144,7 @@ fn basic_microreset_never_recovers() {
         FaultType::Failstop,
         40,
         3,
-        &|| Box::new(Microreset::with_enhancements(Enhancements::none())),
+        MechanismSpec::rung(LadderRung::Basic),
     );
     assert_eq!(r.successes, 0, "basic must never succeed");
 }
@@ -174,7 +171,7 @@ fn rehype_without_bootline_log_always_fails() {
         FaultType::Failstop,
         10,
         7,
-        &|| Box::new(Microreboot::with_config(config)),
+        MechanismSpec::Microreboot(config),
     );
     assert_eq!(r.successes, 0);
     assert!(r.failure_reasons.keys().any(|k| k.contains("boot-line")));
@@ -190,7 +187,7 @@ fn blkbench_setup_recovers_under_failstop() {
         FaultType::Failstop,
         30,
         55,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert!(
         r.success_rate().value() > 0.7,
@@ -207,7 +204,7 @@ fn netbench_setup_recovers_under_failstop() {
         FaultType::Failstop,
         30,
         56,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert!(
         r.success_rate().value() > 0.7,
@@ -224,7 +221,7 @@ fn classification_counts_are_consistent() {
         FaultType::Code,
         80,
         17,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert_eq!(
         r.trials,
@@ -275,7 +272,7 @@ fn shared_cpu_setup_runs_and_recovers() {
         FaultType::Failstop,
         30,
         21,
-        &nilihype,
+        MechanismSpec::nilihype(),
     );
     assert!(
         r.success_rate().value() > 0.8,

@@ -12,13 +12,13 @@
 //! constants: print the actual values (each assertion message carries
 //! them) and update the tables below.
 //!
-//! Every table is reached two ways through [`CampaignEngine`]: by running
-//! the cells of the checked-in manifests that `campaign_server` runs (the
-//! `golden_engine_*` tests and the overcommit and guided goldens, which
-//! also check template sharing), and by handing
-//! [`CampaignEngine::run_spec_with`] a caller-built mechanism, the path the
-//! ablation binaries take. The first way pins the manifests themselves: a
-//! changed cell in `suite.manifest` shifts a count here.
+//! The Table I, Figure 2 and device tables are reached two ways through
+//! [`CampaignEngine`]: by running the cells of the checked-in manifests
+//! that `campaign_server` runs (the `golden_engine_*` tests; the overcommit
+//! and guided goldens read their manifests too, and all of them check
+//! template sharing), and by specs built in code from [`MechanismSpec`]
+//! constructors. The first way pins the manifests themselves: a changed
+//! cell in `suite.manifest` shifts a count here.
 
 use nilihype::campaign::{
     BenchKind, CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink, SamplingMode,
@@ -26,10 +26,7 @@ use nilihype::campaign::{
 };
 use nilihype::hv::HandlerKind;
 use nilihype::inject::FaultType;
-use nilihype::recovery::{LadderRung, Microreboot, Microreset, RecoveryMechanism};
-
-/// Mechanism factory as [`CampaignEngine::run_spec_with`] takes it.
-type Factory = dyn Fn() -> Box<dyn RecoveryMechanism> + Sync;
+use nilihype::recovery::LadderRung;
 
 /// Table I ladder, 40 trials per rung, base seed 2018:
 /// (rung index, detected, successes, no_vmf).
@@ -69,12 +66,11 @@ const GOLDEN_DEVICE: [(FaultType, u64, u64, u64); 3] = [
 /// Overcommit campaign at 2:1 (the `overcommit-2-steered-*` jobs of
 /// `overcommit.manifest`): faults depth-steered into `Scheduler` programs,
 /// depth cycle 16, coverage-guided, 20 trials per fault type, seed 2018.
-/// Rows: (mechanism, detected, successes), each summed over the three
-/// fault types — the rung-off and rung-on cells of EXPERIMENTS.md's 2:1 row.
-const GOLDEN_OVERCOMMIT_STEERED: [(MechanismSpec, u64, u64); 2] = [
-    (MechanismSpec::NilihypeNoSchedFix, 35, 23),
-    (MechanismSpec::Nilihype, 35, 32),
-];
+/// Rows: (mechanism spelling, detected, successes), each summed over the
+/// three fault types — the rung-off and rung-on cells of EXPERIMENTS.md's
+/// 2:1 row.
+const GOLDEN_OVERCOMMIT_STEERED: [(&str, u64, u64); 2] =
+    [("NiLiHype-NoSchedFix", 35, 23), ("NiLiHype", 35, 32)];
 
 /// Uniform vs coverage-guided sampling (`guided.manifest`): 1AppVM
 /// UnixBench, fail-stop, full NiLiHype, 120 trials, seed 2018. Rows:
@@ -101,7 +97,7 @@ fn manifest_cells(manifest: &str, prefix: &str) -> Vec<CampaignSpec> {
         .collect()
 }
 
-/// The Table I ladder with each rung's `Microreset` built by the caller.
+/// The Table I ladder from specs built in code.
 #[test]
 fn golden_table1_ladder_counts() {
     let engine = CampaignEngine::new();
@@ -113,8 +109,8 @@ fn golden_table1_ladder_counts() {
             40,
         );
         spec.seed = 2018;
-        let make: &Factory = &move || Box::new(Microreset::with_enhancements(rung.enhancements()));
-        let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+        spec.mechanism = MechanismSpec::rung(rung);
+        let cell = engine.run_spec(&spec, &mut NullSink);
         let r = cell.sharded().expect("sharded cell");
         assert_eq!(
             (idx, r.detected, r.successes, r.no_vmf),
@@ -132,7 +128,7 @@ fn golden_engine_table1_ladder_counts() {
     let cells = manifest_cells(SUITE_MANIFEST, "ladder-");
     assert_eq!(cells.len(), GOLDEN_LADDER.len());
     for (spec, &(idx, detected, successes, no_vmf)) in cells.iter().zip(&GOLDEN_LADDER) {
-        assert_eq!(spec.mechanism, MechanismSpec::Rung(LadderRung::ALL[idx]));
+        assert_eq!(spec.mechanism, MechanismSpec::rung(LadderRung::ALL[idx]));
         let cell = engine.run_spec(spec, &mut NullSink);
         let r = cell.sharded().expect("sharded cell");
         assert_eq!(
@@ -149,9 +145,10 @@ fn golden_engine_table1_ladder_counts() {
     assert_eq!(stats.hits, 8 * 40 - 1);
 }
 
-/// Runs the three Figure 2 cells with a caller-built mechanism and checks
-/// them against `GOLDEN_FIG2`.
-fn assert_fig2_goldens(label: &str, make: &Factory) {
+/// Runs the three Figure 2 cells of `mechanism` from specs built in code
+/// and checks them against `GOLDEN_FIG2`.
+fn assert_fig2_goldens(mechanism: MechanismSpec) {
+    let label = mechanism.name();
     let engine = CampaignEngine::new();
     for &(fault, expect) in &GOLDEN_FIG2 {
         let mut spec = CampaignSpec::new(
@@ -161,7 +158,8 @@ fn assert_fig2_goldens(label: &str, make: &Factory) {
             30,
         );
         spec.seed = 77;
-        let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+        spec.mechanism = mechanism;
+        let cell = engine.run_spec(&spec, &mut NullSink);
         let r = cell.sharded().expect("sharded cell");
         let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
         assert_eq!(
@@ -173,12 +171,12 @@ fn assert_fig2_goldens(label: &str, make: &Factory) {
 
 #[test]
 fn golden_fig2_nilihype_counts() {
-    assert_fig2_goldens("NiLiHype", &|| Box::new(Microreset::nilihype()));
+    assert_fig2_goldens(MechanismSpec::nilihype());
 }
 
 #[test]
 fn golden_fig2_rehype_counts() {
-    assert_fig2_goldens("ReHype", &|| Box::new(Microreboot::rehype()));
+    assert_fig2_goldens(MechanismSpec::rehype());
 }
 
 /// Figure 2 through the engine, from `suite.manifest`'s `fig2-*` jobs:
@@ -189,7 +187,7 @@ fn golden_engine_fig2_counts() {
     let engine = CampaignEngine::new();
     let cells = manifest_cells(SUITE_MANIFEST, "fig2-");
     let grid: Vec<_> = cells.iter().map(|s| (s.mechanism, s.fault)).collect();
-    let expected: Vec<_> = [MechanismSpec::Nilihype, MechanismSpec::Rehype]
+    let expected: Vec<_> = [MechanismSpec::nilihype(), MechanismSpec::rehype()]
         .into_iter()
         .flat_map(|m| GOLDEN_FIG2.iter().map(move |&(fault, _)| (m, fault)))
         .collect();
@@ -211,8 +209,8 @@ fn golden_engine_fig2_counts() {
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
 
-/// The device campaign with caller-built mechanisms: every
-/// `GOLDEN_DEVICE` row, with the virtqueue-consistency rung off and on.
+/// The device campaign from specs built in code: every `GOLDEN_DEVICE`
+/// row, with the virtqueue-consistency rung off and on.
 #[test]
 fn golden_device_campaign_ring_repair_counts() {
     let engine = CampaignEngine::new();
@@ -231,9 +229,8 @@ fn golden_device_campaign_ring_repair_counts() {
                 steer_handler: Some(HandlerKind::VirtioMmio),
                 depth_cycle: 1,
             };
-            let make: &Factory =
-                &move || Box::new(Microreset::with_enhancements(rung.enhancements()));
-            let cell = engine.run_spec_with(&spec, make, &mut NullSink);
+            spec.mechanism = MechanismSpec::rung(rung);
+            let cell = engine.run_spec(&spec, &mut NullSink);
             let s = cell.sampled().expect("sampled cell");
             (s.successes + s.failures, s.successes)
         };
@@ -265,7 +262,7 @@ fn golden_engine_device_campaign_failstop() {
         let run = |rung: LadderRung| {
             let spec = cells
                 .iter()
-                .find(|s| s.fault == fault && s.mechanism == MechanismSpec::Rung(rung))
+                .find(|s| s.fault == fault && s.mechanism == MechanismSpec::rung(rung))
                 .unwrap_or_else(|| panic!("suite.manifest has a {fault} cell at {rung:?}"));
             let cell = engine.run_spec(spec, &mut NullSink);
             let s = cell.sampled().expect("sampled cell");
@@ -295,7 +292,7 @@ fn golden_overcommit_steered_counts() {
     assert_eq!(cells.len(), 2 * FaultType::ALL.len());
     for &(mechanism, detected, successes) in &GOLDEN_OVERCOMMIT_STEERED {
         let mut sum = (0, 0);
-        for spec in cells.iter().filter(|s| s.mechanism == mechanism) {
+        for spec in cells.iter().filter(|s| s.mechanism.name() == mechanism) {
             let cell = engine.run_spec(spec, &mut NullSink);
             let s = cell.sampled().expect("sampled cell");
             sum.0 += s.successes + s.failures;
@@ -304,8 +301,7 @@ fn golden_overcommit_steered_counts() {
         assert_eq!(
             sum,
             (detected, successes),
-            "overcommit 2:1 steered {} drifted (detected, successes)",
-            mechanism.manifest_name()
+            "overcommit 2:1 steered {mechanism} drifted (detected, successes)"
         );
     }
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
