@@ -34,31 +34,22 @@ type Template = Arc<(Hypervisor, SystemLayout)>;
 /// telemetry so cross-campaign template reuse is observable per cell.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
-    /// Checkouts served from a cached template.
+    /// Checkouts served by an already-built template: every checkout but
+    /// the first of each template.
     pub hits: u64,
-    /// Checkouts that had to build a template.
+    /// Template builds. The first checkout of a key pays for its build,
+    /// whether the checkout built the template itself or
+    /// [`BootCache::prepare`] built it ahead of time.
     pub misses: u64,
     /// Number of currently resident templates.
     pub resident_templates: u64,
 }
 
-impl CacheCounters {
-    /// Counter deltas since `earlier` (the resident gauge is taken from
-    /// `self`, the later snapshot).
-    pub fn since(&self, earlier: &CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            resident_templates: self.resident_templates,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct CacheInner {
     templates: HashMap<(MachineConfig, SetupKind), Template>,
-    hits: u64,
-    misses: u64,
+    checkouts: u64,
+    builds: u64,
 }
 
 /// A cache of pristine post-boot systems, keyed by machine + setup.
@@ -84,6 +75,29 @@ impl BootCache {
         }
     }
 
+    /// The template for `(machine, setup)`, built on first use, and
+    /// whether this call built it. Counts a checkout if `checkout`.
+    fn template(
+        &self,
+        machine: &MachineConfig,
+        setup: SetupKind,
+        checkout: bool,
+    ) -> (Template, bool) {
+        let mut inner = self.inner.lock().unwrap();
+        inner.checkouts += u64::from(checkout);
+        if let Some(template) = inner.templates.get(&(machine.clone(), setup)) {
+            return (Arc::clone(template), false);
+        }
+        // Build under the lock: concurrent first checkouts of one key must
+        // produce exactly one build.
+        inner.builds += 1;
+        let built = Arc::new(build_system(machine.clone(), setup, TEMPLATE_SEED));
+        inner
+            .templates
+            .insert((machine.clone(), setup), Arc::clone(&built));
+        (built, true)
+    }
+
     /// Returns a ready-to-run system for `seed`: a deep clone of the cached
     /// post-boot template with every RNG re-derived from `seed`. Builds and
     /// caches the template on first use of a `(machine, setup)` key.
@@ -93,29 +107,16 @@ impl BootCache {
         setup: SetupKind,
         seed: u64,
     ) -> (Hypervisor, SystemLayout) {
-        let template = {
-            let mut inner = self.inner.lock().unwrap();
-            match inner.templates.get(&(machine.clone(), setup)) {
-                Some(template) => {
-                    let template = Arc::clone(template);
-                    inner.hits += 1;
-                    template
-                }
-                None => {
-                    // Build under the lock: concurrent first checkouts of
-                    // one key must produce exactly one build.
-                    inner.misses += 1;
-                    let built = Arc::new(build_system(machine.clone(), setup, TEMPLATE_SEED));
-                    inner
-                        .templates
-                        .insert((machine.clone(), setup), Arc::clone(&built));
-                    built
-                }
-            }
-        };
+        let (template, _) = self.template(machine, setup, true);
         let (mut hv, layout) = (*template).clone();
         reseed_system(&mut hv, seed);
         (hv, layout)
+    }
+
+    /// Builds the template for `(machine, setup)` now if it is not
+    /// resident, without checking anything out. Returns whether it built.
+    pub fn prepare(&self, machine: &MachineConfig, setup: SetupKind) -> bool {
+        self.template(machine, setup, false).1
     }
 
     /// `(hits, misses)` — checkouts served from a cached template vs.
@@ -129,8 +130,8 @@ impl BootCache {
     pub fn counters(&self) -> CacheCounters {
         let inner = self.inner.lock().unwrap();
         CacheCounters {
-            hits: inner.hits,
-            misses: inner.misses,
+            hits: inner.checkouts.saturating_sub(inner.builds),
+            misses: inner.builds,
             resident_templates: inner.templates.len() as u64,
         }
     }
@@ -171,6 +172,19 @@ mod tests {
             assert_eq!(warm_hv.pft.free_count(), cold_hv.pft.free_count());
             assert_eq!(warm_hv.create_queue.len(), cold_hv.create_queue.len());
         }
+    }
+
+    #[test]
+    fn prepared_template_is_paid_for_by_its_first_checkout() {
+        let cache = BootCache::new();
+        let machine = MachineConfig::small();
+        let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
+        assert!(cache.prepare(&machine, setup));
+        assert!(!cache.prepare(&machine, setup), "already resident");
+        for seed in 0..3 {
+            cache.checkout(&machine, setup, seed);
+        }
+        assert_eq!(cache.stats(), (2, 1), "as if the first checkout built it");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! A [`CampaignEngine`] owns a single cache keyed by `(MachineConfig,
 //! SetupKind)` for the life of a job: the first campaign to touch a key
 //! builds its template, every later campaign warm-starts from it, and
-//! per-cell [`CacheCounters`] deltas make the reuse observable
-//! (`misses == 0` on the second campaign). Sharing is safe because
+//! per-cell [`CacheCounters`] make the reuse observable (`misses == 0` on
+//! the second campaign). Sharing is safe because
 //! [`BootCache::checkout`] reseeds every RNG from the trial seed — a
 //! template serves any number of campaigns without coupling their trial
 //! streams, so a cell's results do not depend on what else the engine ran
@@ -24,9 +24,21 @@
 //! half-width crosses the threshold, independent of how the batch's trials
 //! interleaved across workers, and the aggregated result equals a
 //! fixed-trials run of exactly `n` trials.
+//!
+//! A suite runs sharded cells one at a time, each on the trial-level
+//! worker pool. A sampled cell runs its trials in order on one thread, so
+//! [`CampaignEngine::run_suite`] runs each maximal stretch of consecutive
+//! sampled jobs (in suite order) that do not wait on one another as one
+//! group, one cell per worker. A group reports what the sequential run
+//! reports: outcomes come back in suite order, the sink gets each cell's
+//! snapshots together and in suite order, and each cell's
+//! [`CacheCounters`] come from its own checkouts plus the template build
+//! it was first to need in suite order, not from whichever cell happened
+//! to check out first.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use nlh_sim::stats::Proportion;
@@ -37,7 +49,7 @@ use crate::classify::TrialClass;
 use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
 use crate::setup::build_system;
 use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
-use crate::stream::{CampaignSnapshot, TelemetrySink};
+use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
 use crate::trial::{run_trial_with, TrialConfig, TrialResult, TrialRunOptions};
 
 /// The per-mode payload of a finished cell.
@@ -60,8 +72,11 @@ pub struct CellResult {
     /// `Some(n)` if stop-at-confidence halted the cell after exactly `n`
     /// trials.
     pub stopped_at: Option<u64>,
-    /// Boot-cache activity attributable to this cell (counter deltas
-    /// around the cell; the resident gauge is the post-cell value).
+    /// Boot-cache activity of this cell: its own checkouts, split into
+    /// the template build it paid for (as the first cell in suite order to
+    /// need the template) and warm hits. The resident gauge counts the
+    /// templates resident once the cell's own template was. All zero
+    /// under cold boot.
     pub cache: CacheCounters,
     /// Seed-ordered per-trial results (sharded cells only; empty for
     /// sampled cells). The equivalence suite compares these one-for-one
@@ -154,20 +169,39 @@ impl CampaignEngine {
 
     /// Runs one cell, streaming snapshots to `sink`.
     pub fn run_spec(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
+        self.run_cell(spec, self.cell_cache(spec), sink)
+    }
+
+    fn run_cell(
+        &self,
+        spec: &CampaignSpec,
+        cache: CellCache,
+        sink: &mut dyn TelemetrySink,
+    ) -> CellResult {
         match spec.mode {
-            ExecMode::Sharded => self.run_sharded(spec, sink),
+            ExecMode::Sharded => self.run_sharded(spec, cache, sink),
             ExecMode::Sampled {
                 windows,
                 sampling,
                 steer_handler,
                 depth_cycle,
-            } => self.run_sampled(spec, windows, sampling, steer_handler, depth_cycle, sink),
+            } => self.run_sampled(
+                spec,
+                cache,
+                windows,
+                sampling,
+                steer_handler,
+                depth_cycle,
+                sink,
+            ),
         }
     }
 
     /// Runs a whole suite in a dependency-respecting order (stable: among
     /// ready jobs, submission order wins), sharing the boot cache across
-    /// every cell. Validates the graph before running anything.
+    /// every cell. Validates the graph before running anything. Stretches
+    /// of independent sampled jobs run concurrently (see the module docs);
+    /// outcomes and snapshots still arrive in that order.
     pub fn run_suite(
         &self,
         suite: &SuiteSpec,
@@ -175,32 +209,106 @@ impl CampaignEngine {
     ) -> Result<Vec<JobOutcome>, SuiteError> {
         let order = suite_order(suite)?;
         let mut outcomes = Vec::with_capacity(order.len());
-        for idx in order {
-            let job = &suite.jobs[idx];
-            let cell = self.run_spec(&job.spec, sink);
-            outcomes.push(JobOutcome {
-                name: job.spec.name.clone(),
+        let mut next = 0;
+        while next < order.len() {
+            let group = ready_sampled_run(suite, &order[next..]).max(1);
+            let specs: Vec<&CampaignSpec> = order[next..next + group]
+                .iter()
+                .map(|&i| &suite.jobs[i].spec)
+                .collect();
+            let cells = if group > 1 && parallelism() > 1 {
+                self.run_concurrently(&specs, sink)
+            } else {
+                specs.iter().map(|spec| self.run_spec(spec, sink)).collect()
+            };
+            outcomes.extend(specs.iter().zip(cells).map(|(spec, cell)| JobOutcome {
+                name: spec.name.clone(),
                 cell,
-            });
+            }));
+            next += group;
         }
         Ok(outcomes)
     }
 
-    /// The cache-activity delta a cell reports: real deltas when the cell
-    /// used the cache, all-zero under cold boot.
-    fn cache_delta(&self, boot: BootMode, before: &CacheCounters) -> CacheCounters {
-        match boot {
-            BootMode::Warm => self.cache.counters().since(before),
-            BootMode::Cold => CacheCounters::default(),
+    /// Runs independent cells on up to [`parallelism`] workers, one cell
+    /// per worker at a time; the calling thread is one of the workers.
+    /// Each cell's snapshots are buffered and reach `sink` together, in
+    /// `specs` order, once every earlier cell has finished.
+    fn run_concurrently(
+        &self,
+        specs: &[&CampaignSpec],
+        sink: &mut dyn TelemetrySink,
+    ) -> Vec<CellResult> {
+        // Templates are built here, in suite order, so each cell reports
+        // the cache activity the sequential run would.
+        let caches: Vec<CellCache> = specs.iter().map(|spec| self.cell_cache(spec)).collect();
+        let next = AtomicUsize::new(0);
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < specs.len());
+        let run = |i: usize| {
+            let mut buffer = MemorySink::default();
+            let cell = self.run_cell(specs[i], caches[i], &mut buffer);
+            (i, cell, buffer.snapshots)
+        };
+
+        let mut finished: Vec<Option<(CellResult, Vec<CampaignSnapshot>)>> =
+            specs.iter().map(|_| None).collect();
+        let mut cells = Vec::with_capacity(specs.len());
+        let mut deliver = |(i, cell, snapshots): (usize, CellResult, Vec<CampaignSnapshot>)| {
+            finished[i] = Some((cell, snapshots));
+            while let Some((cell, snapshots)) = finished.get_mut(cells.len()).and_then(Option::take)
+            {
+                for snap in &snapshots {
+                    sink.snapshot(snap);
+                }
+                cells.push(cell);
+            }
+        };
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            for _ in 1..parallelism().min(specs.len()) {
+                let tx = tx.clone();
+                scope.spawn(move || {
+                    while let Some(i) = claim() {
+                        // The receiver outlives every worker.
+                        let _ = tx.send(run(i));
+                    }
+                });
+            }
+            drop(tx);
+            while let Some(i) = claim() {
+                deliver(run(i));
+                rx.try_iter().for_each(&mut deliver);
+            }
+            rx.iter().for_each(&mut deliver);
+        });
+        cells
+    }
+
+    /// Fixes `spec`'s share of the boot cache before it runs: builds its
+    /// template if no earlier cell has, then reads the resident gauge.
+    fn cell_cache(&self, spec: &CampaignSpec) -> CellCache {
+        match spec.boot {
+            BootMode::Cold => CellCache::default(),
+            BootMode::Warm => {
+                let machine = TrialConfig::new(spec.setup, spec.fault, spec.seed).machine;
+                let built = spec.trials > 0 && self.cache.prepare(&machine, spec.setup);
+                CellCache {
+                    warm: true,
+                    built,
+                    resident: self.cache.counters().resident_templates,
+                }
+            }
         }
     }
 
-    fn run_sharded(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
+    fn run_sharded(
+        &self,
+        spec: &CampaignSpec,
+        cache: CellCache,
+        sink: &mut dyn TelemetrySink,
+    ) -> CellResult {
         let trials = spec.trials;
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(trials.max(1) as usize);
+        let threads = parallelism().min(trials.max(1) as usize);
         let batch = match spec.stop {
             StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
             StopPolicy::FixedTrials => {
@@ -211,7 +319,6 @@ impl CampaignEngine {
                 }
             }
         };
-        let before = self.cache.counters();
         let started = Instant::now();
 
         let mut results: Vec<TrialResult> = Vec::new();
@@ -310,10 +417,10 @@ impl CampaignEngine {
 
             start = end;
             if start < trials && stopped_at.is_none() {
-                sink.snapshot(&self.sharded_snapshot(
+                sink.snapshot(&Self::sharded_snapshot(
                     spec,
                     results.len() as u64,
-                    &before,
+                    cache.counters(results.len() as u64),
                     started,
                     None,
                     false,
@@ -322,10 +429,12 @@ impl CampaignEngine {
             }
         }
 
+        // Every trial a batch ran checked a system out, including those
+        // past the stop trial.
+        let cache = cache.counters(results.len() as u64);
         let executed = stopped_at.unwrap_or(results.len() as u64);
         results.truncate(executed as usize);
         let wall_secs = started.elapsed().as_secs_f64();
-        let cache = self.cache_delta(spec.boot, &before);
 
         let mut shard = Shard::new(spec.mechanism.name());
         for r in &results {
@@ -334,9 +443,9 @@ impl CampaignEngine {
         shard.add_nanos(setup_nanos, run_nanos);
         let result = shard.into_result(spec.fault, executed, spec.boot, threads, wall_secs, cache);
 
-        sink.snapshot(
-            &self.sharded_snapshot(spec, executed, &before, started, stopped_at, true, &results),
-        );
+        sink.snapshot(&Self::sharded_snapshot(
+            spec, executed, cache, started, stopped_at, true, &results,
+        ));
         CellResult {
             output: CellOutput::Sharded(result),
             executed,
@@ -349,10 +458,9 @@ impl CampaignEngine {
     /// Builds a snapshot from the seed-ordered prefix `results[..done]`.
     #[allow(clippy::too_many_arguments)]
     fn sharded_snapshot(
-        &self,
         spec: &CampaignSpec,
         done: u64,
-        before: &CacheCounters,
+        cache: CacheCounters,
         started: Instant,
         stopped_at: Option<u64>,
         is_final: bool,
@@ -378,21 +486,22 @@ impl CampaignEngine {
             successes,
             done: is_final,
             stopped_at,
-            cache: self.cache_delta(spec.boot, before),
+            cache,
             wall_secs: started.elapsed().as_secs_f64(),
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run_sampled(
         &self,
         spec: &CampaignSpec,
+        cache: CellCache,
         windows: usize,
         sampling: crate::coverage::SamplingMode,
         steer_handler: Option<nlh_hv::HandlerKind>,
         depth_cycle: u64,
         sink: &mut dyn TelemetrySink,
     ) -> CellResult {
-        let before = self.cache.counters();
         let started = Instant::now();
         let cadence = match spec.stop {
             StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
@@ -427,7 +536,7 @@ impl CampaignEngine {
                         successes,
                         done: false,
                         stopped_at: None,
-                        cache: self.cache_delta(spec.boot, &before),
+                        cache: cache.counters(done),
                         wall_secs: started.elapsed().as_secs_f64(),
                     });
                 }
@@ -448,7 +557,7 @@ impl CampaignEngine {
             )
         };
         let executed = sampled.trials;
-        let cache = self.cache_delta(spec.boot, &before);
+        let cache = cache.counters(executed);
         sink.snapshot(&CampaignSnapshot {
             job: spec.name.clone(),
             trials_done: executed,
@@ -468,6 +577,52 @@ impl CampaignEngine {
             per_trial: Vec::new(),
         }
     }
+}
+
+/// A cell's share of the boot cache, fixed before the cell runs.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellCache {
+    /// The cell checks systems out of the cache (warm boot).
+    warm: bool,
+    /// The cell is the first, in suite order, to need its template.
+    built: bool,
+    /// Templates resident once the cell's own template is.
+    resident: u64,
+}
+
+impl CellCache {
+    /// The cell's counters after it checked out `checkouts` systems.
+    fn counters(self, checkouts: u64) -> CacheCounters {
+        if !self.warm {
+            return CacheCounters::default();
+        }
+        let misses = u64::from(self.built);
+        CacheCounters {
+            hits: checkouts.saturating_sub(misses),
+            misses,
+            resident_templates: self.resident,
+        }
+    }
+}
+
+/// Workers per pool: the host's parallelism.
+fn parallelism() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
+/// How many jobs at the head of `order` form one concurrent group:
+/// consecutive sampled jobs none of which waits on another of them.
+fn ready_sampled_run(suite: &SuiteSpec, order: &[usize]) -> usize {
+    let mut group: Vec<&str> = Vec::new();
+    for &i in order {
+        let job = &suite.jobs[i];
+        let sampled = matches!(job.spec.mode, ExecMode::Sampled { .. });
+        if !sampled || job.after.iter().any(|dep| group.contains(&dep.as_str())) {
+            break;
+        }
+        group.push(&job.spec.name);
+    }
+    group.len()
 }
 
 /// Validates a suite's job graph and returns a deterministic

@@ -9,13 +9,15 @@
 //! by property over random sampled specs (a cell's result does not depend
 //! on what the shared cache served before it), and for the
 //! stop-at-confidence policy (a stopped cell must equal a fixed-trials run
-//! of exactly the stop length).
+//! of exactly the stop length). A suite whose independent sampled cells run
+//! concurrently must report exactly what running its cells one by one
+//! reports.
 
 use nlh_campaign::{
     build_system, run_sampled_campaign_in, run_trial_with, BenchKind, BootCache, BootMode,
-    CampaignEngine, CampaignResult, CampaignSpec, ExecMode, MechanismSpec, MemorySink, NullSink,
-    SampledCampaign, SamplingMode, SetupKind, StopPolicy, TrialClass, TrialConfig, TrialResult,
-    TrialRunOptions,
+    CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput, CellResult,
+    ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode, SetupKind,
+    StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
 };
 use nlh_core::LadderRung;
 use nlh_hv::HandlerKind;
@@ -304,6 +306,160 @@ fn stop_at_confidence_is_deterministic_and_prefix_exact() {
     assert_eq!(last.stopped_at, Some(GOLDEN_STOP_TRIAL));
     assert!(last.halfwidth() <= 0.11, "halfwidth {}", last.halfwidth());
     assert!(last.detected >= 10);
+}
+
+fn sampled_spec(
+    name: &str,
+    setup: SetupKind,
+    fault: FaultType,
+    trials: u64,
+    steer_handler: Option<HandlerKind>,
+) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(name, setup, fault, trials);
+    spec.seed = 2018;
+    spec.snapshot_every = 2;
+    spec.mode = ExecMode::Sampled {
+        windows: 4,
+        sampling: SamplingMode::CoverageGuided,
+        steer_handler,
+        depth_cycle: 3,
+    };
+    spec
+}
+
+/// Snapshots with the host-dependent wall time cleared.
+fn without_wall(snapshots: &[CampaignSnapshot]) -> Vec<CampaignSnapshot> {
+    snapshots
+        .iter()
+        .map(|s| CampaignSnapshot {
+            wall_secs: 0.0,
+            ..s.clone()
+        })
+        .collect()
+}
+
+fn assert_cells_equal(a: &CellResult, b: &CellResult, label: &str) {
+    assert_eq!(a.executed, b.executed, "{label}: executed");
+    assert_eq!(a.stopped_at, b.stopped_at, "{label}: stopped_at");
+    assert_eq!(a.cache, b.cache, "{label}: cache counters");
+    assert_eq!(a.per_trial, b.per_trial, "{label}: per-trial results");
+    match (&a.output, &b.output) {
+        (CellOutput::Sharded(x), CellOutput::Sharded(y)) => assert_campaigns_equal(x, y, label),
+        (CellOutput::Sampled(x), CellOutput::Sampled(y)) => assert_sampled_equal(x, y, label),
+        _ => panic!("{label}: cell modes differ"),
+    }
+}
+
+/// A suite that mixes sharded and sampled cells, with an `after` edge
+/// that splits two sampled stretches, sampled cells sharing a template
+/// nobody has built yet, a new template inside a concurrent group, and a
+/// sampled cell that stops at confidence. `run_suite` (which runs each
+/// stretch of independent sampled cells concurrently) must report exactly
+/// what running the cells one by one in suite order on a fresh engine
+/// reports: outcomes in order, results, coverage maps, per-cell cache
+/// counters, and every snapshot but its wall time.
+#[test]
+fn concurrent_suite_equals_cells_run_one_by_one() {
+    let vswitch = SetupKind::TwoAppVmVswitch;
+    let one = SetupKind::OneAppVm(BenchKind::UnixBench);
+    let mut suite = SuiteSpec::default();
+    // A long cell between two short ones: whichever worker runs the short
+    // ones finishes both while the long one still runs, so only in-order
+    // delivery keeps the sink's sequence.
+    suite.push(sampled_spec(
+        "vswitch-a",
+        vswitch,
+        FaultType::Failstop,
+        2,
+        Some(HandlerKind::VirtioMmio),
+    ));
+    suite.push(sampled_spec(
+        "vswitch-b",
+        vswitch,
+        FaultType::Register,
+        8,
+        None,
+    ));
+    suite.push(sampled_spec("vswitch-c", vswitch, FaultType::Code, 2, None));
+    suite.push_after(
+        sampled_spec("after-a", one, FaultType::Failstop, 4, None),
+        &["vswitch-a"],
+    );
+    let mut sharded = CampaignSpec::new("sharded", one, FaultType::Failstop, 6);
+    sharded.snapshot_every = 3;
+    suite.push(sharded);
+    let mut stopping = sampled_spec(
+        "overcommit-stop",
+        SetupKind::Overcommit(2),
+        FaultType::Failstop,
+        12,
+        Some(HandlerKind::Scheduler),
+    );
+    stopping.stop = StopPolicy::AtConfidence {
+        halfwidth: 0.45,
+        min_detected: 3,
+        check_every: 1,
+    };
+    suite.push(stopping);
+    suite.push(sampled_spec(
+        "three",
+        SetupKind::ThreeAppVm,
+        FaultType::Code,
+        3,
+        None,
+    ));
+
+    let mut concurrent_sink = MemorySink::default();
+    let concurrent = CampaignEngine::new()
+        .run_suite(&suite, &mut concurrent_sink)
+        .expect("valid suite");
+
+    // Suite order is submission order here; groups are {vswitch-a,
+    // vswitch-b, vswitch-c}, {after-a}, {sharded}, {overcommit-stop,
+    // three}.
+    let one_by_one = CampaignEngine::new();
+    let mut sequential_sink = MemorySink::default();
+    let names: Vec<&str> = concurrent.iter().map(|o| o.name.as_str()).collect();
+    let expected: Vec<&str> = suite.jobs.iter().map(|j| j.spec.name.as_str()).collect();
+    assert_eq!(names, expected, "outcomes come back in suite order");
+    for (job, outcome) in suite.jobs.iter().zip(&concurrent) {
+        let cell = one_by_one.run_spec(&job.spec, &mut sequential_sink);
+        assert_cells_equal(&outcome.cell, &cell, &job.spec.name);
+    }
+    assert_eq!(
+        without_wall(&concurrent_sink.snapshots),
+        without_wall(&sequential_sink.snapshots),
+        "snapshot sequence"
+    );
+
+    let cache = |name: &str| {
+        concurrent
+            .iter()
+            .find(|o| o.name == name)
+            .unwrap()
+            .cell
+            .cache
+    };
+    assert_eq!(
+        [cache("vswitch-a"), cache("vswitch-b"), cache("vswitch-c")].map(|c| c.misses),
+        [1, 0, 0],
+        "the first sampled cell in suite order pays the shared build"
+    );
+    assert_eq!(
+        (
+            cache("overcommit-stop").resident_templates,
+            cache("three").resident_templates
+        ),
+        (3, 4)
+    );
+    let stopped = concurrent
+        .iter()
+        .find(|o| o.name == "overcommit-stop")
+        .unwrap();
+    assert!(
+        stopped.cell.stopped_at.is_some(),
+        "the stopping cell stops early"
+    );
 }
 
 fn faults() -> impl Strategy<Value = FaultType> {

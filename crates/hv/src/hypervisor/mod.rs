@@ -23,6 +23,7 @@
 //! * `recovery` — the entry points the recovery mechanisms call.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use nlh_sim::{CpuId, DomId, LockId, PageNum, Pcg64, SimDuration, SimTime, VcpuId};
 
@@ -157,8 +158,9 @@ pub struct Hypervisor {
     /// ReHype's I/O APIC write log (reconstructed routes).
     pub ioapic_log: Option<[Option<CpuId>; crate::interrupts::NUM_VECTORS]>,
     /// Evidence of the boot-time memory scrub, when one was performed
-    /// (see [`Hypervisor::run_boot_scrub`]).
-    pub scrub: Option<crate::mem::ScrubLedger>,
+    /// (see [`Hypervisor::run_boot_scrub`]). Nothing mutates it after
+    /// boot, so clones of a booted machine share one ledger.
+    pub scrub: Option<Arc<crate::mem::ScrubLedger>>,
     /// Last successful platform time synchronization.
     pub last_time_sync: SimTime,
     /// Fault-injection target: static scratch state that a reboot
@@ -352,7 +354,7 @@ impl Hypervisor {
     /// does not scrub, so unit tests and latency experiments that only
     /// need structure stay cheap; the campaign boot path does.
     pub fn run_boot_scrub(&mut self) {
-        self.scrub = Some(crate::mem::boot_scrub(self.pft.len()));
+        self.scrub = Some(Arc::new(crate::mem::boot_scrub(self.pft.len())));
     }
 
     // ------------------------------------------------------------------

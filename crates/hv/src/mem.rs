@@ -106,50 +106,79 @@ impl std::fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// A clean free frame, lent out for every frame above the stored prefix.
+static FREE_FRAME: PageFrameDescriptor = PageFrameDescriptor::free();
+
 /// The table of all page-frame descriptors plus the frame free list.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Frames are handed out lowest first, so a booted machine has touched
+/// only a low prefix of its frames. The table stores descriptors up to
+/// the highest frame touched so far; every frame above reads as
+/// [`PageFrameDescriptor::free`]. The free list is a LIFO stack whose
+/// bottom is always the never-allocated tail `fresh..len` (highest frame
+/// deepest), so it is kept as that low-water index plus the stack of
+/// frames explicitly returned by [`PageFrameTable::free`]. Results,
+/// errors, allocation order, [`PageFrameTable::len`] and the `Debug`
+/// rendering (which `Hypervisor::state_digest` hashes) are those of a
+/// table holding all `len` descriptors and the full free list.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct PageFrameTable {
+    /// Descriptors of frames `0..frames.len()`.
     frames: Vec<PageFrameDescriptor>,
-    free: Vec<PageNum>,
+    /// Number of frames.
+    num_pages: usize,
+    /// Frames `fresh..num_pages` are the untouched bottom of the free
+    /// stack.
+    fresh: usize,
+    /// Freed frames, stacked above the fresh tail.
+    freed: Vec<PageNum>,
 }
 
 impl PageFrameTable {
     /// Creates a table with `num_pages` clean, free frames.
     pub fn new(num_pages: usize) -> Self {
         PageFrameTable {
-            frames: vec![PageFrameDescriptor::free(); num_pages],
-            // Pop from the back: low frames get handed out first.
-            free: (0..num_pages).rev().map(PageNum::from_index).collect(),
+            frames: Vec::new(),
+            num_pages,
+            fresh: 0,
+            freed: Vec::new(),
         }
     }
 
     /// Number of frames.
     pub fn len(&self) -> usize {
-        self.frames.len()
+        self.num_pages
     }
 
     /// Whether the table has no frames.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.num_pages == 0
     }
 
     /// Number of free frames.
     pub fn free_count(&self) -> usize {
-        self.free.len()
+        self.freed.len() + (self.num_pages - self.fresh)
     }
 
     /// The descriptor for `page`.
     pub fn get(&self, page: PageNum) -> Result<&PageFrameDescriptor, MemError> {
-        self.frames
-            .get(page.index())
-            .ok_or(MemError::BadFrame(page))
+        match self.frames.get(page.index()) {
+            Some(pfd) => Ok(pfd),
+            None if page.index() < self.num_pages => Ok(&FREE_FRAME),
+            None => Err(MemError::BadFrame(page)),
+        }
     }
 
     /// Mutable access to the descriptor for `page`.
     pub fn get_mut(&mut self, page: PageNum) -> Result<&mut PageFrameDescriptor, MemError> {
-        self.frames
-            .get_mut(page.index())
-            .ok_or(MemError::BadFrame(page))
+        let i = page.index();
+        if i >= self.num_pages {
+            return Err(MemError::BadFrame(page));
+        }
+        if i >= self.frames.len() {
+            self.frames.resize(i + 1, PageFrameDescriptor::free());
+        }
+        Ok(&mut self.frames[i])
     }
 
     /// Allocates a frame for `owner` in state `state`.
@@ -161,8 +190,15 @@ impl PageFrameTable {
     /// real hypervisor `BUG()`s here, and this is how a double-applied
     /// non-idempotent hypercall retry eventually manifests.
     pub fn alloc(&mut self, owner: Option<DomId>, state: PageState) -> Result<PageNum, MemError> {
-        let page = self.free.pop().ok_or(MemError::OutOfMemory)?;
-        let pfd = &mut self.frames[page.index()];
+        let page = match self.freed.pop() {
+            Some(page) => page,
+            None if self.fresh < self.num_pages => {
+                self.fresh += 1;
+                PageNum::from_index(self.fresh - 1)
+            }
+            None => return Err(MemError::OutOfMemory),
+        };
+        let pfd = self.get_mut(page)?;
         if pfd.use_count != 0 || pfd.validated || pfd.state != PageState::Free {
             return Err(MemError::CorruptFrame(page));
         }
@@ -187,7 +223,7 @@ impl PageFrameTable {
         }
         pfd.owner = None;
         pfd.state = PageState::Free;
-        self.free.push(page);
+        self.freed.push(page);
         Ok(())
     }
 
@@ -225,7 +261,8 @@ impl PageFrameTable {
     /// Restores `validated == (use_count > 0)` on domain-owned frames and
     /// clears stray bits on free/heap frames. Returns the number of frames
     /// repaired. The cost is proportional to [`PageFrameTable::len`]; the
-    /// recovery latency model charges it accordingly.
+    /// recovery latency model charges it accordingly. (The host walks only
+    /// the stored prefix: untouched frames are clean.)
     pub fn consistency_scan(&mut self) -> usize {
         let mut fixed = 0;
         for pfd in &mut self.frames {
@@ -261,10 +298,42 @@ impl PageFrameTable {
 
     /// Iterates over `(page, descriptor)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (PageNum, &PageFrameDescriptor)> {
+        let untouched = self.num_pages - self.frames.len();
         self.frames
             .iter()
+            .chain(std::iter::repeat_n(&FREE_FRAME, untouched))
             .enumerate()
             .map(|(i, p)| (PageNum::from_index(i), p))
+    }
+}
+
+/// Renders exactly what `#[derive(Debug)]` rendered for the table when it
+/// stored every descriptor and the full free list.
+impl std::fmt::Debug for PageFrameTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        struct Frames<'a>(&'a PageFrameTable);
+        impl std::fmt::Debug for Frames<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list()
+                    .entries(self.0.iter().map(|(_, p)| p))
+                    .finish()
+            }
+        }
+        struct FreeStack<'a>(&'a PageFrameTable);
+        impl std::fmt::Debug for FreeStack<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                // Bottom first: the fresh tail, highest frame deepest.
+                let t = self.0;
+                let fresh = (t.fresh..t.num_pages).rev().map(PageNum::from_index);
+                f.debug_list()
+                    .entries(fresh.chain(t.freed.iter().copied()))
+                    .finish()
+            }
+        }
+        f.debug_struct("PageFrameTable")
+            .field("frames", &Frames(self))
+            .field("free", &FreeStack(self))
+            .finish()
     }
 }
 
@@ -530,7 +599,7 @@ mod tests {
         // Simulate corruption: force the frame back onto the free list with
         // a stale reference (what a double-applied retry produces).
         t.get_mut(p).unwrap().state = PageState::Free;
-        t.free.push(p);
+        t.freed.push(p);
         // Allocation of other pages is fine until the dirty one is popped.
         assert_eq!(
             t.alloc(None, PageState::DomainOwned),

@@ -18,11 +18,14 @@
 //! and guided goldens read their manifests too, and all of them check
 //! template sharing), and by specs built in code from [`MechanismSpec`]
 //! constructors. The first way pins the manifests themselves: a changed
-//! cell in `suite.manifest` shifts a count here.
+//! cell in `suite.manifest` shifts a count here. The sampled manifest
+//! goldens (device, overcommit, guided) run their cells as one suite
+//! through [`CampaignEngine::run_suite`], the path `campaign_server` takes,
+//! which runs independent sampled cells concurrently.
 
 use nilihype::campaign::{
-    BenchKind, CampaignEngine, CampaignSpec, ExecMode, MechanismSpec, NullSink, SamplingMode,
-    SetupKind, SuiteSpec,
+    BenchKind, CampaignEngine, CampaignSpec, CellOutput, ExecMode, MechanismSpec, NullSink,
+    SampledCampaign, SamplingMode, SetupKind, SuiteSpec,
 };
 use nilihype::hv::HandlerKind;
 use nilihype::inject::FaultType;
@@ -94,6 +97,35 @@ fn manifest_cells(manifest: &str, prefix: &str) -> Vec<CampaignSpec> {
         .into_iter()
         .map(|job| job.spec)
         .filter(|spec| spec.name.starts_with(prefix))
+        .collect()
+}
+
+/// Runs the cells of `manifest` whose job names start with `prefix` as one
+/// suite through `run_suite`, returning each spec with its sampled
+/// campaign, in suite order.
+fn run_sampled_suite(
+    engine: &CampaignEngine,
+    manifest: &str,
+    prefix: &str,
+) -> Vec<(CampaignSpec, SampledCampaign)> {
+    let mut suite = SuiteSpec::default();
+    for spec in manifest_cells(manifest, prefix) {
+        suite.push(spec);
+    }
+    let outcomes = engine
+        .run_suite(&suite, &mut NullSink)
+        .expect("checked-in manifest cells form a valid suite");
+    suite
+        .jobs
+        .into_iter()
+        .zip(outcomes)
+        .map(|(job, outcome)| {
+            assert_eq!(job.spec.name, outcome.name, "outcomes in suite order");
+            match outcome.cell.output {
+                CellOutput::Sampled(s) => (job.spec, s),
+                _ => panic!("{} is a sampled cell", outcome.name),
+            }
+        })
         .collect()
 }
 
@@ -249,23 +281,23 @@ fn golden_device_campaign_ring_repair_counts() {
 }
 
 /// The device campaign through the engine, from `suite.manifest`'s
-/// `device-*` jobs: every `GOLDEN_DEVICE` row, with the
+/// `device-*` jobs run as one suite: every `GOLDEN_DEVICE` row, with the
 /// virtqueue-consistency rung off and on. The rung must raise the recovery
 /// rate on every fault type, and all six sampled cells share one
 /// 2AppVM-vswitch template.
 #[test]
 fn golden_engine_device_campaign_failstop() {
     let engine = CampaignEngine::new();
-    let cells = manifest_cells(SUITE_MANIFEST, "device-");
+    let cells = run_sampled_suite(&engine, SUITE_MANIFEST, "device-");
     assert_eq!(cells.len(), 2 * GOLDEN_DEVICE.len());
     for &(fault, detected, without, with) in &GOLDEN_DEVICE {
         let run = |rung: LadderRung| {
-            let spec = cells
+            let (_, s) = cells
                 .iter()
-                .find(|s| s.fault == fault && s.mechanism == MechanismSpec::rung(rung))
+                .find(|(spec, _)| {
+                    spec.fault == fault && spec.mechanism == MechanismSpec::rung(rung)
+                })
                 .unwrap_or_else(|| panic!("suite.manifest has a {fault} cell at {rung:?}"));
-            let cell = engine.run_spec(spec, &mut NullSink);
-            let s = cell.sampled().expect("sampled cell");
             (s.successes + s.failures, s.successes)
         };
         let (detected_off, off) = run(LadderRung::ReactivateTimerEvents);
@@ -283,18 +315,20 @@ fn golden_engine_device_campaign_failstop() {
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
 
-/// The 2:1 steered arms of `overcommit.manifest`, summed per arm over the
-/// three fault types; all six cells share one Overcommit(2) template.
+/// The 2:1 steered arms of `overcommit.manifest`, run as one suite and
+/// summed per arm over the three fault types; all six cells share one
+/// Overcommit(2) template.
 #[test]
 fn golden_overcommit_steered_counts() {
     let engine = CampaignEngine::new();
-    let cells = manifest_cells(OVERCOMMIT_MANIFEST, "overcommit-2-steered-");
+    let cells = run_sampled_suite(&engine, OVERCOMMIT_MANIFEST, "overcommit-2-steered-");
     assert_eq!(cells.len(), 2 * FaultType::ALL.len());
     for &(mechanism, detected, successes) in &GOLDEN_OVERCOMMIT_STEERED {
         let mut sum = (0, 0);
-        for spec in cells.iter().filter(|s| s.mechanism.name() == mechanism) {
-            let cell = engine.run_spec(spec, &mut NullSink);
-            let s = cell.sampled().expect("sampled cell");
+        for (_, s) in cells
+            .iter()
+            .filter(|(spec, _)| spec.mechanism.name() == mechanism)
+        {
             sum.0 += s.successes + s.failures;
             sum.1 += s.successes;
         }
@@ -307,21 +341,19 @@ fn golden_overcommit_steered_counts() {
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
 }
 
-/// `guided.manifest`: the same seed corpus under uniform and
-/// coverage-guided sampling, sharing one 1AppVM template.
+/// `guided.manifest`, run as one suite: the same seed corpus under
+/// uniform and coverage-guided sampling, sharing one 1AppVM template.
 #[test]
 fn golden_guided_first_failure() {
     let engine = CampaignEngine::new();
-    let cells = manifest_cells(GUIDED_MANIFEST, "");
+    let cells = run_sampled_suite(&engine, GUIDED_MANIFEST, "");
     assert_eq!(cells.len(), GOLDEN_GUIDED.len());
-    for (spec, &(sampling, first, failures, successes)) in cells.iter().zip(&GOLDEN_GUIDED) {
+    for ((spec, s), &(sampling, first, failures, successes)) in cells.iter().zip(&GOLDEN_GUIDED) {
         assert!(
             matches!(spec.mode, ExecMode::Sampled { sampling: s, .. } if s == sampling),
             "job {} samples {sampling:?}",
             spec.name
         );
-        let cell = engine.run_spec(spec, &mut NullSink);
-        let s = cell.sampled().expect("sampled cell");
         assert_eq!(
             (
                 s.first_failure_trial.map(|i| i + 1),
