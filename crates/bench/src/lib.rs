@@ -4,7 +4,7 @@
 //!
 //! * `recovery` — wall-clock cost of a microreset vs microreboot recovery
 //!   pass over the simulated machine state (the simulated latencies are
-//!   reported by the `table2`/`table3` experiment binaries; this measures
+//!   reported by the `latency` experiment binary; this measures
 //!   the *implementation*).
 //! * `substrate` — hypervisor-substrate hot paths: stepping, the page-frame
 //!   scan, timer-heap churn, lock registry operations.

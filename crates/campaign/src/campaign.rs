@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use nlh_inject::FaultType;
-use nlh_sim::stats::{Histogram, Proportion};
+use nlh_sim::stats::Proportion;
 use serde::{Deserialize, Serialize};
 
 use crate::classify::TrialClass;
@@ -28,19 +28,10 @@ pub enum BootMode {
 
 /// Performance counters for one campaign run.
 ///
-/// Simulated-time histograms (recovery latency) are exact and
-/// deterministic; wall-clock numbers (trials/sec, setup-vs-run split)
-/// depend on the host and are reported for visibility only.
+/// `total_steps` is deterministic per campaign config; the wall-clock
+/// nanoseconds depend on the host and are reported for visibility only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignTelemetry {
-    /// How trials obtained their booted system.
-    pub boot_mode: BootMode,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock duration of the whole campaign, in seconds.
-    pub wall_secs: f64,
-    /// Trial throughput (trials / wall second).
-    pub trials_per_sec: f64,
     /// Wall-clock nanoseconds spent obtaining booted systems (cold boot or
     /// clone + reseed), summed over workers.
     pub setup_nanos: u64,
@@ -50,35 +41,6 @@ pub struct CampaignTelemetry {
     /// Simulation steps executed by all trial bodies (sum of
     /// [`TrialResult::steps`]). Deterministic per campaign config.
     pub total_steps: u64,
-    /// Stepper throughput: `total_steps` divided by wall-clock time spent
-    /// in trial bodies (`run_nanos`), in steps per second. Host-dependent;
-    /// this is the number the stepper fast path optimises.
-    pub steps_per_sec: f64,
-    /// Total recovery latency per recovered trial, in simulated
-    /// microseconds.
-    pub recovery_latency_us: Histogram,
-    /// Recovery latency per recovery phase (the step names of
-    /// Tables II/III), in simulated microseconds.
-    pub phase_latency_us: BTreeMap<String, Histogram>,
-    /// Boot-cache activity attributable to this campaign: the deltas of
-    /// the engine's shared cache around this cell (all zero under cold
-    /// boot). A campaign whose `(machine, setup)` template was already
-    /// resident shows `boot_cache.misses == 0` here — cross-campaign reuse
-    /// is observable per cell.
-    pub boot_cache: crate::boot_cache::CacheCounters,
-}
-
-impl CampaignTelemetry {
-    /// Fraction of measured worker time spent on setup (0 when nothing was
-    /// measured).
-    pub fn setup_fraction(&self) -> f64 {
-        let total = self.setup_nanos + self.run_nanos;
-        if total == 0 {
-            0.0
-        } else {
-            self.setup_nanos as f64 / total as f64
-        }
-    }
 }
 
 /// Aggregated results of a fault-injection campaign.
@@ -147,8 +109,6 @@ pub(crate) struct Shard {
     setup_nanos: u64,
     run_nanos: u64,
     steps: u64,
-    recovery_latency_us: Histogram,
-    phase_latency_us: BTreeMap<String, Histogram>,
 }
 
 impl Shard {
@@ -164,8 +124,6 @@ impl Shard {
             setup_nanos: 0,
             run_nanos: 0,
             steps: 0,
-            recovery_latency_us: Histogram::new(),
-            phase_latency_us: BTreeMap::new(),
         }
     }
 
@@ -195,28 +153,10 @@ impl Shard {
                 *self.failure_reasons.entry(key).or_insert(0) += 1;
             }
         }
-        if let Some(report) = &result.recovery {
-            self.recovery_latency_us
-                .add(report.total.as_micros() as f64);
-            for step in &report.steps {
-                self.phase_latency_us
-                    .entry(step.name.clone())
-                    .or_default()
-                    .add(step.duration.as_micros() as f64);
-            }
-        }
     }
 
     /// Packages the aggregated counts as a [`CampaignResult`].
-    pub(crate) fn into_result(
-        self,
-        fault: FaultType,
-        trials: u64,
-        boot_mode: BootMode,
-        workers: usize,
-        wall_secs: f64,
-        boot_cache: crate::boot_cache::CacheCounters,
-    ) -> CampaignResult {
+    pub(crate) fn into_result(self, fault: FaultType, trials: u64) -> CampaignResult {
         CampaignResult {
             mechanism: self.mechanism,
             fault,
@@ -228,25 +168,9 @@ impl Shard {
             no_vmf: self.no_vmf,
             failure_reasons: self.failure_reasons,
             telemetry: CampaignTelemetry {
-                boot_mode,
-                workers,
-                wall_secs,
-                trials_per_sec: if wall_secs > 0.0 {
-                    trials as f64 / wall_secs
-                } else {
-                    0.0
-                },
                 setup_nanos: self.setup_nanos,
                 run_nanos: self.run_nanos,
                 total_steps: self.steps,
-                steps_per_sec: if self.run_nanos > 0 {
-                    self.steps as f64 / (self.run_nanos as f64 / 1e9)
-                } else {
-                    0.0
-                },
-                recovery_latency_us: self.recovery_latency_us,
-                phase_latency_us: self.phase_latency_us,
-                boot_cache,
             },
         }
     }
@@ -255,13 +179,13 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CampaignEngine;
+    use crate::engine::{CampaignEngine, CellResult};
     use crate::setup::{BenchKind, SetupKind};
     use crate::spec::CampaignSpec;
     use crate::stream::NullSink;
 
-    /// A fresh-engine NiLiHype campaign on the 1AppVM/UnixBench setup.
-    fn run(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CampaignResult {
+    /// A fresh-engine NiLiHype cell on the 1AppVM/UnixBench setup.
+    fn cell(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CellResult {
         let mut spec = CampaignSpec::new(
             "cell",
             SetupKind::OneAppVm(BenchKind::UnixBench),
@@ -270,8 +194,14 @@ mod tests {
         );
         spec.seed = seed;
         spec.boot = boot;
-        let cell = CampaignEngine::new().run_spec(&spec, &mut NullSink);
-        cell.sharded().expect("sharded cell").clone()
+        CampaignEngine::new().run_spec(&spec, &mut NullSink)
+    }
+
+    fn run(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CampaignResult {
+        cell(fault, trials, seed, boot)
+            .sharded()
+            .expect("sharded cell")
+            .clone()
     }
 
     #[test]
@@ -297,50 +227,31 @@ mod tests {
 
     #[test]
     fn warm_and_cold_campaigns_agree() {
-        let warm = run(FaultType::Failstop, 12, 321, BootMode::Warm);
-        let cold = run(FaultType::Failstop, 12, 321, BootMode::Cold);
-        assert_eq!(warm.successes, cold.successes);
-        assert_eq!(warm.detected, cold.detected);
-        assert_eq!(warm.failure_reasons, cold.failure_reasons);
-        assert_eq!(warm.telemetry.total_steps, cold.telemetry.total_steps);
-        // The simulated-latency histograms are deterministic, so they must
-        // agree exactly too.
+        let warm = cell(FaultType::Failstop, 12, 321, BootMode::Warm);
+        let cold = cell(FaultType::Failstop, 12, 321, BootMode::Cold);
+        // Per-trial results, recovery reports included, are deterministic;
+        // the aggregate is their fold.
+        assert_eq!(warm.per_trial, cold.per_trial);
         assert_eq!(
-            warm.telemetry.recovery_latency_us,
-            cold.telemetry.recovery_latency_us
-        );
-        assert_eq!(
-            warm.telemetry.phase_latency_us,
-            cold.telemetry.phase_latency_us
-        );
-        assert_eq!(cold.telemetry.boot_mode, BootMode::Cold);
-        assert_eq!(
-            cold.telemetry.boot_cache,
+            cold.cache,
             Default::default(),
             "cold cells never touch the cache"
         );
     }
 
     #[test]
-    fn telemetry_counts_recoveries_and_time() {
-        let r = run(FaultType::Failstop, 8, 5, BootMode::Warm);
+    fn telemetry_counts_steps_and_time() {
+        let cell = cell(FaultType::Failstop, 8, 5, BootMode::Warm);
+        let r = cell.sharded().unwrap();
         let t = &r.telemetry;
-        assert_eq!(t.boot_mode, BootMode::Warm);
-        assert!(t.workers >= 1);
-        assert_eq!(t.recovery_latency_us.count(), r.detected);
-        assert!(t.trials_per_sec > 0.0);
         assert!(t.setup_nanos > 0 && t.run_nanos > 0);
-        assert!(t.setup_fraction() > 0.0 && t.setup_fraction() < 1.0);
         assert!(t.total_steps > 0, "trial bodies execute steps");
-        assert!(t.steps_per_sec > 0.0);
-        // A fresh engine builds one template and serves the rest.
-        assert_eq!(t.boot_cache.misses, 1);
-        assert_eq!(t.boot_cache.hits, r.trials - 1);
-        assert_eq!(t.boot_cache.resident_templates, 1);
-        // Phase histograms carry the per-step breakdown of Table III.
-        assert!(!t.phase_latency_us.is_empty());
-        for h in t.phase_latency_us.values() {
-            assert!(h.count() <= r.detected);
-        }
+        assert_eq!(
+            t.total_steps,
+            cell.per_trial.iter().map(|tr| tr.steps).sum::<u64>()
+        );
+        // Every detected trial carries its recovery report.
+        let reports = cell.per_trial.iter().filter(|tr| tr.recovery.is_some());
+        assert_eq!(reports.count() as u64, r.detected);
     }
 }

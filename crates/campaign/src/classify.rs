@@ -141,6 +141,7 @@ pub fn classify(
 
     match layout.setup {
         SetupKind::OneAppVm(_)
+        | SetupKind::OneHvmAppVm(_)
         | SetupKind::TwoAppVmSharedCpu
         | SetupKind::TwoAppVmVswitch
         | SetupKind::Overcommit(_) => {

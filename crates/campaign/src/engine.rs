@@ -57,8 +57,9 @@ use crate::trial::{run_trial_with, TrialConfig, TrialResult, TrialRunOptions};
 pub enum CellOutput {
     /// A sharded cell's aggregate.
     Sharded(CampaignResult),
-    /// A sampled cell's coverage-map campaign.
-    Sampled(SampledCampaign),
+    /// A sampled cell's coverage-map campaign (boxed: its coverage map
+    /// and failure record dwarf a sharded aggregate).
+    Sampled(Box<SampledCampaign>),
 }
 
 /// Everything the engine knows about a finished cell.
@@ -96,7 +97,7 @@ impl CellResult {
     /// The sampled campaign, if this was a sampled cell.
     pub fn sampled(&self) -> Option<&SampledCampaign> {
         match &self.output {
-            CellOutput::Sampled(s) => Some(s),
+            CellOutput::Sampled(s) => Some(s.as_ref()),
             CellOutput::Sharded(_) => None,
         }
     }
@@ -434,14 +435,13 @@ impl CampaignEngine {
         let cache = cache.counters(results.len() as u64);
         let executed = stopped_at.unwrap_or(results.len() as u64);
         results.truncate(executed as usize);
-        let wall_secs = started.elapsed().as_secs_f64();
 
         let mut shard = Shard::new(spec.mechanism.name());
         for r in &results {
             shard.add(r);
         }
         shard.add_nanos(setup_nanos, run_nanos);
-        let result = shard.into_result(spec.fault, executed, spec.boot, threads, wall_secs, cache);
+        let result = shard.into_result(spec.fault, executed);
 
         sink.snapshot(&Self::sharded_snapshot(
             spec, executed, cache, started, stopped_at, true, &results,
@@ -570,7 +570,7 @@ impl CampaignEngine {
             wall_secs: started.elapsed().as_secs_f64(),
         });
         CellResult {
-            output: CellOutput::Sampled(sampled),
+            output: CellOutput::Sampled(Box::new(sampled)),
             executed,
             stopped_at,
             cache,

@@ -23,7 +23,6 @@ mod campaign;
 mod classify;
 mod coverage;
 mod engine;
-mod ladder;
 mod overhead;
 mod record;
 mod setup;
@@ -39,7 +38,6 @@ pub use coverage::{
     run_sampled_campaign_in, CoverageMap, SampledCampaign, SamplingMode, DEFAULT_OPS_WINDOWS,
 };
 pub use engine::{CampaignEngine, CellOutput, CellResult, JobOutcome, SuiteError};
-pub use ladder::{run_ladder_on, LadderRow};
 pub use nlh_core::MechanismSpec;
 pub use overhead::{measure_hv_cycles, overhead_percent, OverheadPoint};
 pub use record::{

@@ -41,6 +41,11 @@ pub enum SetupKind {
     /// PrivVM + one AppVM running the given benchmark for ~10 s. Used for
     /// the measurement-driven ladders; "success" means **no** VM affected.
     OneAppVm(BenchKind),
+    /// [`SetupKind::OneAppVm`] with a fully hardware-virtualized
+    /// ([`DomainKind::AppHvm`]) AppVM, whose syscalls do not trap through
+    /// the hypervisor — the paper's HVM future-work configuration. Same
+    /// durations, trigger window and success rule as `OneAppVm`.
+    OneHvmAppVm(BenchKind),
     /// PrivVM + UnixBench AppVM + NetBench AppVM (~24 s); a third,
     /// BlkBench-running AppVM is created after recovery. "Success" means
     /// at most one AppVM affected and the hypervisor still operates
@@ -69,6 +74,7 @@ impl SetupKind {
     pub fn bench_duration(self) -> SimDuration {
         match self {
             SetupKind::OneAppVm(_)
+            | SetupKind::OneHvmAppVm(_)
             | SetupKind::TwoAppVmSharedCpu
             | SetupKind::TwoAppVmVswitch
             | SetupKind::Overcommit(_) => SimDuration::from_secs(10),
@@ -80,6 +86,7 @@ impl SetupKind {
     pub fn trial_duration(self) -> SimDuration {
         match self {
             SetupKind::OneAppVm(_)
+            | SetupKind::OneHvmAppVm(_)
             | SetupKind::TwoAppVmSharedCpu
             | SetupKind::TwoAppVmVswitch
             | SetupKind::Overcommit(_) => SimDuration::from_secs(13),
@@ -93,6 +100,7 @@ impl SetupKind {
     pub fn trigger_window(self) -> (SimTime, SimTime) {
         match self {
             SetupKind::OneAppVm(_)
+            | SetupKind::OneHvmAppVm(_)
             | SetupKind::TwoAppVmSharedCpu
             | SetupKind::TwoAppVmVswitch
             | SetupKind::Overcommit(_) => (SimTime::from_secs(1), SimTime::from_secs(9)),
@@ -155,6 +163,7 @@ pub fn build_system(
 
     let (create_at, post_recovery_app) = match setup {
         SetupKind::OneAppVm(_)
+        | SetupKind::OneHvmAppVm(_)
         | SetupKind::TwoAppVmSharedCpu
         | SetupKind::TwoAppVmVswitch
         | SetupKind::Overcommit(_) => (None, None),
@@ -191,9 +200,13 @@ pub fn build_system(
             initial_apps.push((d2, BenchKind::NetBench));
             hv.attach_net_traffic(d2, SimDuration::from_millis(1));
         }
-        SetupKind::OneAppVm(kind) => {
+        SetupKind::OneAppVm(kind) | SetupKind::OneHvmAppVm(kind) => {
             let dom = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
+                kind: if matches!(setup, SetupKind::OneHvmAppVm(_)) {
+                    DomainKind::AppHvm
+                } else {
+                    DomainKind::App
+                },
                 pages: APP_PAGES,
                 pinned_cpu: CpuId(1),
                 program: make_bench(kind, seed ^ 0xA1, dur, tls),
@@ -344,6 +357,19 @@ mod tests {
         assert_eq!(layout.initial_apps.len(), 1);
         assert!(layout.create_at.is_none());
         assert!(hv.net.is_none());
+    }
+
+    #[test]
+    fn one_hvm_appvm_layout() {
+        let (hv, layout) = build_system(
+            MachineConfig::small(),
+            SetupKind::OneHvmAppVm(BenchKind::UnixBench),
+            1,
+        );
+        assert_eq!(hv.domains.len(), 2);
+        assert_eq!(hv.domains[1].kind, DomainKind::AppHvm);
+        assert_eq!(layout.initial_apps.len(), 1);
+        assert!(layout.create_at.is_none());
     }
 
     #[test]

@@ -207,6 +207,7 @@ impl SuiteSpec {
 pub fn setup_manifest_name(setup: SetupKind) -> String {
     match setup {
         SetupKind::OneAppVm(bench) => format!("OneAppVm({bench})"),
+        SetupKind::OneHvmAppVm(bench) => format!("OneHvmAppVm({bench})"),
         SetupKind::ThreeAppVm => "ThreeAppVm".into(),
         SetupKind::TwoAppVmSharedCpu => "TwoAppVmSharedCpu".into(),
         SetupKind::TwoAppVmVswitch => "TwoAppVmVswitch".into(),
@@ -222,11 +223,9 @@ pub fn parse_setup(s: &str) -> Option<SetupKind> {
         "TwoAppVmVswitch" => return Some(SetupKind::TwoAppVmVswitch),
         _ => {}
     }
-    if let Some(inner) = s
-        .strip_prefix("OneAppVm(")
-        .and_then(|r| r.strip_suffix(')'))
-    {
-        let bench = [
+    let (head, inner) = s.strip_suffix(')')?.split_once('(')?;
+    let bench = || {
+        [
             BenchKind::BlkBench,
             BenchKind::UnixBench,
             BenchKind::NetBench,
@@ -234,16 +233,14 @@ pub fn parse_setup(s: &str) -> Option<SetupKind> {
             BenchKind::VirtioNetBench,
         ]
         .into_iter()
-        .find(|b| b.to_string() == inner)?;
-        return Some(SetupKind::OneAppVm(bench));
+        .find(|b| b.to_string() == inner)
+    };
+    match head {
+        "OneAppVm" => bench().map(SetupKind::OneAppVm),
+        "OneHvmAppVm" => bench().map(SetupKind::OneHvmAppVm),
+        "Overcommit" => inner.parse().ok().map(SetupKind::Overcommit),
+        _ => None,
     }
-    if let Some(inner) = s
-        .strip_prefix("Overcommit(")
-        .and_then(|r| r.strip_suffix(')'))
-    {
-        return inner.parse().ok().map(SetupKind::Overcommit);
-    }
-    None
 }
 
 /// A partially parsed manifest job.
@@ -397,6 +394,8 @@ mod tests {
             SetupKind::OneAppVm(BenchKind::NetBench),
             SetupKind::OneAppVm(BenchKind::VirtioBlkBench),
             SetupKind::OneAppVm(BenchKind::VirtioNetBench),
+            SetupKind::OneHvmAppVm(BenchKind::UnixBench),
+            SetupKind::OneHvmAppVm(BenchKind::NetBench),
             SetupKind::ThreeAppVm,
             SetupKind::TwoAppVmSharedCpu,
             SetupKind::TwoAppVmVswitch,
@@ -407,6 +406,8 @@ mod tests {
         }
         assert_eq!(parse_setup("FourAppVm"), None);
         assert_eq!(parse_setup("Overcommit(x)"), None);
+        assert_eq!(parse_setup("OneHvmAppVm(Bench)"), None);
+        assert_eq!(parse_setup("OneAppVm(UnixBench))"), None);
     }
 
     #[test]

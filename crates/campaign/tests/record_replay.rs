@@ -33,6 +33,8 @@ fn setups() -> impl Strategy<Value = SetupKind> {
         Just(SetupKind::OneAppVm(BenchKind::UnixBench)),
         Just(SetupKind::OneAppVm(BenchKind::BlkBench)),
         Just(SetupKind::OneAppVm(BenchKind::NetBench)),
+        // An HVM AppVM: syscalls stay inside the guest.
+        Just(SetupKind::OneHvmAppVm(BenchKind::UnixBench)),
         Just(SetupKind::ThreeAppVm),
         Just(SetupKind::TwoAppVmSharedCpu),
     ]

@@ -8,12 +8,19 @@
 //! each template build once. Telemetry streams to stdout while cells run —
 //! per-cell recovery rate with its 95% Wilson interval tightening live —
 //! then a table with one line per cell, and `--json FILE` writes a
-//! machine-readable suite summary (the CI artifact). Sampled cells also
+//! machine-readable suite summary (the CI artifact). Sharded cells also
+//! report their non-manifested, SDC and noVMF counts in the JSON (Figure
+//! 2's noVMF column and the Section VII-A breakdown). Sampled cells also
 //! report their first residual failure and coverage; the JSON embeds each
 //! one's handler × ops-window coverage map.
 //!
 //! The checked-in manifests under `crates/experiments/manifests/`:
 //!
+//! * `table1.manifest` — Table I: the eight enhancement-ladder rungs.
+//! * `fig2.manifest` — Figure 2: NiLiHype and ReHype on 3AppVM, one cell
+//!   per fault type.
+//! * `extensions.manifest` — the Section IX future-work configurations:
+//!   shared CPUs and an HVM AppVM, next to their baselines.
 //! * `ci_suite.manifest` — three cells, one per campaign family, with a
 //!   dependency edge so the job graph is exercised.
 //! * `suite.manifest` — the quick-scale campaign suite: all eight Table I
@@ -149,6 +156,11 @@ fn json_job(out: &mut String, outcome: &JobOutcome, last: bool) {
     let _ = writeln!(out, "      \"rate\": {:.6},", p.value());
     let _ = writeln!(out, "      \"wilson_lo\": {lo:.6},");
     let _ = writeln!(out, "      \"wilson_hi\": {hi:.6},");
+    if let Some(r) = cell.sharded() {
+        let _ = writeln!(out, "      \"non_manifested\": {},", r.non_manifested);
+        let _ = writeln!(out, "      \"sdc\": {},", r.sdc);
+        let _ = writeln!(out, "      \"no_vmf\": {},", r.no_vmf);
+    }
     if let Some(s) = cell.sampled() {
         let first = s.first_failure_trial.map(|i| i + 1);
         let map = s.coverage.to_json();
@@ -292,7 +304,9 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlh_campaign::{CellResult, CoverageMap, SampledCampaign, SamplingMode};
+    use nlh_campaign::{
+        CampaignResult, CampaignTelemetry, CellResult, CoverageMap, SampledCampaign, SamplingMode,
+    };
 
     #[test]
     fn json_summary_escapes_names_and_label() {
@@ -308,7 +322,7 @@ mod tests {
         let outcome = JobOutcome {
             name: "a\"b\\c\u{1}".into(),
             cell: CellResult {
-                output: CellOutput::Sampled(sampled),
+                output: CellOutput::Sampled(Box::new(sampled)),
                 executed: 2,
                 stopped_at: None,
                 cache: CacheCounters::default(),
@@ -326,5 +340,46 @@ mod tests {
         assert!(json.contains("\"first_failure\": 1,"), "{json}");
         assert!(json.contains("\"covered_cells\": 0,"), "{json}");
         assert!(!json.chars().any(|c| c.is_control() && c != '\n'), "{json}");
+    }
+
+    #[test]
+    fn json_summary_reports_sharded_breakdown() {
+        let result = CampaignResult {
+            mechanism: "NiLiHype".into(),
+            fault: FaultType::Register,
+            trials: 10,
+            non_manifested: 6,
+            sdc: 1,
+            detected: 3,
+            successes: 2,
+            no_vmf: 1,
+            failure_reasons: Default::default(),
+            telemetry: CampaignTelemetry {
+                setup_nanos: 0,
+                run_nanos: 0,
+                total_steps: 0,
+            },
+        };
+        let outcome = JobOutcome {
+            name: "fig2-NiLiHype-Register".into(),
+            cell: CellResult {
+                output: CellOutput::Sharded(result),
+                executed: 10,
+                stopped_at: None,
+                cache: CacheCounters::default(),
+                per_trial: Vec::new(),
+            },
+        };
+        let json = json_summary("fig2", &[outcome], 0.5, CacheCounters::default());
+        for field in [
+            "\"detected\": 3,",
+            "\"successes\": 2,",
+            "\"non_manifested\": 6,",
+            "\"sdc\": 1,",
+            "\"no_vmf\": 1,",
+        ] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
+        assert!(!json.contains("coverage"), "{json}");
     }
 }

@@ -1,31 +1,28 @@
 //! Shared helpers for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper's evaluation; see `EXPERIMENTS.md` at the workspace root for the
-//! index and for paper-vs-measured comparisons.
+//! paper's evaluation that is not a fault-injection campaign cell; see
+//! `EXPERIMENTS.md` at the workspace root for the index and for
+//! paper-vs-measured comparisons. Every campaign — Table I, Figure 2, the
+//! §IX extensions, the ablations — is a manifest under
+//! `crates/experiments/manifests/`, run by `campaign_server`.
 //!
 //! The binaries that parse [`ExpOptions`] accept:
 //!
-//! * `--trials N` — trials per campaign (defaults are sized to finish in a
+//! * `--trials N` — runs per measurement (defaults are sized to finish in a
 //!   couple of minutes; the paper-scale counts are documented per binary).
-//! * `--full` — use the paper's campaign sizes (1000 Failstop / 5000
-//!   Register / 2000 Code, 1000 per ladder rung).
+//! * `--full` — use the paper-scale counts.
 //! * `--seed S` — base seed (default 2018, the year of the paper).
 //!
 //! That is every binary except `campaign_server` and `replay`, which take
 //! their own flags (`campaign_server --help` prints its usage; `replay`
-//! prints its usage on an unknown argument). `campaign_server` runs every
-//! campaign stated as data: the manifests under
-//! `crates/experiments/manifests/`, including the one-knob ablations
-//! (`ablations.manifest`).
+//! prints its usage on an unknown argument).
 //!
 //! Campaigns warm-start every trial from the campaign engine's boot cache;
 //! a manifest job with `boot = cold` boots each of its trials from scratch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use nlh_campaign::CampaignTelemetry;
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone)]
@@ -78,51 +75,9 @@ impl ExpOptions {
     }
 }
 
-/// Prints a one-line summary of a campaign's performance counters:
-/// throughput, boot mode, and the wall-clock setup-vs-run split.
-pub fn print_throughput(label: &str, t: &CampaignTelemetry) {
-    println!(
-        "[{label}] {:.0} trials/s on {} workers ({:?} boot, {:.1}% of worker time in setup)",
-        t.trials_per_sec,
-        t.workers,
-        t.boot_mode,
-        t.setup_fraction() * 100.0,
-    );
-}
-
-/// Prints the simulated recovery-latency distribution of a campaign:
-/// total latency quantiles plus the per-phase breakdown (Tables II/III).
-pub fn print_latency(label: &str, t: &CampaignTelemetry) {
-    let h = &t.recovery_latency_us;
-    if h.count() == 0 {
-        println!("[{label}] no recoveries, no latency distribution");
-        return;
-    }
-    println!(
-        "[{label}] recovery latency over {} recoveries: mean {:.0} us, p50 ~{:.0} us, p99 ~{:.0} us",
-        h.count(),
-        h.mean(),
-        h.quantile(0.5),
-        h.quantile(0.99),
-    );
-    for (phase, ph) in &t.phase_latency_us {
-        println!(
-            "    {:30} mean {:>8.1} us  (n={})",
-            phase,
-            ph.mean(),
-            ph.count()
-        );
-    }
-}
-
 /// Prints a horizontal rule sized for the standard table width.
 pub fn hr() {
     println!("{}", "-".repeat(78));
-}
-
-/// Formats a proportion as the paper does.
-pub fn pct(p: nlh_sim::stats::Proportion) -> String {
-    format!("{p}")
 }
 
 #[cfg(test)]

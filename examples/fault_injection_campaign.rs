@@ -7,7 +7,7 @@ use nilihype::inject::FaultType;
 
 fn main() {
     println!("Running 3x60 fault-injection trials against NiLiHype (3AppVM setup)...");
-    println!("(the fig2 experiment binary runs the paper-scale campaigns)");
+    println!("(campaign_server runs the full Figure 2 grid from fig2.manifest)");
     println!();
     // One engine: the three campaigns share a single 3AppVM boot template.
     let engine = CampaignEngine::new();

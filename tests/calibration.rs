@@ -3,15 +3,17 @@
 //! matching — our substrate is a simulator, not the authors' testbed).
 //!
 //! Tolerances here are loose enough to be stable across seeds with the
-//! modest trial counts a test suite can afford; the experiment binaries run
-//! the paper-scale campaigns.
+//! modest trial counts a test suite can afford; the manifests under
+//! `crates/experiments/manifests/` run the full-size campaigns.
 
 use nilihype::campaign::{
-    run_ladder_on, BenchKind, CampaignEngine, CampaignResult, CampaignSpec, MechanismSpec,
-    NullSink, SetupKind,
+    BenchKind, CampaignEngine, CampaignResult, CampaignSpec, MechanismSpec, NullSink, SetupKind,
+    SuiteSpec,
 };
 use nilihype::inject::FaultType;
 use nilihype::recovery::LadderRung;
+
+const TABLE1_MANIFEST: &str = include_str!("../crates/experiments/manifests/table1.manifest");
 
 /// Runs a sharded campaign cell of `mechanism` on `engine`.
 fn campaign(
@@ -29,12 +31,24 @@ fn campaign(
     cell.sharded().expect("sharded cell").clone()
 }
 
+/// The eight rung cells of `table1.manifest`, at 150 trials each.
 #[test]
 fn table1_ladder_tracks_paper_shape() {
-    let rows = run_ladder_on(&CampaignEngine::new(), 150, 2018);
-    let rates: Vec<f64> = rows
-        .iter()
-        .map(|r| r.result.success_rate().value())
+    let engine = CampaignEngine::new();
+    let cells = SuiteSpec::parse(TABLE1_MANIFEST)
+        .expect("table1.manifest parses")
+        .jobs;
+    let rungs: Vec<_> = cells.iter().map(|job| job.spec.mechanism).collect();
+    let expected: Vec<_> = LadderRung::ALL.map(MechanismSpec::rung).to_vec();
+    assert_eq!(rungs, expected, "table1.manifest runs every rung, in order");
+    let rates: Vec<f64> = cells
+        .into_iter()
+        .map(|job| {
+            let mut spec = job.spec;
+            spec.trials = 150;
+            let cell = engine.run_spec(&spec, &mut NullSink);
+            cell.sharded().expect("sharded cell").success_rate().value()
+        })
         .collect();
     // Row anchors (paper: 0, 16.0, 51.8, 82.2, 95.0, 96.1, ~97).
     assert!(rates[0] < 0.02, "Basic ~0%: {}", rates[0]);

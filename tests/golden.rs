@@ -12,22 +12,19 @@
 //! constants: print the actual values (each assertion message carries
 //! them) and update the tables below.
 //!
-//! The Table I, Figure 2 and device tables are reached two ways through
-//! [`CampaignEngine`]: by running the cells of the checked-in manifests
-//! that `campaign_server` runs (the `golden_engine_*` tests; the overcommit
-//! and guided goldens read their manifests too, and all of them check
-//! template sharing), and by specs built in code from [`MechanismSpec`]
-//! constructors. The first way pins the manifests themselves: a changed
-//! cell in `suite.manifest` shifts a count here. The sampled manifest
-//! goldens (device, overcommit, guided) run their cells as one suite
-//! through [`CampaignEngine::run_suite`], the path `campaign_server` takes,
-//! which runs independent sampled cells concurrently.
+//! Every golden is reached the way `campaign_server` reaches it: through
+//! [`CampaignEngine`], from the cells of the checked-in manifests it runs.
+//! That pins the manifests themselves: a changed cell in `suite.manifest`
+//! shifts a count here, and each test also checks which cells it found
+//! and that they share one template build. The sampled manifest goldens (device,
+//! overcommit, guided) run their cells as one suite through
+//! [`CampaignEngine::run_suite`], the path `campaign_server` takes, which
+//! runs independent sampled cells concurrently.
 
 use nilihype::campaign::{
-    BenchKind, CampaignEngine, CampaignSpec, CellOutput, ExecMode, MechanismSpec, NullSink,
-    SampledCampaign, SamplingMode, SetupKind, SuiteSpec,
+    CampaignEngine, CampaignSpec, CellOutput, ExecMode, MechanismSpec, NullSink, SampledCampaign,
+    SamplingMode, SuiteSpec,
 };
-use nilihype::hv::HandlerKind;
 use nilihype::inject::FaultType;
 use nilihype::recovery::LadderRung;
 
@@ -122,34 +119,11 @@ fn run_sampled_suite(
         .map(|(job, outcome)| {
             assert_eq!(job.spec.name, outcome.name, "outcomes in suite order");
             match outcome.cell.output {
-                CellOutput::Sampled(s) => (job.spec, s),
+                CellOutput::Sampled(s) => (job.spec, *s),
                 _ => panic!("{} is a sampled cell", outcome.name),
             }
         })
         .collect()
-}
-
-/// The Table I ladder from specs built in code.
-#[test]
-fn golden_table1_ladder_counts() {
-    let engine = CampaignEngine::new();
-    for (&rung, &(idx, detected, successes, no_vmf)) in LadderRung::ALL.iter().zip(&GOLDEN_LADDER) {
-        let mut spec = CampaignSpec::new(
-            format!("ladder-{}", rung.name()),
-            SetupKind::OneAppVm(BenchKind::UnixBench),
-            FaultType::Failstop,
-            40,
-        );
-        spec.seed = 2018;
-        spec.mechanism = MechanismSpec::rung(rung);
-        let cell = engine.run_spec(&spec, &mut NullSink);
-        let r = cell.sharded().expect("sharded cell");
-        assert_eq!(
-            (idx, r.detected, r.successes, r.no_vmf),
-            (idx, detected, successes, no_vmf),
-            "ladder rung {rung:?} drifted (index, detected, successes, no_vmf)"
-        );
-    }
 }
 
 /// The Table I ladder through the engine, from `suite.manifest`'s
@@ -175,40 +149,6 @@ fn golden_engine_table1_ladder_counts() {
     let stats = engine.cache().counters();
     assert_eq!(stats.misses, 1, "ladder shares one template build");
     assert_eq!(stats.hits, 8 * 40 - 1);
-}
-
-/// Runs the three Figure 2 cells of `mechanism` from specs built in code
-/// and checks them against `GOLDEN_FIG2`.
-fn assert_fig2_goldens(mechanism: MechanismSpec) {
-    let label = mechanism.name();
-    let engine = CampaignEngine::new();
-    for &(fault, expect) in &GOLDEN_FIG2 {
-        let mut spec = CampaignSpec::new(
-            format!("fig2-{label}-{fault}"),
-            SetupKind::ThreeAppVm,
-            fault,
-            30,
-        );
-        spec.seed = 77;
-        spec.mechanism = mechanism;
-        let cell = engine.run_spec(&spec, &mut NullSink);
-        let r = cell.sharded().expect("sharded cell");
-        let got = [r.non_manifested, r.sdc, r.detected, r.successes, r.no_vmf];
-        assert_eq!(
-            got, expect,
-            "fig2 {label} {fault} drifted (non_manifested, sdc, detected, successes, no_vmf)"
-        );
-    }
-}
-
-#[test]
-fn golden_fig2_nilihype_counts() {
-    assert_fig2_goldens(MechanismSpec::nilihype());
-}
-
-#[test]
-fn golden_fig2_rehype_counts() {
-    assert_fig2_goldens(MechanismSpec::rehype());
 }
 
 /// Figure 2 through the engine, from `suite.manifest`'s `fig2-*` jobs:
@@ -239,45 +179,6 @@ fn golden_engine_fig2_counts() {
         );
     }
     assert_eq!(engine.cache().counters().misses, 1, "six cells, one build");
-}
-
-/// The device campaign from specs built in code: every `GOLDEN_DEVICE`
-/// row, with the virtqueue-consistency rung off and on.
-#[test]
-fn golden_device_campaign_ring_repair_counts() {
-    let engine = CampaignEngine::new();
-    for &(fault, detected, without, with) in &GOLDEN_DEVICE {
-        let run = |rung: LadderRung| {
-            let mut spec = CampaignSpec::new(
-                format!("device-{}-{fault}", rung.name()),
-                SetupKind::TwoAppVmVswitch,
-                fault,
-                20,
-            );
-            spec.seed = 2018;
-            spec.mode = ExecMode::Sampled {
-                windows: 8,
-                sampling: SamplingMode::CoverageGuided,
-                steer_handler: Some(HandlerKind::VirtioMmio),
-                depth_cycle: 1,
-            };
-            spec.mechanism = MechanismSpec::rung(rung);
-            let cell = engine.run_spec(&spec, &mut NullSink);
-            let s = cell.sampled().expect("sampled cell");
-            (s.successes + s.failures, s.successes)
-        };
-        let (detected_off, off) = run(LadderRung::ReactivateTimerEvents);
-        let (detected_on, on) = run(LadderRung::VirtqueueConsistency);
-        assert_eq!(
-            (detected_off, detected_on, off, on),
-            (detected, detected, without, with),
-            "device campaign {fault} drifted (detected_off, detected_on, succ_without, succ_with)"
-        );
-        assert!(
-            on > off,
-            "{fault}: ring-consistency rung must raise the recovery rate"
-        );
-    }
 }
 
 /// The device campaign through the engine, from `suite.manifest`'s
