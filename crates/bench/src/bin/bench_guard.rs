@@ -1,8 +1,9 @@
 //! CI bench regression guard: diffs a fresh `BENCH_stepper.json` against
 //! the checked-in `BENCH_floors.json` and fails (exit 1) when any
 //! section's `steps_per_sec` falls more than 10% below its floor, or when
-//! a determinism counter (`frames_forwarded`, `sched_mutations`) differs
-//! from its golden value at the same step count.
+//! a determinism counter (`state_digest`, `frames_forwarded`,
+//! `sched_mutations`) differs from its golden value at the same step
+//! count.
 //!
 //! Floors are deliberately conservative (see the comment in
 //! `BENCH_floors.json`): the guard exists to catch dispatch-path
@@ -83,7 +84,7 @@ fn main() {
         // Determinism counters are exact goldens, meaningful only when the
         // fresh run used the floors' step count.
         if field(&floors, "steps") == field(&fresh, "steps") {
-            for counter in ["frames_forwarded", "sched_mutations"] {
+            for counter in ["state_digest", "frames_forwarded", "sched_mutations"] {
                 if let Some(want) = field(fl, counter) {
                     match field(fr, counter) {
                         Some(got) if got == want => {

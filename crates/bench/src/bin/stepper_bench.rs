@@ -103,6 +103,9 @@ fn main() {
     let batched_steps = hv.steps_executed() - before;
     let batched_allocs = ALLOCS.load(Ordering::Relaxed) - a1;
     let batched_rate = batched_steps as f64 / batched_secs;
+    // The 1AppVM machine's whole simulated state after both sections: a
+    // speed-up that changed one RNG draw or one bound page moves it.
+    let state_digest = hv.state_digest();
 
     // Virtio datapath (PR 7): the 2AppVM vswitch workload, where every
     // queue-notify handler walks a descriptor-ring transaction and tx
@@ -145,7 +148,7 @@ fn main() {
     let oc_rate = oc_steps as f64 / oc_secs;
 
     let json = format!(
-        "{{\n  \"workload\": \"warm_trial/1appvm_unixbench\",\n  \"steps\": {steps},\n  \"per_step\": {{\n    \"path\": \"injector_counting\",\n    \"steps_per_sec\": {per_step_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"batched\": {{\n    \"steps_per_sec\": {batched_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"virtio\": {{\n    \"workload\": \"warm_trial/2appvm_vswitch\",\n    \"steps_per_sec\": {virtio_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"frames_forwarded\": {virtio_frames}\n  }},\n  \"overcommit\": {{\n    \"workload\": \"warm_trial/overcommit_4to1\",\n    \"steps_per_sec\": {oc_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"sched_mutations\": {oc_mutations}\n  }}\n}}\n",
+        "{{\n  \"workload\": \"warm_trial/1appvm_unixbench\",\n  \"steps\": {steps},\n  \"per_step\": {{\n    \"path\": \"injector_counting\",\n    \"steps_per_sec\": {per_step_rate:.0},\n    \"allocs_per_step\": {:.6}\n  }},\n  \"batched\": {{\n    \"steps_per_sec\": {batched_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"state_digest\": {state_digest}\n  }},\n  \"virtio\": {{\n    \"workload\": \"warm_trial/2appvm_vswitch\",\n    \"steps_per_sec\": {virtio_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"frames_forwarded\": {virtio_frames}\n  }},\n  \"overcommit\": {{\n    \"workload\": \"warm_trial/overcommit_4to1\",\n    \"steps_per_sec\": {oc_rate:.0},\n    \"allocs_per_step\": {:.6},\n    \"sched_mutations\": {oc_mutations}\n  }}\n}}\n",
         per_step_allocs as f64 / per_step_steps.max(1) as f64,
         batched_allocs as f64 / batched_steps.max(1) as f64,
         virtio_allocs as f64 / virtio_steps.max(1) as f64,

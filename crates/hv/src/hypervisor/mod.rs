@@ -187,13 +187,14 @@ pub struct Hypervisor {
     timer_scratch: Vec<TimerEvent>,
     /// Free lists recycling request-binding storage (the page lists a
     /// hypercall fixes at entry and drops at commit), plus the candidate
-    /// and shuffle scratch `bind_simple` needs. Like the program pools,
-    /// this is host-side memory reuse only: `pick_n_into` draws the same
-    /// RNG sequence regardless of where the output lands.
+    /// list and pinned-page marks `bind_simple` needs, both empty or
+    /// all-zero between binds. Like the program pools, this is host-side
+    /// memory reuse only: `pick_n_into` draws the same RNG sequence
+    /// regardless of where the output lands.
     binding_pool: Vec<Vec<PageNum>>,
     binding_set_pool: Vec<Vec<Vec<PageNum>>>,
     page_scratch: Vec<PageNum>,
-    idx_scratch: Vec<usize>,
+    page_marks: programs::PageMarks,
     // Cached pick for `step_any`: while `next_valid` holds, `next_cpu` is
     // the argmin of `cpu_now` provided its clock is still below
     // `next_bound` (the second-smallest clock at the last scan, held by
@@ -328,7 +329,7 @@ impl Hypervisor {
             binding_pool: Vec::new(),
             binding_set_pool: Vec::new(),
             page_scratch: Vec::new(),
-            idx_scratch: Vec::new(),
+            page_marks: programs::PageMarks::default(),
             next_cpu: 0,
             next_bound: SimTime::ZERO,
             next_bound_cpu: 0,

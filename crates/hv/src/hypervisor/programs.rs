@@ -100,56 +100,37 @@ impl Hypervisor {
 
     fn bind_simple(&mut self, dom: DomId, req: &HcRequest) -> Vec<PageNum> {
         let mut out = self.take_binding_buf();
+        let frames = self.config.num_pages();
         let Hypervisor {
             domains,
             rng,
             page_scratch,
-            idx_scratch,
+            page_marks,
             ..
         } = self;
         let d = &domains[dom.index()];
-        match req {
-            HcRequest::PinPages(n) => {
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
-                pick_n_into(rng, page_scratch, *n, idx_scratch, &mut out);
+        let n = match req {
+            HcRequest::PinPages(n) | HcRequest::MemoryDecrease(n) => {
+                page_marks.unpinned_into(frames, &d.owned_pages, &d.pinned_pages, page_scratch);
+                *n
             }
             HcRequest::UnpinPages(n) => {
-                pick_n_into(rng, &d.pinned_pages, *n, idx_scratch, &mut out)
-            }
-            HcRequest::MemoryDecrease(n) => {
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
-                pick_n_into(rng, page_scratch, *n, idx_scratch, &mut out);
+                page_scratch.extend_from_slice(&d.pinned_pages);
+                *n
             }
             HcRequest::GrantMap { from } => {
-                let granter = &domains[from.index()];
-                pick_n_into(rng, &granter.owned_pages, 1, idx_scratch, &mut out);
+                page_scratch.extend_from_slice(&domains[from.index()].owned_pages);
+                1
             }
             HcRequest::BlockIo { .. } => {
                 // A blkfront request carries up to 11 data segments, each
                 // of which is granted to the driver domain.
-                page_scratch.clear();
-                page_scratch.extend(
-                    d.owned_pages
-                        .iter()
-                        .copied()
-                        .filter(|p| !d.pinned_pages.contains(p)),
-                );
-                pick_n_into(rng, page_scratch, 11, idx_scratch, &mut out);
+                page_marks.unpinned_into(frames, &d.owned_pages, &d.pinned_pages, page_scratch);
+                11
             }
-            _ => {}
-        }
+            _ => return out,
+        };
+        pick_n_into(rng, page_scratch, n, &mut out);
         out
     }
 
@@ -850,41 +831,116 @@ impl Hypervisor {
     }
 }
 
-/// Picks up to `n` distinct elements from `pool` (fewer if the pool is
-/// small) into `out`, shuffling through the reusable `idx` scratch so the
-/// steady-state binding path performs no allocation. The RNG draws are
-/// those of the original allocating version exactly.
-fn pick_n_into(
-    rng: &mut Pcg64,
-    pool: &[PageNum],
-    n: usize,
-    idx: &mut Vec<usize>,
-    out: &mut Vec<PageNum>,
-) {
-    out.clear();
-    if pool.is_empty() || n == 0 {
-        return;
+/// Moves up to `n` distinct elements of the candidate list `cands` into
+/// `out` (all of them, in order, when there are no more than `n`), leaving
+/// `cands` empty. A larger list is Fisher–Yates shuffled in place and its
+/// first `n` taken: the swaps depend only on the RNG, so this equals
+/// shuffling the index list `0..len` and reading `cands` through its
+/// first `n` entries, with the same draws.
+fn pick_n_into(rng: &mut Pcg64, cands: &mut Vec<PageNum>, n: usize, out: &mut Vec<PageNum>) {
+    if n > 0 {
+        if cands.len() > n {
+            rng.shuffle(cands);
+            cands.truncate(n);
+        }
+        out.extend_from_slice(cands);
     }
-    if pool.len() <= n {
-        out.extend_from_slice(pool);
-        return;
+    cands.clear();
+}
+
+/// A page bitmap shared by every domain's binds and all-zero between
+/// them. No per-domain state and nothing simulated: `state_digest`
+/// excludes it.
+#[derive(Debug, Default)]
+pub(super) struct PageMarks {
+    words: Vec<u64>,
+}
+
+impl Clone for PageMarks {
+    /// The marks are all-zero between binds, so a clone starts empty and
+    /// sizes itself on first use: a checkout copies none of it.
+    fn clone(&self) -> Self {
+        PageMarks::default()
     }
-    idx.clear();
-    idx.extend(0..pool.len());
-    rng.shuffle(idx);
-    idx.truncate(n);
-    out.extend(idx.iter().map(|&i| pool[i]));
+}
+
+impl PageMarks {
+    /// Appends to `out` the pages of `owned` that are not in `pinned`, in
+    /// `owned` order: the result of filtering `owned` through
+    /// `pinned.contains`, in O(owned + pinned) instead of
+    /// O(owned × pinned). Marks the pinned pages, filters, then clears
+    /// only the words it marked. `frames`, the machine's page count, sizes
+    /// the bitmap on first use, so steady-state binds never grow it.
+    fn unpinned_into(
+        &mut self,
+        frames: usize,
+        owned: &[PageNum],
+        pinned: &[PageNum],
+        out: &mut Vec<PageNum>,
+    ) {
+        for p in pinned {
+            let w = p.index() / 64;
+            if w >= self.words.len() {
+                self.words.resize((w + 1).max(frames.div_ceil(64)), 0);
+            }
+            self.words[w] |= 1 << (p.index() % 64);
+        }
+        // Branch-free compaction: write every page and advance past the
+        // unmarked ones. Pinned pages are a scattered sixth of the owned
+        // ones, so a filter's branch would mispredict often.
+        let mut kept = out.len();
+        out.resize(kept + owned.len(), PageNum::from_index(0));
+        for &p in owned {
+            let word = self.words.get(p.index() / 64).copied().unwrap_or(0);
+            out[kept] = p;
+            kept += usize::from((word >> (p.index() % 64)) & 1 == 0);
+        }
+        out.truncate(kept);
+        for p in pinned {
+            self.words[p.index() / 64] = 0;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The binding before the mark bitmap: the O(owned × pinned)
+    /// `contains` filter.
+    fn unpinned_reference(owned: &[PageNum], pinned: &[PageNum]) -> Vec<PageNum> {
+        owned
+            .iter()
+            .copied()
+            .filter(|p| !pinned.contains(p))
+            .collect()
+    }
+
+    /// The pick before the in-place shuffle: shuffle an index list and
+    /// read the pool through its first `n` entries.
+    fn pick_reference(rng: &mut Pcg64, pool: &[PageNum], n: usize) -> Vec<PageNum> {
+        if pool.is_empty() || n == 0 {
+            return Vec::new();
+        }
+        if pool.len() <= n {
+            return pool.to_vec();
+        }
+        let mut idx: Vec<usize> = (0..pool.len()).collect();
+        rng.shuffle(&mut idx);
+        idx.truncate(n);
+        idx.iter().map(|&i| pool[i]).collect()
+    }
 
     /// Allocating convenience wrapper over [`pick_n_into`].
     fn pick_n(rng: &mut Pcg64, pool: &[PageNum], n: usize) -> Vec<PageNum> {
         let mut out = Vec::new();
-        pick_n_into(rng, pool, n, &mut Vec::new(), &mut out);
+        pick_n_into(rng, &mut pool.to_vec(), n, &mut out);
         out
+    }
+
+    fn pages(ix: &[u32]) -> Vec<PageNum> {
+        ix.iter().copied().map(PageNum::from).collect()
     }
 
     #[test]
@@ -900,5 +956,63 @@ mod tests {
         assert!(pick_n(&mut rng, &pool, 0).is_empty());
         assert_eq!(pick_n(&mut rng, &pool, 99).len(), 10);
         assert!(pick_n(&mut rng, &[], 3).is_empty());
+    }
+
+    #[test]
+    fn a_cloned_mark_bitmap_starts_empty() {
+        let mut marks = PageMarks::default();
+        let mut out = Vec::new();
+        marks.unpinned_into(256, &pages(&[1, 2, 3]), &pages(&[2]), &mut out);
+        assert_eq!(out, pages(&[1, 3]));
+        assert_eq!(marks.words.len(), 4);
+        assert!(marks.clone().words.is_empty());
+    }
+
+    proptest! {
+        // Cheap cases; enough of them that empty pools and `n == 0` occur.
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Binding from the mark-filtered, in-place-shuffled candidates
+        /// picks what the `contains` filter and index shuffle picked, with
+        /// the same draws, and leaves the bitmap all-zero and the
+        /// candidate scratch empty. Three binds share one bitmap, as all
+        /// domains' binds do; page numbers run past the sizing hint and
+        /// pinned pages need not be owned.
+        #[test]
+        fn binding_matches_contains_filter_and_index_shuffle(
+            seed: u64,
+            binds in prop::collection::vec(
+                (
+                    prop::collection::vec(0u32..400, 0..64),
+                    prop::collection::vec(0u32..400, 0..32),
+                    0usize..80,
+                ),
+                3..4,
+            ),
+        ) {
+            let mut marks = PageMarks::default();
+            let mut rng = Pcg64::seed_from_u64(seed);
+            let mut reference = rng.clone();
+            let mut cands = Vec::new();
+            for (owned, pinned, n) in &binds {
+                let (owned, pinned) = (pages(owned), pages(pinned));
+                // PinPages, MemoryDecrease and BlockIo.
+                let mut out = Vec::new();
+                marks.unpinned_into(256, &owned, &pinned, &mut cands);
+                pick_n_into(&mut rng, &mut cands, *n, &mut out);
+                let unpinned = unpinned_reference(&owned, &pinned);
+                prop_assert_eq!(&out, &pick_reference(&mut reference, &unpinned, *n));
+                prop_assert_eq!(rng.state_parts(), reference.state_parts());
+                prop_assert!(marks.words.iter().all(|w| *w == 0));
+                prop_assert!(cands.is_empty());
+                // UnpinPages and GrantMap: the pool copied as is.
+                let mut out = Vec::new();
+                cands.extend_from_slice(&pinned);
+                pick_n_into(&mut rng, &mut cands, *n, &mut out);
+                prop_assert_eq!(&out, &pick_reference(&mut reference, &pinned, *n));
+                prop_assert_eq!(rng.state_parts(), reference.state_parts());
+                prop_assert!(cands.is_empty());
+            }
+        }
     }
 }

@@ -57,6 +57,7 @@ impl Pcg64 {
     }
 
     /// The next 32 random bits.
+    #[inline]
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(MULTIPLIER).wrapping_add(self.inc);
@@ -66,6 +67,7 @@ impl Pcg64 {
     }
 
     /// The next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         (u64::from(self.next_u32()) << 32) | u64::from(self.next_u32())
     }
@@ -75,15 +77,13 @@ impl Pcg64 {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");
         let span = hi - lo;
-        // Debiased modulo via rejection sampling on the top of the range.
-        let zone = u64::MAX - (u64::MAX % span);
         loop {
-            let v = self.next_u64();
-            if v < zone {
-                return lo + v % span;
+            if let Some(r) = reduce(self.next_u64(), span) {
+                return lo + r;
             }
         }
     }
@@ -93,6 +93,7 @@ impl Pcg64 {
     /// # Panics
     ///
     /// Panics if `lo >= hi`.
+    #[inline]
     pub fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
         self.gen_range_u64(lo as u64, hi as u64) as usize
     }
@@ -164,9 +165,72 @@ impl Pcg64 {
     }
 }
 
+/// Debiased modulo: `v % span` if `v` lies below the rejection zone
+/// `u64::MAX - u64::MAX % span` (the largest multiple of `span` that fits
+/// in 64 bits, as an exclusive bound), else `None` and the caller draws
+/// again.
+///
+/// `u64::MAX % span <= span - 1`, so the zone is at least `2^64 - span`
+/// and every `v <= u64::MAX - span` is inside it. That test needs no
+/// division; the exact zone costs a second one only on the rare miss. The
+/// accepted set, and so every output and every consumed draw, is the same
+/// as testing against the zone alone.
+#[inline(always)]
+fn reduce(v: u64, span: u64) -> Option<u64> {
+    if v <= u64::MAX - span || v < u64::MAX - u64::MAX % span {
+        Some(v % span)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rejection test with the zone computed up front.
+    fn reduce_reference(v: u64, span: u64) -> Option<u64> {
+        let zone = u64::MAX - (u64::MAX % span);
+        (v < zone).then_some(v % span)
+    }
+
+    #[test]
+    fn reduce_matches_the_zone_test_at_every_boundary() {
+        let spans = [
+            1,
+            2,
+            3,
+            7,
+            1 << 32,
+            (1 << 32) + 1,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for span in spans {
+            let zone = u64::MAX - u64::MAX % span;
+            let fast = u64::MAX - span;
+            for v in [
+                0,
+                1,
+                fast.saturating_sub(1),
+                fast,
+                fast.saturating_add(1),
+                zone.saturating_sub(1),
+                zone,
+                zone.saturating_add(1),
+                u64::MAX - 1,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    reduce(v, span),
+                    reduce_reference(v, span),
+                    "v={v} span={span}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {

@@ -4,6 +4,54 @@ use nlh_sim::stats::Proportion;
 use nlh_sim::{Cycles, Pcg64, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// The two-division `gen_range_u64` that preceded the one-division
+/// accept test: the rejection zone computed before every draw.
+fn gen_range_u64_reference(rng: &mut Pcg64, lo: u64, hi: u64) -> u64 {
+    let span = hi - lo;
+    let zone = u64::MAX - (u64::MAX % span);
+    loop {
+        let v = rng.next_u64();
+        if v < zone {
+            return lo + v % span;
+        }
+    }
+}
+
+/// Spans where the rejection zone leaves out nearly half the 64-bit
+/// range (`2^63 + 1`) or where only a one-value fast test applies
+/// (`u64::MAX`), plus small and power-of-two ones.
+const EDGE_SPANS: [u64; 6] = [1, 2, 1 << 32, 1 << 63, (1 << 63) + 1, u64::MAX];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `gen_range_u64` returns what the two-division reference returns
+    /// and consumes exactly its draws, for random and for edge spans.
+    #[test]
+    fn gen_range_matches_two_division_reference(
+        seed: u64,
+        lo in 0u64..1_000,
+        spans in prop::collection::vec((any::<u64>(), 0u32..64), 1..24),
+    ) {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut reference = rng.clone();
+        // A random word shifted right by a random amount: spans of every
+        // magnitude, not just huge ones.
+        let random = spans.iter().map(|&(bits, shift)| (bits >> shift).max(1));
+        for span in random.chain(EDGE_SPANS) {
+            let (lo, hi) = match lo.checked_add(span) {
+                Some(hi) => (lo, hi),
+                None => (0, span),
+            };
+            for _ in 0..4 {
+                let want = gen_range_u64_reference(&mut reference, lo, hi);
+                prop_assert_eq!(rng.gen_range_u64(lo, hi), want);
+                prop_assert_eq!(rng.state_parts(), reference.state_parts());
+            }
+        }
+    }
+}
+
 proptest! {
     /// `gen_range_u64` respects its bounds for any non-empty range.
     #[test]
