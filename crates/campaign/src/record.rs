@@ -461,6 +461,7 @@ impl TrialRecord {
             seed: seed.ok_or("missing seed")?,
             machine: machine.ok_or("missing machine")?,
         };
+        config.setup.check_machine(&config.machine)?;
         let outcome = match class {
             Some(class) => Some(RecordedOutcome {
                 class,
@@ -471,7 +472,9 @@ impl TrialRecord {
         };
         Ok(TrialRecord {
             config,
-            trigger_ops: trigger_ops.ok_or("missing trigger_ops")?,
+            trigger_ops: trigger_ops
+                .filter(|(lo, hi)| lo < hi)
+                .ok_or("missing or empty trigger_ops range")?,
             steer_handler,
             steer_depth,
             mechanism: mechanism.ok_or("missing mechanism")?,

@@ -107,7 +107,73 @@ impl SetupKind {
             SetupKind::ThreeAppVm => (SimTime::from_millis(500), SimTime::from_secs(6)),
         }
     }
+
+    /// The AppVMs [`build_system`] creates: the boot AppVMs in creation
+    /// order, and the AppVM queued for creation after recovery.
+    fn apps(self) -> (Vec<AppSlot>, Option<AppSlot>) {
+        use BenchKind::{BlkBench, NetBench, UnixBench, VirtioNetBench};
+        let (c1, c2) = (CpuId(1), CpuId(2));
+        match self {
+            SetupKind::OneAppVm(kind) | SetupKind::OneHvmAppVm(kind) => (vec![(kind, c1)], None),
+            // Both vCPUs on CPU 1: the tick scheduler round-robins them.
+            SetupKind::TwoAppVmSharedCpu => (vec![(UnixBench, c1), (NetBench, c1)], None),
+            SetupKind::TwoAppVmVswitch => (vec![(VirtioNetBench, c1), (VirtioNetBench, c2)], None),
+            SetupKind::ThreeAppVm => (
+                vec![(UnixBench, c1), (NetBench, c2)],
+                Some((BlkBench, CpuId(3))),
+            ),
+            // `2 * ratio` vCPUs over the credit scheduler's CPUs 1 and 2.
+            // Alternating home CPUs keeps the boot layout balanced;
+            // alternating benchmarks mixes hypercall-heavy and block-heavy
+            // pressure.
+            SetupKind::Overcommit(ratio) => {
+                let apps = [(UnixBench, c1), (BlkBench, c2)].into_iter().cycle();
+                (apps.take(2 * ratio.max(1) as usize).collect(), None)
+            }
+        }
+    }
+
+    /// The fewest CPUs and boot-domain frames [`build_system`] can lay
+    /// this setup out on: one CPU past the highest that the PrivVM (CPU 0)
+    /// or an AppVM is pinned to, and the PrivVM's and boot AppVMs' pages.
+    fn min_machine(self) -> (usize, usize) {
+        let (apps, queued) = self.apps();
+        let pins = apps.iter().chain(&queued).map(|(_, cpu)| cpu.index());
+        (
+            1 + pins.max().unwrap_or(0),
+            PRIV_PAGES + apps.len() * APP_PAGES,
+        )
+    }
+
+    /// Checks that a trial of this setup can run on `machine`:
+    /// [`build_system`] panics on too few CPUs or frames, and stepping
+    /// divides by the clock frequency.
+    ///
+    /// # Errors
+    ///
+    /// Names the first requirement `machine` misses.
+    pub(crate) fn check_machine(self, machine: &MachineConfig) -> Result<(), String> {
+        let (cpus, domain_pages) = self.min_machine();
+        let pages = machine.boot_heap_pages().saturating_add(domain_pages);
+        if machine.num_cpus < cpus {
+            Err(format!("{self:?} needs {cpus} CPUs"))
+        } else if machine.memory_mib.checked_mul(1024).is_none() {
+            Err(format!(
+                "{} MiB overflows the frame count",
+                machine.memory_mib
+            ))
+        } else if machine.num_pages() < pages {
+            Err(format!("{self:?} needs {pages} page frames"))
+        } else if machine.cpu_freq_mhz == 0 {
+            Err("a zero clock frequency".to_string())
+        } else {
+            Ok(())
+        }
+    }
 }
+
+/// An AppVM in a setup's layout: its benchmark and the CPU it is pinned to.
+type AppSlot = (BenchKind, CpuId);
 
 /// Where everything ended up in a built system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,16 +227,10 @@ pub fn build_system(
     let tls = hv.tuning.tls_sensitivity;
     let dur = setup.bench_duration();
 
-    let (create_at, post_recovery_app) = match setup {
-        SetupKind::OneAppVm(_)
-        | SetupKind::OneHvmAppVm(_)
-        | SetupKind::TwoAppVmSharedCpu
-        | SetupKind::TwoAppVmVswitch
-        | SetupKind::Overcommit(_) => (None, None),
-        // "Following recovery, a third AppVM is created": scheduled after
-        // the trigger window plus worst-case detection + recovery latency.
-        SetupKind::ThreeAppVm => (Some(SimTime::from_secs(9)), Some(BenchKind::BlkBench)),
-    };
+    let (apps, queued) = setup.apps();
+    // "Following recovery, a third AppVM is created": scheduled after the
+    // trigger window plus worst-case detection + recovery latency.
+    let create_at = queued.map(|_| SimTime::from_secs(9));
 
     hv.add_boot_domain(DomainSpec {
         kind: DomainKind::Priv,
@@ -178,127 +238,52 @@ pub fn build_system(
         pinned_cpu: CpuId(0),
         program: Box::new(PrivVmDriver::new(seed ^ 0xD0, create_at)),
     });
-
-    let mut initial_apps = Vec::new();
-    match setup {
-        SetupKind::TwoAppVmSharedCpu => {
-            // Both AppVM vCPUs pinned to CPU 1: the tick scheduler
-            // round-robins them.
-            let d1 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(1),
-                program: make_bench(BenchKind::UnixBench, seed ^ 0xA1, dur, tls),
-            });
-            initial_apps.push((d1, BenchKind::UnixBench));
-            let d2 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(1),
-                program: make_bench(BenchKind::NetBench, seed ^ 0xA2, dur, tls),
-            });
-            initial_apps.push((d2, BenchKind::NetBench));
-            hv.attach_net_traffic(d2, SimDuration::from_millis(1));
-        }
-        SetupKind::OneAppVm(kind) | SetupKind::OneHvmAppVm(kind) => {
-            let dom = hv.add_boot_domain(DomainSpec {
-                kind: if matches!(setup, SetupKind::OneHvmAppVm(_)) {
-                    DomainKind::AppHvm
-                } else {
-                    DomainKind::App
-                },
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(1),
-                program: make_bench(kind, seed ^ 0xA1, dur, tls),
-            });
-            initial_apps.push((dom, kind));
-            match kind {
-                BenchKind::NetBench => {
-                    hv.attach_net_traffic(dom, SimDuration::from_millis(1));
-                }
-                BenchKind::VirtioBlkBench => {
-                    hv.add_virtio_blk(dom);
-                }
-                // A single port loops back to itself: tx frames arrive on
-                // the same port's rx queue.
-                BenchKind::VirtioNetBench => {
-                    hv.add_virtio_net(dom);
-                }
-                _ => {}
+    if let SetupKind::Overcommit(_) = setup {
+        // Load balancing migrates Ready vCPUs between CPUs 1 and 2 and the
+        // preemption tick time-slices within each.
+        hv.sched.enable_credit(&[CpuId(1), CpuId(2)]);
+    }
+    let kind = if matches!(setup, SetupKind::OneHvmAppVm(_)) {
+        DomainKind::AppHvm
+    } else {
+        DomainKind::App
+    };
+    let mut initial_apps = Vec::with_capacity(apps.len());
+    for (k, &(bench, cpu)) in apps.iter().enumerate() {
+        let dom = hv.add_boot_domain(DomainSpec {
+            kind,
+            pages: APP_PAGES,
+            pinned_cpu: cpu,
+            program: make_bench(bench, seed ^ (0xA1 + k as u64), dur, tls),
+        });
+        initial_apps.push((dom, bench));
+    }
+    let mut ports = Vec::new();
+    for &(dom, bench) in &initial_apps {
+        match bench {
+            BenchKind::NetBench => hv.attach_net_traffic(dom, SimDuration::from_millis(1)),
+            BenchKind::VirtioBlkBench => {
+                hv.add_virtio_blk(dom);
             }
+            BenchKind::VirtioNetBench => ports.push(hv.add_virtio_net(dom)),
+            BenchKind::BlkBench | BenchKind::UnixBench => {}
         }
-        SetupKind::TwoAppVmVswitch => {
-            let d1 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(1),
-                program: make_bench(BenchKind::VirtioNetBench, seed ^ 0xA1, dur, tls),
-            });
-            initial_apps.push((d1, BenchKind::VirtioNetBench));
-            let d2 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(2),
-                program: make_bench(BenchKind::VirtioNetBench, seed ^ 0xA2, dur, tls),
-            });
-            initial_apps.push((d2, BenchKind::VirtioNetBench));
-            let p1 = hv.add_virtio_net(d1);
-            let p2 = hv.add_virtio_net(d2);
-            hv.connect_vswitch(p1, p2);
-        }
-        SetupKind::ThreeAppVm => {
-            let d1 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(1),
-                program: make_bench(BenchKind::UnixBench, seed ^ 0xA1, dur, tls),
-            });
-            initial_apps.push((d1, BenchKind::UnixBench));
-            let d2 = hv.add_boot_domain(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(2),
-                program: make_bench(BenchKind::NetBench, seed ^ 0xA2, dur, tls),
-            });
-            initial_apps.push((d2, BenchKind::NetBench));
-            hv.attach_net_traffic(d2, SimDuration::from_millis(1));
-            // The post-recovery AppVM: BlkBench for ~10 s on CPU 3.
-            hv.queue_domain_creation(DomainSpec {
-                kind: DomainKind::App,
-                pages: APP_PAGES,
-                pinned_cpu: CpuId(3),
-                program: make_bench(
-                    BenchKind::BlkBench,
-                    seed ^ 0xA3,
-                    SimDuration::from_secs(10),
-                    tls,
-                ),
-            });
-        }
-        SetupKind::Overcommit(ratio) => {
-            // The credit scheduler multiplexes `2 * ratio` vCPUs over CPUs
-            // 1 and 2: load balancing migrates Ready vCPUs between the two
-            // and the preemption tick time-slices within each. Alternating
-            // home CPUs keeps the boot layout balanced; alternating
-            // benchmarks mixes hypercall-heavy and block-heavy pressure.
-            let ratio = ratio.max(1) as usize;
-            hv.sched.enable_credit(&[CpuId(1), CpuId(2)]);
-            for k in 0..2 * ratio {
-                let kind = if k % 2 == 0 {
-                    BenchKind::UnixBench
-                } else {
-                    BenchKind::BlkBench
-                };
-                let cpu = if k % 2 == 0 { CpuId(1) } else { CpuId(2) };
-                let d = hv.add_boot_domain(DomainSpec {
-                    kind: DomainKind::App,
-                    pages: APP_PAGES,
-                    pinned_cpu: cpu,
-                    program: make_bench(kind, seed ^ (0xA1 + k as u64), dur, tls),
-                });
-                initial_apps.push((d, kind));
-            }
-        }
+    }
+    // Two virtio-net ports are cross-connected through the virtual switch;
+    // a single port loops back to itself (tx frames arrive on its own rx
+    // queue).
+    if let [p1, p2] = ports[..] {
+        hv.connect_vswitch(p1, p2);
+    }
+    if let Some((bench, cpu)) = queued {
+        // The post-recovery AppVM runs its benchmark for ~10 s.
+        let tag = 0xA1 + apps.len() as u64;
+        hv.queue_domain_creation(DomainSpec {
+            kind: DomainKind::App,
+            pages: APP_PAGES,
+            pinned_cpu: cpu,
+            program: make_bench(bench, seed ^ tag, SimDuration::from_secs(10), tls),
+        });
     }
     // Record boot-time I/O APIC configuration (what ReHype's write log
     // reconstructs after the reboot re-initializes the controller).
@@ -307,7 +292,7 @@ pub fn build_system(
     let layout = SystemLayout {
         setup,
         initial_apps,
-        post_recovery_app,
+        post_recovery_app: queued.map(|(bench, _)| bench),
         create_at,
     };
     (hv, layout)
@@ -414,6 +399,54 @@ mod tests {
         );
         assert_eq!(hv.virtio.devices.len(), 1);
         assert!(hv.net.is_none());
+    }
+
+    /// `check_machine` accepts the smallest machine a trial of each setup
+    /// boots and runs on, and nothing smaller.
+    #[test]
+    fn check_machine_accepts_exactly_what_a_trial_needs() {
+        use crate::{run_trial_with, TrialConfig, TrialRunOptions};
+        for setup in [
+            SetupKind::OneAppVm(BenchKind::VirtioNetBench),
+            SetupKind::OneHvmAppVm(BenchKind::BlkBench),
+            SetupKind::ThreeAppVm,
+            SetupKind::TwoAppVmSharedCpu,
+            SetupKind::TwoAppVmVswitch,
+            SetupKind::Overcommit(0),
+            SetupKind::Overcommit(8),
+        ] {
+            let (cpus, domain_pages) = setup.min_machine();
+            let mut m = MachineConfig {
+                num_cpus: cpus,
+                memory_mib: 0,
+                cpu_freq_mhz: 1,
+            };
+            m.memory_mib = ((m.boot_heap_pages() + domain_pages) as u64).div_ceil(256);
+            assert_eq!(setup.check_machine(&m), Ok(()), "{setup:?}");
+            let (hv, layout) = build_system(m.clone(), setup, 1);
+            let config = TrialConfig {
+                machine: m.clone(),
+                ..TrialConfig::new(setup, nlh_inject::FaultType::Code, 1)
+            };
+            let mech = nlh_core::Microreset::nilihype();
+            run_trial_with(hv, &layout, &config, &mech, TrialRunOptions::default());
+
+            for (cpus, mib, mhz) in [
+                (cpus - 1, m.memory_mib, 1),
+                (cpus, m.memory_mib - 1, 1),
+                (cpus, m.memory_mib, 0),
+            ] {
+                let small = MachineConfig {
+                    num_cpus: cpus,
+                    memory_mib: mib,
+                    cpu_freq_mhz: mhz,
+                };
+                assert!(
+                    setup.check_machine(&small).is_err(),
+                    "{setup:?} on {small:?}"
+                );
+            }
+        }
     }
 
     #[test]

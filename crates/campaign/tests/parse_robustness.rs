@@ -2,6 +2,12 @@
 //! records (`replay`) and suite manifests (`campaign_server`) — reject
 //! damaged input with an `Err`, never a panic.
 //!
+//! The record parser also rejects a trigger range the injector cannot
+//! draw from and a machine the record's setup cannot boot or step on
+//! (`SetupKind::check_machine`): too few CPUs or frames, a frame count
+//! that overflows, or a zero clock. A machine larger than the host can
+//! boot still parses.
+//!
 //! Every checked-in manifest must parse. The damaged inputs are the
 //! golden trial records and the CI manifest, cut at every character
 //! boundary and hit with random single-character edits (replace, insert,
@@ -100,6 +106,36 @@ fn checked_in_inputs_parse() {
         seen += 1;
     }
     assert!(seen >= 4, "found {seen} manifests in {dir}");
+}
+
+/// `record` with the first occurrence of `from` replaced by `to`.
+fn edit(record: &str, from: &str, to: &str) -> String {
+    assert!(record.contains(from), "{from:?} not in the record");
+    record.replacen(from, to, 1)
+}
+
+/// Edits that used to parse and then panic in `replay`: an empty or
+/// inverted trigger range, fewer CPUs than the setup pins, less memory
+/// than its boot domains take, a zero clock frequency, more CPUs than
+/// the memory has boot-heap frames for, and a memory size whose frame
+/// count overflows.
+#[test]
+fn records_the_trial_cannot_run_are_errors() {
+    let [one_app, vswitch, _] = RECORDS;
+    let cases = [
+        edit(one_app, "trigger_ops = 0..2000", "trigger_ops = 5..2"),
+        edit(one_app, "trigger_ops = 0..2000", "trigger_ops = 0..0"),
+        edit(one_app, "cpus=8", "cpus=0"),
+        edit(one_app, "cpus=8", "cpus=1"),
+        edit(vswitch, "cpus=8", "cpus=2"),
+        edit(one_app, "mem_mib=64", "mem_mib=1"),
+        edit(one_app, "freq_mhz=2500", "freq_mhz=0"),
+        edit(one_app, "cpus=8", "cpus=18446744073709551615"),
+        edit(one_app, "mem_mib=64", "mem_mib=18446744073709551615"),
+    ];
+    for text in &cases {
+        assert!(TrialRecord::from_text(text).is_err(), "parsed:\n{text}");
+    }
 }
 
 #[test]

@@ -42,6 +42,12 @@ impl MachineConfig {
     pub fn num_pages(&self) -> usize {
         (self.memory_mib * 1024 / 4) as usize
     }
+
+    /// Frames the hypervisor's boot heap takes before any domain exists:
+    /// one scheduler object and one timer-heap object per CPU.
+    pub fn boot_heap_pages(&self) -> usize {
+        self.num_cpus.saturating_mul(2)
+    }
 }
 
 impl Default for MachineConfig {

@@ -256,6 +256,7 @@ impl Hypervisor {
                 .expect("boot heap allocation cannot fail");
             timer_locks.push(tl);
         }
+        debug_assert_eq!(heap.allocated_pages(), config.boot_heap_pages());
 
         // Register the recurring events, staggered so CPUs do not tick in
         // lockstep.
