@@ -155,6 +155,11 @@ impl Shard {
         }
     }
 
+    /// `(detected, successes)` over the trials added so far.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (self.detected, self.successes)
+    }
+
     /// Packages the aggregated counts as a [`CampaignResult`].
     pub(crate) fn into_result(self, fault: FaultType, trials: u64) -> CampaignResult {
         CampaignResult {

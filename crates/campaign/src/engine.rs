@@ -37,16 +37,14 @@
 //! to check out first.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
-use nlh_sim::stats::Proportion;
-
 use crate::boot_cache::{BootCache, CacheCounters};
 use crate::campaign::{BootMode, CampaignResult, Shard};
-use crate::classify::TrialClass;
-use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
+use crate::coverage::{run_sampled_campaign_in, SampledCampaign, SamplingMode};
 use crate::setup::build_system;
 use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
 use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
@@ -60,6 +58,17 @@ pub enum CellOutput {
     /// A sampled cell's coverage-map campaign (boxed: its coverage map
     /// and failure record dwarf a sharded aggregate).
     Sampled(Box<SampledCampaign>),
+}
+
+impl CellOutput {
+    /// The cell's `(detected, successes)`. A sampled cell detects exactly
+    /// the trials it either recovered or counted as residual failures.
+    pub fn counts(&self) -> (u64, u64) {
+        match self {
+            CellOutput::Sharded(r) => (r.detected, r.successes),
+            CellOutput::Sampled(s) => (s.successes + s.failures, s.successes),
+        }
+    }
 }
 
 /// Everything the engine knows about a finished cell.
@@ -179,23 +188,24 @@ impl CampaignEngine {
         cache: CellCache,
         sink: &mut dyn TelemetrySink,
     ) -> CellResult {
-        match spec.mode {
-            ExecMode::Sharded => self.run_sharded(spec, cache, sink),
+        let tally = CellTally::new(spec, cache);
+        let cell = match spec.mode {
+            ExecMode::Sharded => self.run_sharded(&tally, sink),
             ExecMode::Sampled {
                 windows,
                 sampling,
                 steer_handler,
                 depth_cycle,
-            } => self.run_sampled(
-                spec,
-                cache,
-                windows,
-                sampling,
-                steer_handler,
-                depth_cycle,
-                sink,
-            ),
-        }
+            } => self.run_sampled(&tally, windows, sampling, steer_handler, depth_cycle, sink),
+        };
+        sink.snapshot(&tally.snapshot(
+            cell.executed,
+            cell.output.counts(),
+            cell.cache,
+            cell.stopped_at,
+            true,
+        ));
+        cell
     }
 
     /// Runs a whole suite in a dependency-respecting order (stable: among
@@ -302,279 +312,201 @@ impl CampaignEngine {
         }
     }
 
-    fn run_sharded(
-        &self,
-        spec: &CampaignSpec,
-        cache: CellCache,
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
+    /// Runs a sharded cell in batches on the trial-level worker pool,
+    /// folding each batch's results into one [`Shard`] in seed order.
+    fn run_sharded(&self, tally: &CellTally, sink: &mut dyn TelemetrySink) -> CellResult {
+        let spec = tally.spec;
         let trials = spec.trials;
         let threads = parallelism().min(trials.max(1) as usize);
-        let batch = match spec.stop {
-            StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
-            StopPolicy::FixedTrials => {
-                if spec.snapshot_every > 0 {
-                    spec.snapshot_every
-                } else {
-                    trials.max(1)
-                }
-            }
+        let batch = if tally.cadence > 0 {
+            tally.cadence
+        } else {
+            trials.max(1)
         };
-        let started = Instant::now();
 
-        let mut results: Vec<TrialResult> = Vec::new();
-        let mut setup_nanos = 0u64;
-        let mut run_nanos = 0u64;
-        // Seed-ordered prefix scan state for the stop policy.
-        let mut scan_detected = 0u64;
-        let mut scan_successes = 0u64;
-        let mut scanned = 0usize;
+        let mut shard = Shard::new(spec.mechanism.name());
+        let mut per_trial: Vec<TrialResult> = Vec::new();
         let mut stopped_at: Option<u64> = None;
-
         let mut start = 0u64;
         while start < trials && stopped_at.is_none() {
             let end = (start + batch).min(trials);
-            let next = AtomicU64::new(start);
-            let mut batch_results: Vec<(u64, TrialResult)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mech = spec.mechanism.build();
-                            let mut out: Vec<(u64, TrialResult)> = Vec::new();
-                            let mut setup_ns = 0u64;
-                            let mut run_ns = 0u64;
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= end {
-                                    break;
-                                }
-                                let cfg = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
-                                let t0 = Instant::now();
-                                let (hv, layout) = match spec.boot {
-                                    BootMode::Warm => {
-                                        self.cache.checkout(&cfg.machine, cfg.setup, cfg.seed)
-                                    }
-                                    BootMode::Cold => {
-                                        build_system(cfg.machine.clone(), cfg.setup, cfg.seed)
-                                    }
-                                };
-                                setup_ns += elapsed_nanos(t0);
-                                let t1 = Instant::now();
-                                let (r, _, _) = run_trial_with(
-                                    hv,
-                                    &layout,
-                                    &cfg,
-                                    mech.as_ref(),
-                                    TrialRunOptions::default(),
-                                );
-                                run_ns += elapsed_nanos(t1);
-                                out.push((i, r));
-                            }
-                            (out, setup_ns, run_ns)
-                        })
-                    })
-                    .collect();
-                let mut batch_out = Vec::with_capacity((end - start) as usize);
-                for h in handles {
-                    let (out, setup_ns, run_ns) = h.join().expect("engine worker panicked");
-                    batch_out.extend(out);
-                    setup_nanos += setup_ns;
-                    run_nanos += run_ns;
-                }
-                batch_out
-            });
-            // Batches cover contiguous index ranges, so sorting each batch
-            // keeps the whole vector seed-ordered.
-            batch_results.sort_by_key(|(i, _)| *i);
-            results.extend(batch_results.into_iter().map(|(_, r)| r));
-
-            // Advance the seed-ordered prefix scan; under
-            // stop-at-confidence, halt at the exact first crossing trial.
-            while scanned < results.len() {
-                match &results[scanned].class {
-                    TrialClass::RecoverySuccess { .. } => {
-                        scan_detected += 1;
-                        scan_successes += 1;
-                    }
-                    TrialClass::RecoveryFailure(_) => scan_detected += 1,
-                    TrialClass::NonManifested | TrialClass::Sdc => {}
-                }
-                scanned += 1;
-                if let StopPolicy::AtConfidence {
-                    halfwidth,
-                    min_detected,
-                    ..
-                } = spec.stop
-                {
-                    if scan_detected >= min_detected
-                        && Proportion::new(scan_successes, scan_detected).wilson_halfwidth_95()
-                            <= halfwidth
-                    {
-                        stopped_at = Some(scanned as u64);
-                        break;
-                    }
+            let results = self.run_batch(spec, start..end, threads, &mut shard);
+            // Under stop-at-confidence, halt at the exact first crossing
+            // trial and drop the rest of its batch.
+            for r in results {
+                shard.add(&r);
+                per_trial.push(r);
+                let done = per_trial.len() as u64;
+                if tally.after_trial(done, shard.counts(), sink) {
+                    stopped_at = Some(done);
+                    break;
                 }
             }
-
             start = end;
-            if start < trials && stopped_at.is_none() {
-                sink.snapshot(&Self::sharded_snapshot(
-                    spec,
-                    results.len() as u64,
-                    cache.counters(results.len() as u64),
-                    started,
-                    None,
-                    false,
-                    &results,
-                ));
-            }
         }
 
-        // Every trial a batch ran checked a system out, including those
-        // past the stop trial.
-        let cache = cache.counters(results.len() as u64);
-        let executed = stopped_at.unwrap_or(results.len() as u64);
-        results.truncate(executed as usize);
-
-        let mut shard = Shard::new(spec.mechanism.name());
-        for r in &results {
-            shard.add(r);
-        }
-        shard.add_nanos(setup_nanos, run_nanos);
-        let result = shard.into_result(spec.fault, executed);
-
-        sink.snapshot(&Self::sharded_snapshot(
-            spec, executed, cache, started, stopped_at, true, &results,
-        ));
+        let executed = per_trial.len() as u64;
         CellResult {
-            output: CellOutput::Sharded(result),
+            output: CellOutput::Sharded(shard.into_result(spec.fault, executed)),
             executed,
             stopped_at,
-            cache,
-            per_trial: results,
+            // Every trial a batch ran checked a system out, including
+            // those past the stop trial.
+            cache: tally.cache.counters(start),
+            per_trial,
         }
     }
 
-    /// Builds a snapshot from the seed-ordered prefix `results[..done]`.
-    #[allow(clippy::too_many_arguments)]
-    fn sharded_snapshot(
+    /// Runs trials `range` of a sharded cell on `threads` workers and
+    /// returns their results in seed order. The workers' setup and
+    /// trial-body wall time goes to `shard`.
+    fn run_batch(
+        &self,
         spec: &CampaignSpec,
+        range: Range<u64>,
+        threads: usize,
+        shard: &mut Shard,
+    ) -> Vec<TrialResult> {
+        let next = AtomicU64::new(range.start);
+        let worker = || {
+            let mech = spec.mechanism.build();
+            let mut out: Vec<(u64, TrialResult)> = Vec::new();
+            let (mut setup_ns, mut run_ns) = (0u64, 0u64);
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= range.end {
+                    break;
+                }
+                let cfg = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
+                let t0 = Instant::now();
+                let (hv, layout) = match spec.boot {
+                    BootMode::Warm => self.cache.checkout(&cfg.machine, cfg.setup, cfg.seed),
+                    BootMode::Cold => build_system(cfg.machine.clone(), cfg.setup, cfg.seed),
+                };
+                setup_ns += elapsed_nanos(t0);
+                let t1 = Instant::now();
+                let (r, _, _) =
+                    run_trial_with(hv, &layout, &cfg, mech.as_ref(), TrialRunOptions::default());
+                run_ns += elapsed_nanos(t1);
+                out.push((i, r));
+            }
+            (out, setup_ns, run_ns)
+        };
+        let mut results = Vec::with_capacity((range.end - range.start) as usize);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            for h in handles {
+                let (out, setup_ns, run_ns) = h.join().expect("engine worker panicked");
+                results.extend(out);
+                shard.add_nanos(setup_ns, run_ns);
+            }
+        });
+        results.sort_by_key(|(i, _)| *i);
+        results.into_iter().map(|(_, r)| r).collect()
+    }
+
+    /// Runs a sampled cell's trials in order on this thread.
+    fn run_sampled(
+        &self,
+        tally: &CellTally,
+        windows: usize,
+        sampling: SamplingMode,
+        steer_handler: Option<nlh_hv::HandlerKind>,
+        depth_cycle: u64,
+        sink: &mut dyn TelemetrySink,
+    ) -> CellResult {
+        let spec = tally.spec;
+        let mech = spec.mechanism.build();
+        let mut stopped_at: Option<u64> = None;
+        let mut after_trial = |done: u64, detected: u64, successes: u64| {
+            let stop = tally.after_trial(done, (detected, successes), sink);
+            if stop {
+                stopped_at = Some(done);
+            }
+            stop
+        };
+        let sampled = run_sampled_campaign_in(
+            &self.cache,
+            spec.setup,
+            spec.fault,
+            mech.as_ref(),
+            spec.seed,
+            spec.trials,
+            windows,
+            sampling,
+            steer_handler,
+            depth_cycle,
+            &mut after_trial,
+        );
+        let executed = sampled.trials;
+        CellResult {
+            output: CellOutput::Sampled(Box::new(sampled)),
+            executed,
+            stopped_at,
+            cache: tally.cache.counters(executed),
+            per_trial: Vec::new(),
+        }
+    }
+}
+
+/// The bookkeeping a running cell of either mode shares: its stop test,
+/// snapshot cadence and snapshots, applied as trials are folded in seed
+/// order.
+struct CellTally<'a> {
+    spec: &'a CampaignSpec,
+    cache: CellCache,
+    started: Instant,
+    /// Trials between streamed snapshots (`0` = only the final one). A
+    /// sharded cell runs one batch per snapshot.
+    cadence: u64,
+}
+
+impl<'a> CellTally<'a> {
+    fn new(spec: &'a CampaignSpec, cache: CellCache) -> Self {
+        let cadence = match spec.stop {
+            StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
+            StopPolicy::FixedTrials => spec.snapshot_every,
+        };
+        CellTally {
+            spec,
+            cache,
+            started: Instant::now(),
+            cadence,
+        }
+    }
+
+    /// Called once the seed-ordered prefix of `done` trials counts
+    /// `(detected, successes)`: returns whether the stop policy halts the
+    /// cell here, and otherwise streams a snapshot on the cadence.
+    fn after_trial(&self, done: u64, counts: (u64, u64), sink: &mut dyn TelemetrySink) -> bool {
+        if self.spec.stop.reached(counts) {
+            return true;
+        }
+        if self.cadence > 0 && done.is_multiple_of(self.cadence) && done < self.spec.trials {
+            sink.snapshot(&self.snapshot(done, counts, self.cache.counters(done), None, false));
+        }
+        false
+    }
+
+    /// The cell's snapshot after `done` trials.
+    fn snapshot(
+        &self,
         done: u64,
+        (detected, successes): (u64, u64),
         cache: CacheCounters,
-        started: Instant,
         stopped_at: Option<u64>,
         is_final: bool,
-        results: &[TrialResult],
     ) -> CampaignSnapshot {
-        let mut detected = 0u64;
-        let mut successes = 0u64;
-        for r in &results[..done as usize] {
-            match &r.class {
-                TrialClass::RecoverySuccess { .. } => {
-                    detected += 1;
-                    successes += 1;
-                }
-                TrialClass::RecoveryFailure(_) => detected += 1,
-                TrialClass::NonManifested | TrialClass::Sdc => {}
-            }
-        }
         CampaignSnapshot {
-            job: spec.name.clone(),
+            job: self.spec.name.clone(),
             trials_done: done,
-            trials_target: spec.trials,
+            trials_target: self.spec.trials,
             detected,
             successes,
             done: is_final,
             stopped_at,
             cache,
-            wall_secs: started.elapsed().as_secs_f64(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_sampled(
-        &self,
-        spec: &CampaignSpec,
-        cache: CellCache,
-        windows: usize,
-        sampling: crate::coverage::SamplingMode,
-        steer_handler: Option<nlh_hv::HandlerKind>,
-        depth_cycle: u64,
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
-        let started = Instant::now();
-        let cadence = match spec.stop {
-            StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
-            StopPolicy::FixedTrials => spec.snapshot_every,
-        };
-        let mech = spec.mechanism.build();
-        let mut stopped_at: Option<u64> = None;
-        let sampled = {
-            let stopped_at = &mut stopped_at;
-            let mut after_trial = |done: u64, detected: u64, successes: u64| {
-                let stop = match spec.stop {
-                    StopPolicy::AtConfidence {
-                        halfwidth,
-                        min_detected,
-                        ..
-                    } => {
-                        detected >= min_detected
-                            && Proportion::new(successes, detected).wilson_halfwidth_95()
-                                <= halfwidth
-                    }
-                    StopPolicy::FixedTrials => false,
-                };
-                if stop {
-                    *stopped_at = Some(done);
-                }
-                if !stop && cadence > 0 && done.is_multiple_of(cadence) && done < spec.trials {
-                    sink.snapshot(&CampaignSnapshot {
-                        job: spec.name.clone(),
-                        trials_done: done,
-                        trials_target: spec.trials,
-                        detected,
-                        successes,
-                        done: false,
-                        stopped_at: None,
-                        cache: cache.counters(done),
-                        wall_secs: started.elapsed().as_secs_f64(),
-                    });
-                }
-                stop
-            };
-            run_sampled_campaign_in(
-                &self.cache,
-                spec.setup,
-                spec.fault,
-                mech.as_ref(),
-                spec.seed,
-                spec.trials,
-                windows,
-                sampling,
-                steer_handler,
-                depth_cycle,
-                &mut after_trial,
-            )
-        };
-        let executed = sampled.trials;
-        let cache = cache.counters(executed);
-        sink.snapshot(&CampaignSnapshot {
-            job: spec.name.clone(),
-            trials_done: executed,
-            trials_target: spec.trials,
-            detected: sampled.successes + sampled.failures,
-            successes: sampled.successes,
-            done: true,
-            stopped_at,
-            cache,
-            wall_secs: started.elapsed().as_secs_f64(),
-        });
-        CellResult {
-            output: CellOutput::Sampled(Box::new(sampled)),
-            executed,
-            stopped_at,
-            cache,
-            per_trial: Vec::new(),
+            wall_secs: self.started.elapsed().as_secs_f64(),
         }
     }
 }
@@ -754,15 +686,143 @@ mod tests {
         assert_eq!(second.cache.hits, 4);
     }
 
+    /// The five cell shapes whose snapshots the table below pins.
+    fn snapshot_cells() -> Vec<CampaignSpec> {
+        use crate::coverage::SamplingMode;
+        let sampled = |name: &str, fault: FaultType, trials: u64| {
+            let mut s = spec(name, trials);
+            s.fault = fault;
+            s.mode = ExecMode::Sampled {
+                windows: 4,
+                sampling: SamplingMode::CoverageGuided,
+                steer_handler: None,
+                depth_cycle: 3,
+            };
+            s
+        };
+        let mut sharded_every = spec("sharded-every", 9);
+        sharded_every.fault = FaultType::Code;
+        sharded_every.snapshot_every = 4;
+        let mut sharded_stop = spec("sharded-stop", 60);
+        sharded_stop.fault = FaultType::Code;
+        sharded_stop.stop = StopPolicy::AtConfidence {
+            halfwidth: 0.2,
+            min_detected: 5,
+            check_every: 5,
+        };
+        let mut sampled_every = sampled("sampled-every", FaultType::Code, 10);
+        sampled_every.snapshot_every = 3;
+        let mut sampled_stop = sampled("sampled-stop", FaultType::Code, 40);
+        sampled_stop.stop = StopPolicy::AtConfidence {
+            halfwidth: 0.25,
+            min_detected: 4,
+            check_every: 3,
+        };
+        let mut cold = spec("cold", 5);
+        cold.boot = BootMode::Cold;
+        cold.snapshot_every = 2;
+        vec![
+            sharded_every,
+            sharded_stop,
+            sampled_every,
+            sampled_stop,
+            cold,
+        ]
+    }
+
+    /// Every snapshot each of the five cells streams, wall time aside,
+    /// with the cell's executed count, stop trial and cache counters. A
+    /// row is `(trials_done, detected, successes, cache hits)`; the last
+    /// row is the final snapshot, which alone carries `done` and the stop.
     #[test]
     fn snapshot_cadence_emits_intermediate_snapshots() {
-        let engine = CampaignEngine::new();
-        let mut sink = MemorySink::default();
-        let mut s = spec("cell", 9);
-        s.snapshot_every = 4;
-        engine.run_spec(&s, &mut sink);
-        let dones: Vec<u64> = sink.snapshots.iter().map(|s| s.trials_done).collect();
-        assert_eq!(dones, vec![4, 8, 9]);
-        assert!(!sink.snapshots[0].done && sink.snapshots[2].done);
+        type Row = (u64, u64, u64, u64);
+        let warm = |hits| CacheCounters {
+            hits,
+            misses: 1,
+            resident_templates: 1,
+        };
+        let expected: [(u64, Option<u64>, CacheCounters, &[Row]); 5] = [
+            (
+                9,
+                None,
+                warm(8),
+                &[(4, 3, 2, 3), (8, 5, 3, 7), (9, 6, 4, 8)],
+            ),
+            (
+                28,
+                Some(28),
+                warm(29),
+                &[
+                    (5, 3, 2, 4),
+                    (10, 7, 5, 9),
+                    (15, 10, 8, 14),
+                    (20, 11, 8, 19),
+                    (25, 13, 10, 24),
+                    (28, 16, 12, 29),
+                ],
+            ),
+            (
+                10,
+                None,
+                warm(9),
+                &[(3, 2, 1, 2), (6, 4, 2, 5), (9, 6, 4, 8), (10, 7, 5, 9)],
+            ),
+            (
+                14,
+                Some(14),
+                warm(13),
+                &[
+                    (3, 2, 1, 2),
+                    (6, 4, 2, 5),
+                    (9, 6, 4, 8),
+                    (12, 8, 6, 11),
+                    (14, 9, 7, 13),
+                ],
+            ),
+            (
+                5,
+                None,
+                CacheCounters::default(),
+                &[(2, 2, 2, 0), (4, 4, 4, 0), (5, 5, 5, 0)],
+            ),
+        ];
+        for (s, (executed, stopped_at, cache, rows)) in snapshot_cells().iter().zip(expected) {
+            let mut sink = MemorySink::default();
+            let cell = CampaignEngine::new().run_spec(s, &mut sink);
+            assert_eq!(
+                (cell.executed, cell.stopped_at, cell.cache),
+                (executed, stopped_at, cache),
+                "{}",
+                s.name
+            );
+            let want: Vec<CampaignSnapshot> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(done, detected, successes, hits))| {
+                    let last = i + 1 == rows.len();
+                    CampaignSnapshot {
+                        job: s.name.clone(),
+                        trials_done: done,
+                        trials_target: s.trials,
+                        detected,
+                        successes,
+                        done: last,
+                        stopped_at: stopped_at.filter(|_| last),
+                        cache: CacheCounters { hits, ..cache },
+                        wall_secs: 0.0,
+                    }
+                })
+                .collect();
+            let got: Vec<CampaignSnapshot> = sink
+                .snapshots
+                .iter()
+                .map(|snap| CampaignSnapshot {
+                    wall_secs: 0.0,
+                    ..snap.clone()
+                })
+                .collect();
+            assert_eq!(got, want, "{}", s.name);
+        }
     }
 }

@@ -146,8 +146,10 @@ impl SetupKind {
     }
 
     /// Checks that a trial of this setup can run on `machine`:
-    /// [`build_system`] panics on too few CPUs or frames, and stepping
-    /// divides by the clock frequency.
+    /// [`build_system`] panics on too few CPUs or frames, stepping divides
+    /// by the clock frequency, and nothing here models a machine larger
+    /// than [`MachineConfig::paper`] (boot scrub time and memory grow with
+    /// its frame count).
     ///
     /// # Errors
     ///
@@ -155,12 +157,13 @@ impl SetupKind {
     pub(crate) fn check_machine(self, machine: &MachineConfig) -> Result<(), String> {
         let (cpus, domain_pages) = self.min_machine();
         let pages = machine.boot_heap_pages().saturating_add(domain_pages);
+        let max = MachineConfig::paper();
         if machine.num_cpus < cpus {
             Err(format!("{self:?} needs {cpus} CPUs"))
-        } else if machine.memory_mib.checked_mul(1024).is_none() {
+        } else if machine.num_cpus > max.num_cpus || machine.memory_mib > max.memory_mib {
             Err(format!(
-                "{} MiB overflows the frame count",
-                machine.memory_mib
+                "{} CPUs and {} MiB exceed the paper machine's {} CPUs and {} MiB",
+                machine.num_cpus, machine.memory_mib, max.num_cpus, max.memory_mib
             ))
         } else if machine.num_pages() < pages {
             Err(format!("{self:?} needs {pages} page frames"))
@@ -402,7 +405,8 @@ mod tests {
     }
 
     /// `check_machine` accepts the smallest machine a trial of each setup
-    /// boots and runs on, and nothing smaller.
+    /// boots and runs on and the paper machine, and nothing smaller or
+    /// larger.
     #[test]
     fn check_machine_accepts_exactly_what_a_trial_needs() {
         use crate::{run_trial_with, TrialConfig, TrialRunOptions};
@@ -431,10 +435,14 @@ mod tests {
             let mech = nlh_core::Microreset::nilihype();
             run_trial_with(hv, &layout, &config, &mech, TrialRunOptions::default());
 
+            let paper = MachineConfig::paper();
+            assert_eq!(setup.check_machine(&paper), Ok(()), "{setup:?}");
             for (cpus, mib, mhz) in [
                 (cpus - 1, m.memory_mib, 1),
                 (cpus, m.memory_mib - 1, 1),
                 (cpus, m.memory_mib, 0),
+                (paper.num_cpus + 1, paper.memory_mib, 1),
+                (paper.num_cpus, paper.memory_mib + 1, 1),
             ] {
                 let small = MachineConfig {
                     num_cpus: cpus,

@@ -14,6 +14,7 @@
 use nlh_core::MechanismSpec;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
+use nlh_sim::stats::Proportion;
 
 use crate::campaign::BootMode;
 use crate::coverage::SamplingMode;
@@ -63,6 +64,24 @@ pub enum StopPolicy {
         /// streaming-snapshot cadence). Clamped to at least 1.
         check_every: u64,
     },
+}
+
+impl StopPolicy {
+    /// Whether a cell stops once its seed-ordered prefix counts
+    /// `(detected, successes)`.
+    pub(crate) fn reached(self, (detected, successes): (u64, u64)) -> bool {
+        match self {
+            StopPolicy::FixedTrials => false,
+            StopPolicy::AtConfidence {
+                halfwidth,
+                min_detected,
+                ..
+            } => {
+                detected >= min_detected
+                    && Proportion::new(successes, detected).wilson_halfwidth_95() <= halfwidth
+            }
+        }
+    }
 }
 
 /// One campaign cell, as data.

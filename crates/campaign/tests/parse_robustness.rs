@@ -4,9 +4,9 @@
 //!
 //! The record parser also rejects a trigger range the injector cannot
 //! draw from and a machine the record's setup cannot boot or step on
-//! (`SetupKind::check_machine`): too few CPUs or frames, a frame count
-//! that overflows, or a zero clock. A machine larger than the host can
-//! boot still parses.
+//! (`SetupKind::check_machine`): too few CPUs or frames, a zero clock, or
+//! more CPUs or memory than the paper machine, the largest one modelled.
+//! A record that still parses must also replay to a `Result`.
 //!
 //! Every checked-in manifest must parse. The damaged inputs are the
 //! golden trial records and the CI manifest, cut at every character
@@ -16,7 +16,7 @@
 //! sampled job's `windows` must be a valid coverage-map width, since the
 //! engine would otherwise assert mid-suite after earlier jobs had run.
 
-use nlh_campaign::{ExecMode, SuiteSpec, TrialRecord, MAX_TRIGGER_OPS};
+use nlh_campaign::{BootCache, ExecMode, MechanismSpec, SuiteSpec, TrialRecord, MAX_TRIGGER_OPS};
 use proptest::prelude::*;
 
 const RECORDS: [&str; 3] = [
@@ -114,11 +114,11 @@ fn edit(record: &str, from: &str, to: &str) -> String {
     record.replacen(from, to, 1)
 }
 
-/// Edits that used to parse and then panic in `replay`: an empty or
-/// inverted trigger range, fewer CPUs than the setup pins, less memory
-/// than its boot domains take, a zero clock frequency, more CPUs than
-/// the memory has boot-heap frames for, and a memory size whose frame
-/// count overflows.
+/// Edits that used to parse and then panic in `replay`, or replay for
+/// minutes: an empty or inverted trigger range, fewer CPUs than the setup
+/// pins, less memory than its boot domains take, a zero clock frequency,
+/// and more CPUs or memory than the paper machine has (the largest of
+/// these used to panic in the boot scrub, or overflow the frame count).
 #[test]
 fn records_the_trial_cannot_run_are_errors() {
     let [one_app, vswitch, _] = RECORDS;
@@ -132,6 +132,9 @@ fn records_the_trial_cannot_run_are_errors() {
         edit(one_app, "freq_mhz=2500", "freq_mhz=0"),
         edit(one_app, "cpus=8", "cpus=18446744073709551615"),
         edit(one_app, "mem_mib=64", "mem_mib=18446744073709551615"),
+        edit(one_app, "mem_mib=64", "mem_mib=4503599627370496"),
+        edit(one_app, "mem_mib=64", "mem_mib=8193"),
+        edit(one_app, "cpus=8", "cpus=9"),
     ];
     for text in &cases {
         assert!(TrialRecord::from_text(text).is_err(), "parsed:\n{text}");
@@ -187,7 +190,9 @@ fn mutated_mechanism_spellings_fail() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Single-character edits of the golden trial records.
+    /// Single-character edits of the golden trial records. An edit that
+    /// parses and names a known mechanism replays to a `Result`, as
+    /// `replay --log` would run it.
     #[test]
     fn mutated_records_return_instead_of_panicking(
         which in 0usize..3,
@@ -195,7 +200,11 @@ proptest! {
         pos in 0usize..4096,
         ch in 0usize..64,
     ) {
-        let _ = TrialRecord::from_text(&mutate(RECORDS[which], op, pos, ch));
+        if let Ok(record) = TrialRecord::from_text(&mutate(RECORDS[which], op, pos, ch)) {
+            if let Some(mech) = MechanismSpec::parse(&record.mechanism) {
+                let _ = record.replay(mech.build().as_ref(), &BootCache::new());
+            }
+        }
     }
 
     /// Single-character edits of the CI manifest: `Ok` or `Err`, and

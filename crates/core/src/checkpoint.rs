@@ -15,7 +15,7 @@ use nlh_hv::hypercalls::OpSupport;
 use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 
-use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
+use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport};
 use crate::latency::CostModel;
 use crate::shared;
 
@@ -42,25 +42,14 @@ impl RecoveryMechanism for CheckpointRestore {
     }
 
     fn recover(&self, hv: &mut Hypervisor) -> Result<RecoveryReport, RecoveryError> {
-        if hv.detection().is_none() {
-            return Err(RecoveryError::NoDetection);
-        }
-        if !hv.recovery_entry_ok {
-            return Err(RecoveryError::RecoveryRoutineCorrupted);
-        }
+        let mut report = RecoveryReport::start(self.name(), hv)?;
         let cfg = hv.config.clone();
         let cost = CostModel::paper();
-        let mut steps: Vec<RecoveryStep> = Vec::new();
-        let mut push = |name: &str, d: SimDuration| {
-            steps.push(RecoveryStep {
-                name: name.to_string(),
-                duration: d,
-            })
-        };
 
         hv.save_fsgs_all();
         let abandon = hv.discard_all_stacks();
-        push(
+        report.frames_discarded = abandon.frames_discarded;
+        report.step(
             "Halt CPUs and preserve dynamic state",
             SimDuration::from_micros(800),
         );
@@ -76,33 +65,32 @@ impl RecoveryMechanism for CheckpointRestore {
         hv.boot_scratch_corrupted = false;
         hv.heap.rebuild_freelist();
         hv.timers.clear();
-        let timers_reactivated = shared::reactivate_timers(hv);
-        push(
+        report.timers_reactivated = shared::reactivate_timers(hv);
+        report.step(
             "Restore post-boot checkpoint image",
             cost.record_old_heap(&cfg) * 2, // copy in + fix-ups
         );
 
         // --- Re-integration, as in ReHype (Table II memory steps minus the
         // descriptor re-initialization the checkpoint already contains).
-        let mut locks_released = shared::release_heap_locks(hv);
-        locks_released += 0;
-        let pfd_repaired = hv.pft.consistency_scan();
-        push(
+        report.locks_released = shared::release_heap_locks(hv);
+        report.pfd_repaired = hv.pft.consistency_scan();
+        report.step(
             "Restore and check consistency of page frame entries",
             cost.pfd_scan(&cfg),
         );
-        push(
+        report.step(
             "Re-integrate preserved heap state",
             cost.recreate_heap(&cfg),
         );
         shared::apply_undo(hv);
-        let requests_retried = shared::mark_retries(hv, true, true);
+        report.requests_retried = shared::mark_retries(hv, true, true, None);
         shared::fix_scheduler(hv);
 
         // --- Hardware was NOT re-initialized: NiLiHype-style fixes.
         shared::ack_interrupts(hv);
         hv.reprogram_all_apics();
-        push(
+        report.step(
             "Reprogram hardware timers, acknowledge interrupts",
             SimDuration::from_micros(60),
         );
@@ -110,27 +98,14 @@ impl RecoveryMechanism for CheckpointRestore {
         // repair them the NiLiHype way (absent without devices).
         if !hv.virtio.is_empty() {
             let rep = hv.virtio_repair();
-            push(
+            report.step(
                 "Repair virtqueue ring consistency",
                 SimDuration::from_micros(20 + 2 * rep.total()),
             );
         }
 
         hv.finish_fsgs(&abandon.in_hv_vcpus, true);
-
-        let total = steps.iter().fold(SimDuration::ZERO, |a, s| a + s.duration);
-        hv.resume_after(total);
-
-        Ok(RecoveryReport {
-            mechanism: self.name().to_string(),
-            steps,
-            total,
-            frames_discarded: abandon.frames_discarded,
-            locks_released,
-            pfd_repaired,
-            requests_retried,
-            timers_reactivated,
-        })
+        Ok(report.finish(hv))
     }
 }
 

@@ -15,7 +15,7 @@ pub struct RecoveryStep {
 }
 
 /// What a recovery run did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Mechanism name (see [`RecoveryMechanism::name`]).
     pub mechanism: String,
@@ -122,11 +122,7 @@ mod tests {
                 },
             ],
             total: SimDuration::from_millis(22),
-            frames_discarded: 0,
-            locks_released: 0,
-            pfd_repaired: 0,
-            requests_retried: 0,
-            timers_reactivated: 0,
+            ..RecoveryReport::default()
         };
         let big = r.steps_at_least(SimDuration::from_millis(1));
         assert_eq!(big.len(), 1);

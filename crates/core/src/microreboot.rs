@@ -14,7 +14,7 @@ use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
+use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport};
 use crate::latency::CostModel;
 use crate::mechanism::MechanismSpec;
 use crate::shared;
@@ -112,12 +112,7 @@ impl RecoveryMechanism for Microreboot {
     }
 
     fn recover(&self, hv: &mut Hypervisor) -> Result<RecoveryReport, RecoveryError> {
-        if hv.detection().is_none() {
-            return Err(RecoveryError::NoDetection);
-        }
-        if !hv.recovery_entry_ok {
-            return Err(RecoveryError::RecoveryRoutineCorrupted);
-        }
+        let mut report = RecoveryReport::start(self.name(), hv)?;
         if !self.config.bootline_log {
             // Without logged boot options the new instance cannot be
             // brought up compatibly with the preserved state.
@@ -126,35 +121,29 @@ impl RecoveryMechanism for Microreboot {
         let c = &self.config;
         let cfg = hv.config.clone();
         let cost = CostModel::paper();
-        let mut steps: Vec<RecoveryStep> = Vec::new();
-        let mut push = |name: &str, d: SimDuration| {
-            steps.push(RecoveryStep {
-                name: name.to_string(),
-                duration: d,
-            })
-        };
 
         // --- Quiesce + preserve. ---
         if c.save_fsgs {
             hv.save_fsgs_all();
         }
         let abandon = hv.discard_all_stacks();
-        push(
+        report.frames_discarded = abandon.frames_discarded;
+        report.step(
             "Halt CPUs and preserve static data segments",
             SimDuration::from_micros(800),
         );
 
         // --- Hardware initialization (Table II: 412 ms). ---
-        push("Early initialize of the boot CPU", cost.early_boot_cpu);
-        push(
+        report.step("Early initialize of the boot CPU", cost.early_boot_cpu);
+        report.step(
             "Initialize and wait for other CPUs to come online",
             cost.init_other_cpus(&cfg),
         );
-        push(
+        report.step(
             "Verify, connect and setup local APIC and setup IO APIC",
             cost.apic_setup,
         );
-        push("Initialize and calibrate TSC timer", cost.tsc_calibrate);
+        report.step("Initialize and calibrate TSC timer", cost.tsc_calibrate);
         // The reboot re-initializes hardware + boot-initialized state:
         for pc in hv.percpu.iter_mut() {
             pc.local_irq_count = 0;
@@ -171,41 +160,40 @@ impl RecoveryMechanism for Microreboot {
         // Timer subsystem is rebuilt from scratch; recurring events are
         // re-registered during boot.
         hv.timers.clear();
-        let timers_reactivated = shared::reactivate_timers(hv);
+        report.timers_reactivated = shared::reactivate_timers(hv);
         hv.reprogram_all_apics();
 
         // --- Memory initialization (Table II: 266 ms). ---
-        push(
+        report.step(
             "Record allocated pages of old heap",
             cost.record_old_heap(&cfg),
         );
-        let pfd_repaired = hv.pft.consistency_scan();
-        push(
+        report.pfd_repaired = hv.pft.consistency_scan();
+        report.step(
             "Restore and check consistency of page frame entries",
             cost.pfd_scan(&cfg),
         );
-        push(
+        report.step(
             "Re-initialize the page frame descriptor for un-preserved pages",
             cost.reinit_unpreserved(&cfg),
         );
         hv.heap.rebuild_freelist();
-        push("Recreate the new heap", cost.recreate_heap(&cfg));
+        report.step("Recreate the new heap", cost.recreate_heap(&cfg));
 
         // --- Misc (Table II: 35 ms). ---
-        push("SMP initialization", cost.smp_init);
-        push(
+        report.step("SMP initialization", cost.smp_init);
+        report.step(
             "Identify valid page frame, relocate boot up modules",
             cost.relocate_modules,
         );
-        push("Others", cost.boot_others);
+        report.step("Others", cost.boot_others);
 
         // --- Re-integration + shared enhancements. ---
-        let mut locks_released = shared::release_heap_locks(hv);
-        locks_released += 0;
+        report.locks_released = shared::release_heap_locks(hv);
         if c.nonidem_mitigation {
             shared::apply_undo(hv);
         }
-        let requests_retried = shared::mark_retries(hv, true, c.syscall_retry);
+        report.requests_retried = shared::mark_retries(hv, true, c.syscall_retry, None);
         shared::ack_interrupts(hv);
         // Scheduler state is rebuilt from the preserved per-CPU structures.
         shared::fix_scheduler(hv);
@@ -217,27 +205,14 @@ impl RecoveryMechanism for Microreboot {
         // unchanged.
         if !hv.virtio.is_empty() {
             let rep = hv.virtio_repair();
-            push(
+            report.step(
                 "Re-initialize virtio device backends and repair rings",
                 SimDuration::from_micros(20 + 2 * rep.total()),
             );
         }
 
         hv.finish_fsgs(&abandon.in_hv_vcpus, c.save_fsgs);
-
-        let total = steps.iter().fold(SimDuration::ZERO, |a, s| a + s.duration);
-        hv.resume_after(total);
-
-        Ok(RecoveryReport {
-            mechanism: self.name().to_string(),
-            steps,
-            total,
-            frames_discarded: abandon.frames_discarded,
-            locks_released,
-            pfd_repaired,
-            requests_retried,
-            timers_reactivated,
-        })
+        Ok(report.finish(hv))
     }
 }
 

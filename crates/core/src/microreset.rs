@@ -11,7 +11,7 @@ use nlh_hv::hypercalls::OpSupport;
 use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 
-use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
+use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport};
 use crate::enhancements::Enhancements;
 use crate::latency::CostModel;
 use crate::mechanism::MechanismSpec;
@@ -90,21 +90,9 @@ impl RecoveryMechanism for Microreset {
     }
 
     fn recover(&self, hv: &mut Hypervisor) -> Result<RecoveryReport, RecoveryError> {
-        if hv.detection().is_none() {
-            return Err(RecoveryError::NoDetection);
-        }
-        if !hv.recovery_entry_ok {
-            return Err(RecoveryError::RecoveryRoutineCorrupted);
-        }
+        let mut report = RecoveryReport::start(self.name(), hv)?;
         let e = &self.enhancements;
         let cost = CostModel::paper();
-        let mut steps: Vec<RecoveryStep> = Vec::new();
-        let mut push = |name: &str, d: SimDuration| {
-            steps.push(RecoveryStep {
-                name: name.to_string(),
-                duration: d,
-            })
-        };
 
         // --- Quiesce: interrupt all CPUs, disable interrupts, discard all
         // execution threads (reset stacks), park in busy-waits.
@@ -118,109 +106,89 @@ impl RecoveryMechanism for Microreset {
                 hv.discard_one_stack(cpu)
             }
         };
-        push(
+        report.frames_discarded = abandon.frames_discarded;
+        report.step(
             "Interrupt all CPUs and discard execution threads",
             SimDuration::from_micros(150),
         );
-
-        let mut locks_released = 0;
-        let mut requests_retried = 0;
-        let mut pfd_repaired = 0;
-        let mut timers_reactivated = 0;
 
         // --- Enhancements (Section V-A, plus the shared ReHype set). ---
         if e.clear_irq_count {
             for pc in hv.percpu.iter_mut() {
                 pc.local_irq_count = 0;
             }
-            push("Clear IRQ count", SimDuration::from_micros(5));
+            report.step("Clear IRQ count", SimDuration::from_micros(5));
         }
         if e.release_heap_locks {
-            locks_released += shared::release_heap_locks(hv);
-            push("Release heap locks", SimDuration::from_micros(60));
+            report.locks_released += shared::release_heap_locks(hv);
+            report.step("Release heap locks", SimDuration::from_micros(60));
         }
         if e.unlock_static_locks {
-            locks_released += hv.locks.unlock_static_segment();
-            push("Unlock static locks", SimDuration::from_micros(15));
+            report.locks_released += hv.locks.unlock_static_segment();
+            report.step("Unlock static locks", SimDuration::from_micros(15));
         }
         if e.nonidem_mitigation {
             shared::apply_undo(hv);
-            push(
+            report.step(
                 "Apply non-idempotent undo log",
                 SimDuration::from_micros(30),
             );
         }
         if e.hypercall_retry || e.syscall_retry {
-            requests_retried = match self.policy {
-                DiscardPolicy::AllThreads => {
-                    shared::mark_retries(hv, e.hypercall_retry, e.syscall_retry)
-                }
-                // Threads that survive keep executing their requests;
-                // retrying them too would double-execute. Only requests of
-                // the *discarded* thread are retried.
-                DiscardPolicy::FaultingThreadOnly => {
-                    let mut n = 0;
-                    for &v in &abandon.in_hv_vcpus {
-                        let dom = hv.domain_of(v);
-                        if let Some(p) = hv.domains[dom.index()].pending.as_mut() {
-                            let ok = match p.kind {
-                                nlh_hv::hypercalls::PendingKind::Hypercall(_) => e.hypercall_retry,
-                                nlh_hv::hypercalls::PendingKind::Syscall => e.syscall_retry,
-                            };
-                            if ok {
-                                p.will_retry = true;
-                                n += 1;
-                            }
-                        }
-                    }
-                    n
-                }
+            // Threads that survive keep executing their requests; retrying
+            // them too would double-execute. Only requests of the
+            // *discarded* thread are retried.
+            let only = match self.policy {
+                DiscardPolicy::AllThreads => None,
+                DiscardPolicy::FaultingThreadOnly => Some(abandon.in_hv_vcpus.as_slice()),
             };
-            push(
+            report.requests_retried =
+                shared::mark_retries(hv, e.hypercall_retry, e.syscall_retry, only);
+            report.step(
                 "Set up hypercall/syscall retry",
                 SimDuration::from_micros(40),
             );
         }
         if e.ack_interrupts {
             shared::ack_interrupts(hv);
-            push(
+            report.step(
                 "Acknowledge pending/in-service interrupts",
                 SimDuration::from_micros(25),
             );
         }
         if e.sched_consistency {
             shared::fix_scheduler(hv);
-            push(
+            report.step(
                 "Ensure consistency within scheduling metadata",
                 SimDuration::from_micros(120),
             );
         }
         if e.pfd_scan {
-            pfd_repaired = hv.pft.consistency_scan();
-            push(
+            report.pfd_repaired = hv.pft.consistency_scan();
+            report.step(
                 "Restore and check consistency of page frame entries",
                 cost.pfd_scan(&hv.config),
             );
         }
         if e.reactivate_timer_events {
-            timers_reactivated = shared::reactivate_timers(hv);
-            push(
+            report.timers_reactivated = shared::reactivate_timers(hv);
+            report.step(
                 "Reactivate recurring timer events",
                 SimDuration::from_micros(40),
             );
         }
         if e.reprogram_timer {
             hv.reprogram_all_apics();
-            push("Reprogram hardware timer", SimDuration::from_micros(30));
+            report.step("Reprogram hardware timer", SimDuration::from_micros(30));
         }
         // Device extension, not in the paper. Runs after `ack_interrupts`
         // (which clears every pending vector) so its re-raised completion
-        // interrupts survive. On machines without virtio devices it pushes
-        // no step and adds zero time, preserving the paper's Table III
-        // latency breakdown exactly.
+        // interrupts survive. On machines without virtio devices it adds
+        // no step and no time, preserving the paper's Table III latency
+        // breakdown exactly.
         if e.virtqueue_consistency && !hv.virtio.is_empty() {
             let rep = hv.virtio_repair();
-            push(
+            report.step(
                 "Repair virtqueue ring consistency",
                 SimDuration::from_micros(20 + 2 * rep.total()),
             );
@@ -228,21 +196,8 @@ impl RecoveryMechanism for Microreset {
 
         // --- FS/GS consequence + resume. ---
         hv.finish_fsgs(&abandon.in_hv_vcpus, e.save_fsgs);
-        push("Resume normal operation", cost.microreset_others / 2);
-
-        let total = steps.iter().fold(SimDuration::ZERO, |a, s| a + s.duration);
-        hv.resume_after(total);
-
-        Ok(RecoveryReport {
-            mechanism: self.name().to_string(),
-            steps,
-            total,
-            frames_discarded: abandon.frames_discarded,
-            locks_released,
-            pfd_repaired,
-            requests_retried,
-            timers_reactivated,
-        })
+        report.step("Resume normal operation", cost.microreset_others / 2);
+        Ok(report.finish(hv))
     }
 }
 

@@ -1,7 +1,53 @@
-//! Recovery steps shared by NiLiHype and ReHype (Section III-B/C).
+//! Recovery steps shared by NiLiHype and ReHype (Section III-B/C), and
+//! the report bookkeeping every mechanism's `recover` shares.
 
 use nlh_hv::hypercalls::PendingKind;
-use nlh_hv::Hypervisor;
+use nlh_hv::{Hypervisor, VcpuId};
+use nlh_sim::SimDuration;
+
+use crate::clr::{RecoveryError, RecoveryReport, RecoveryStep};
+
+/// A recovery report is started by the entry guard, grows one step at a
+/// time, and is finished by resuming the machine after the steps' total.
+impl RecoveryReport {
+    /// Checks that `hv` can be recovered and starts an empty report.
+    ///
+    /// # Errors
+    ///
+    /// [`RecoveryError::NoDetection`] without a pending detection, and
+    /// [`RecoveryError::RecoveryRoutineCorrupted`] when the fault broke the
+    /// recovery routine's entry.
+    pub(crate) fn start(mechanism: &str, hv: &Hypervisor) -> Result<Self, RecoveryError> {
+        if hv.detection().is_none() {
+            return Err(RecoveryError::NoDetection);
+        }
+        if !hv.recovery_entry_ok {
+            return Err(RecoveryError::RecoveryRoutineCorrupted);
+        }
+        Ok(RecoveryReport {
+            mechanism: mechanism.to_string(),
+            ..RecoveryReport::default()
+        })
+    }
+
+    /// Appends a step that took `duration`.
+    pub(crate) fn step(&mut self, name: &str, duration: SimDuration) {
+        self.steps.push(RecoveryStep {
+            name: name.to_string(),
+            duration,
+        });
+    }
+
+    /// Totals the steps and resumes `hv` with every clock advanced by it.
+    pub(crate) fn finish(mut self, hv: &mut Hypervisor) -> Self {
+        self.total = self
+            .steps
+            .iter()
+            .fold(SimDuration::ZERO, |a, s| a + s.duration);
+        hv.resume_after(self.total);
+        self
+    }
+}
 
 /// Releases every lock embedded in a heap object (ReHype's original
 /// mechanism, reused by NiLiHype). Returns how many were held.
@@ -10,13 +56,23 @@ pub(crate) fn release_heap_locks(hv: &mut Hypervisor) -> usize {
     hv.locks.unlock_heap_locks(ids)
 }
 
-/// Marks partially executed requests for retry. `hypercalls` / `syscalls`
-/// select which kinds are retried (the x86-64 port added syscall retry,
-/// Section IV). Returns how many were marked.
-pub(crate) fn mark_retries(hv: &mut Hypervisor, hypercalls: bool, syscalls: bool) -> usize {
+/// Marks partially executed requests for retry: every domain's, or with
+/// `only` the requests of those vCPUs' domains, in that order.
+/// `hypercalls` / `syscalls` select which kinds are retried (the x86-64
+/// port added syscall retry, Section IV). Returns how many were marked.
+pub(crate) fn mark_retries(
+    hv: &mut Hypervisor,
+    hypercalls: bool,
+    syscalls: bool,
+    only: Option<&[VcpuId]>,
+) -> usize {
+    let doms: Vec<usize> = match only {
+        None => (0..hv.domains.len()).collect(),
+        Some(vcpus) => vcpus.iter().map(|&v| hv.domain_of(v).index()).collect(),
+    };
     let mut n = 0;
-    for d in &mut hv.domains {
-        if let Some(p) = d.pending.as_mut() {
+    for d in doms {
+        if let Some(p) = hv.domains[d].pending.as_mut() {
             let retry = match p.kind {
                 PendingKind::Hypercall(_) => hypercalls,
                 PendingKind::Syscall => syscalls,
@@ -102,9 +158,9 @@ mod tests {
             completed_subcalls: 0,
             will_retry: false,
         });
-        assert_eq!(mark_retries(&mut hv, false, true), 0);
+        assert_eq!(mark_retries(&mut hv, false, true, None), 0);
         assert!(!hv.domains[0].pending.as_ref().unwrap().will_retry);
-        assert_eq!(mark_retries(&mut hv, true, false), 1);
+        assert_eq!(mark_retries(&mut hv, true, false, None), 1);
         assert!(hv.domains[0].pending.as_ref().unwrap().will_retry);
     }
 
@@ -117,8 +173,8 @@ mod tests {
             completed_subcalls: 0,
             will_retry: false,
         });
-        assert_eq!(mark_retries(&mut hv, true, false), 0);
-        assert_eq!(mark_retries(&mut hv, true, true), 1);
+        assert_eq!(mark_retries(&mut hv, true, false, None), 0);
+        assert_eq!(mark_retries(&mut hv, true, true, None), 1);
     }
 
     #[test]

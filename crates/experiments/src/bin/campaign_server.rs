@@ -105,15 +105,6 @@ impl TelemetrySink for PrintSink {
     }
 }
 
-/// A cell's (detected, successes). A sampled cell detects exactly the
-/// trials it either recovered or counted as residual failures.
-fn counts(output: &CellOutput) -> (u64, u64) {
-    match output {
-        CellOutput::Sharded(r) => (r.detected, r.successes),
-        CellOutput::Sampled(s) => (s.successes + s.failures, s.successes),
-    }
-}
-
 /// `s` as a JSON string literal. Job names and the suite label come from
 /// the manifest and the command line, so anything may be in them.
 fn json_str(s: &str) -> String {
@@ -138,7 +129,7 @@ fn json_str(s: &str) -> String {
 /// One row of the JSON summary.
 fn json_job(out: &mut String, outcome: &JobOutcome, last: bool) {
     let cell = &outcome.cell;
-    let (detected, successes) = counts(&cell.output);
+    let (detected, successes) = cell.output.counts();
     let p = Proportion::new(successes, detected);
     let (lo, hi) = p.wilson_95();
     let opt = |n: Option<u64>| n.map_or_else(|| "null".into(), |n| n.to_string());
@@ -207,7 +198,7 @@ fn json_summary(
 
 fn cell_line(outcome: &JobOutcome) -> String {
     let cell = &outcome.cell;
-    let (detected, successes) = counts(&cell.output);
+    let (detected, successes) = cell.output.counts();
     let p = Proportion::new(successes, detected);
     let mut line = format!(
         "{:<38} {:>5} {:>9} {:>16} {:>8}",
@@ -294,7 +285,7 @@ fn main() {
             .find(|o| o.name == s.name)
             .expect("every job ran");
         assert_eq!(
-            counts(&outcome.cell.output),
+            outcome.cell.output.counts(),
             (30, 30),
             "fig2 failstop golden counts drifted on the engine path"
         );
