@@ -17,21 +17,25 @@
 //! engine builds the spec's mechanism once per worker.
 //!
 //! Execution is batched: workers pull trial indices from an atomic
-//! counter and return `(index, result)` pairs, which the engine sorts and
-//! folds **seed-ordered** through one [`Shard`]. Seed-order folding is
-//! what makes the optional stop-at-confidence policy deterministic: the
-//! stop trial is the first `n` at which the seed-ordered prefix's Wilson
-//! half-width crosses the threshold, independent of how the batch's trials
-//! interleaved across workers, and the aggregated result equals a
-//! fixed-trials run of exactly `n` trials.
+//! counter and fill each cell's result slot for that index, and each cell
+//! folds its batch **seed-ordered** through one [`Shard`]. Seed-order
+//! folding is what makes the optional stop-at-confidence policy
+//! deterministic: the stop trial is the first `n` at which the
+//! seed-ordered prefix's Wilson half-width crosses the threshold,
+//! independent of how the batch's trials interleaved across workers, and
+//! the aggregated result equals a fixed-trials run of exactly `n` trials.
 //!
-//! A suite runs sharded cells one at a time, each on the trial-level
-//! worker pool. A sampled cell runs its trials in order on one thread, so
+//! A suite runs consecutive sharded cells that share a [`sibling_key`] as
+//! one sibling group on the trial-level worker pool: trial `i` of every
+//! such cell runs identically up to its first detection, so each trial is
+//! checked out once and run through [`run_trial_group`], which forks it
+//! at that point, once per cell. A lone sharded cell is a group of one.
+//! A sampled cell runs its trials in order on one thread, so
 //! [`CampaignEngine::run_suite`] runs each maximal stretch of consecutive
 //! sampled jobs (in suite order) that do not wait on one another as one
-//! group, one cell per worker. A group reports what the sequential run
-//! reports: outcomes come back in suite order, the sink gets each cell's
-//! snapshots together and in suite order, and each cell's
+//! group, one cell per worker. Either group reports what the sequential
+//! run reports: outcomes come back in suite order, the sink gets each
+//! cell's snapshots together and in suite order, and each cell's
 //! [`CacheCounters`] come from its own checkouts plus the template build
 //! it was first to need in suite order, not from whichever cell happened
 //! to check out first.
@@ -39,16 +43,18 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, OnceLock};
 use std::time::Instant;
+
+use nlh_core::RecoveryMechanism;
 
 use crate::boot_cache::{BootCache, CacheCounters};
 use crate::campaign::{BootMode, CampaignResult, Shard};
-use crate::coverage::{run_sampled_campaign_in, SampledCampaign, SamplingMode};
+use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
 use crate::setup::build_system;
 use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
 use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
-use crate::trial::{run_trial_with, TrialConfig, TrialResult, TrialRunOptions};
+use crate::trial::{run_trial_group, TrialConfig, TrialResult, TrialRunOptions};
 
 /// The per-mode payload of a finished cell.
 #[derive(Debug)]
@@ -177,42 +183,24 @@ impl CampaignEngine {
         &self.cache
     }
 
-    /// Runs one cell, streaming snapshots to `sink`.
+    /// Runs one cell, streaming snapshots to `sink`. A sharded cell runs
+    /// as a sibling group of one.
     pub fn run_spec(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
-        self.run_cell(spec, self.cell_cache(spec), sink)
-    }
-
-    fn run_cell(
-        &self,
-        spec: &CampaignSpec,
-        cache: CellCache,
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
-        let tally = CellTally::new(spec, cache);
-        let cell = match spec.mode {
-            ExecMode::Sharded => self.run_sharded(&tally, sink),
-            ExecMode::Sampled {
-                windows,
-                sampling,
-                steer_handler,
-                depth_cycle,
-            } => self.run_sampled(&tally, windows, sampling, steer_handler, depth_cycle, sink),
-        };
-        sink.snapshot(&tally.snapshot(
-            cell.executed,
-            cell.output.counts(),
-            cell.cache,
-            cell.stopped_at,
-            true,
-        ));
-        cell
+        match spec.mode {
+            ExecMode::Sharded => self
+                .run_siblings(&[spec], sink)
+                .pop()
+                .expect("a group of one runs one cell"),
+            ExecMode::Sampled { .. } => self.run_sampled(spec, self.cell_cache(spec), sink),
+        }
     }
 
     /// Runs a whole suite in a dependency-respecting order (stable: among
     /// ready jobs, submission order wins), sharing the boot cache across
-    /// every cell. Validates the graph before running anything. Stretches
-    /// of independent sampled jobs run concurrently (see the module docs);
-    /// outcomes and snapshots still arrive in that order.
+    /// every cell. Validates the graph before running anything. Sibling
+    /// sharded jobs and stretches of independent sampled jobs each run as
+    /// one group (see the module docs); outcomes and snapshots still
+    /// arrive in that order.
     pub fn run_suite(
         &self,
         suite: &SuiteSpec,
@@ -222,29 +210,43 @@ impl CampaignEngine {
         let mut outcomes = Vec::with_capacity(order.len());
         let mut next = 0;
         while next < order.len() {
-            let group = ready_sampled_run(suite, &order[next..]).max(1);
-            let specs: Vec<&CampaignSpec> = order[next..next + group]
-                .iter()
-                .map(|&i| &suite.jobs[i].spec)
-                .collect();
-            let cells = if group > 1 && parallelism() > 1 {
-                self.run_concurrently(&specs, sink)
-            } else {
-                specs.iter().map(|spec| self.run_spec(spec, sink)).collect()
+            let rest = &order[next..];
+            let specs = |n: usize| -> Vec<&CampaignSpec> {
+                rest[..n].iter().map(|&i| &suite.jobs[i].spec).collect()
             };
-            outcomes.extend(specs.iter().zip(cells).map(|(spec, cell)| JobOutcome {
-                name: spec.name.clone(),
-                cell,
-            }));
+            let head = &suite.jobs[rest[0]].spec;
+            let (group, cells) = match sibling_key(head) {
+                Some(key) => {
+                    let n = ready_run(suite, rest, |s| sibling_key(s).as_ref() == Some(&key));
+                    (n, self.run_siblings(&specs(n), sink))
+                }
+                None => {
+                    let n = ready_run(suite, rest, |s| matches!(s.mode, ExecMode::Sampled { .. }));
+                    if n > 1 && parallelism() > 1 {
+                        (n, self.run_concurrently(&specs(n), sink))
+                    } else {
+                        (1, vec![self.run_spec(head, sink)])
+                    }
+                }
+            };
+            outcomes.extend(
+                rest[..group]
+                    .iter()
+                    .zip(cells)
+                    .map(|(&i, cell)| JobOutcome {
+                        name: suite.jobs[i].spec.name.clone(),
+                        cell,
+                    }),
+            );
             next += group;
         }
         Ok(outcomes)
     }
 
-    /// Runs independent cells on up to [`parallelism`] workers, one cell
-    /// per worker at a time; the calling thread is one of the workers.
-    /// Each cell's snapshots are buffered and reach `sink` together, in
-    /// `specs` order, once every earlier cell has finished.
+    /// Runs independent sampled cells on up to [`parallelism`] workers,
+    /// one cell per worker at a time; the calling thread is one of the
+    /// workers. Each cell's snapshots are buffered and reach `sink`
+    /// together, in `specs` order, once every earlier cell has finished.
     fn run_concurrently(
         &self,
         specs: &[&CampaignSpec],
@@ -257,7 +259,7 @@ impl CampaignEngine {
         let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < specs.len());
         let run = |i: usize| {
             let mut buffer = MemorySink::default();
-            let cell = self.run_cell(specs[i], caches[i], &mut buffer);
+            let cell = self.run_sampled(specs[i], caches[i], &mut buffer);
             (i, cell, buffer.snapshots)
         };
 
@@ -312,114 +314,198 @@ impl CampaignEngine {
         }
     }
 
-    /// Runs a sharded cell in batches on the trial-level worker pool,
-    /// folding each batch's results into one [`Shard`] in seed order.
-    fn run_sharded(&self, tally: &CellTally, sink: &mut dyn TelemetrySink) -> CellResult {
-        let spec = tally.spec;
-        let trials = spec.trials;
+    /// Runs a sibling group of sharded cells (jobs with one
+    /// [`sibling_key`]) in batches on the trial-level worker pool. Each
+    /// trial checks one system out and runs [`run_trial_group`] over the
+    /// cells still running, and each cell folds its own results in seed
+    /// order. A cell that stops at confidence leaves the group at the next
+    /// batch boundary. The first cell's snapshots stream to `sink`; the
+    /// others' are buffered and follow it in cell order once the group
+    /// finishes.
+    ///
+    /// Busy time and wall time are split so that each sums to the group's:
+    /// a trial's checkout and shared pre-detection run are charged to the
+    /// first running cell, each sibling's run after the fork to that
+    /// sibling, and each snapshot's `wall_secs` is the group's elapsed time
+    /// times the cell's share of the busy time so far.
+    fn run_siblings(
+        &self,
+        specs: &[&CampaignSpec],
+        sink: &mut dyn TelemetrySink,
+    ) -> Vec<CellResult> {
+        let tallies: Vec<CellTally> = specs
+            .iter()
+            .map(|spec| CellTally::new(spec, self.cell_cache(spec)))
+            .collect();
+        let started = Instant::now();
+        let trials = specs[0].trials;
         let threads = parallelism().min(trials.max(1) as usize);
-        let batch = if tally.cadence > 0 {
-            tally.cadence
+        let batch = if tallies[0].cadence > 0 {
+            tallies[0].cadence
         } else {
             trials.max(1)
         };
 
-        let mut shard = Shard::new(spec.mechanism.name());
-        let mut per_trial: Vec<TrialResult> = Vec::new();
-        let mut stopped_at: Option<u64> = None;
+        let mut cells: Vec<SiblingCell> = specs
+            .iter()
+            .map(|spec| SiblingCell {
+                shard: Shard::new(spec.mechanism.name()),
+                per_trial: Vec::new(),
+                stopped_at: None,
+                checkouts: 0,
+            })
+            .collect();
+        // The first cell streams to `sink`, so its buffer stays empty.
+        let mut buffers: Vec<MemorySink> = specs.iter().map(|_| MemorySink::default()).collect();
         let mut start = 0u64;
-        while start < trials && stopped_at.is_none() {
+        while start < trials {
+            let active: Vec<usize> = (0..cells.len())
+                .filter(|&j| cells[j].stopped_at.is_none())
+                .collect();
+            if active.is_empty() {
+                break;
+            }
             let end = (start + batch).min(trials);
-            let results = self.run_batch(spec, start..end, threads, &mut shard);
-            // Under stop-at-confidence, halt at the exact first crossing
-            // trial and drop the rest of its batch.
-            for r in results {
-                shard.add(&r);
-                per_trial.push(r);
-                let done = per_trial.len() as u64;
-                if tally.after_trial(done, shard.counts(), sink) {
-                    stopped_at = Some(done);
-                    break;
+            let active_specs: Vec<&CampaignSpec> = active.iter().map(|&j| specs[j]).collect();
+            let parts = self.run_batch(&active_specs, start..end, threads);
+            for (&j, part) in active.iter().zip(&parts) {
+                cells[j].shard.add_nanos(part.setup_ns, part.run_ns);
+                cells[j].checkouts = end;
+            }
+            let busy: u64 = cells.iter().map(|c| c.shard.busy_nanos()).sum();
+            let elapsed = started.elapsed().as_secs_f64();
+            for (&j, part) in active.iter().zip(parts) {
+                let cell = &mut cells[j];
+                let wall = wall_share(elapsed, cell.shard.busy_nanos(), busy, j == 0);
+                let out: &mut dyn TelemetrySink = if j == 0 { &mut *sink } else { &mut buffers[j] };
+                // Under stop-at-confidence, halt at the exact first crossing
+                // trial and drop the rest of its batch.
+                for slot in part.results {
+                    let r = slot.into_inner().expect("every trial of the batch ran");
+                    cell.shard.add(&r);
+                    cell.per_trial.push(r);
+                    let done = cell.per_trial.len() as u64;
+                    if tallies[j].after_trial(done, cell.shard.counts(), wall, out) {
+                        cell.stopped_at = Some(done);
+                        break;
+                    }
                 }
             }
             start = end;
         }
 
-        let executed = per_trial.len() as u64;
-        CellResult {
-            output: CellOutput::Sharded(shard.into_result(spec.fault, executed)),
-            executed,
-            stopped_at,
-            // Every trial a batch ran checked a system out, including
-            // those past the stop trial.
-            cache: tally.cache.counters(start),
-            per_trial,
+        let busy: u64 = cells.iter().map(|c| c.shard.busy_nanos()).sum();
+        let elapsed = started.elapsed().as_secs_f64();
+        let mut results = Vec::with_capacity(cells.len());
+        for (j, (cell, buffer)) in cells.into_iter().zip(buffers).enumerate() {
+            for snap in &buffer.snapshots {
+                sink.snapshot(snap);
+            }
+            let wall = wall_share(elapsed, cell.shard.busy_nanos(), busy, j == 0);
+            let executed = cell.per_trial.len() as u64;
+            let result = CellResult {
+                output: CellOutput::Sharded(cell.shard.into_result(specs[j].fault, executed)),
+                executed,
+                stopped_at: cell.stopped_at,
+                // Every trial a batch ran for the cell counts as one of its
+                // checkouts, including those past its stop trial.
+                cache: tallies[j].cache.counters(cell.checkouts),
+                per_trial: cell.per_trial,
+            };
+            tallies[j].finish(&result, wall, sink);
+            results.push(result);
         }
+        results
     }
 
-    /// Runs trials `range` of a sharded cell on `threads` workers and
-    /// returns their results in seed order. The workers' setup and
-    /// trial-body wall time goes to `shard`.
+    /// Runs trials `range` of the sibling cells `specs` on `threads`
+    /// workers, one checkout and one [`run_trial_group`] per trial, and
+    /// returns each cell's results in seed order with its busy time.
     fn run_batch(
         &self,
-        spec: &CampaignSpec,
+        specs: &[&CampaignSpec],
         range: Range<u64>,
         threads: usize,
-        shard: &mut Shard,
-    ) -> Vec<TrialResult> {
+    ) -> Vec<BatchPart> {
+        let lead = specs[0];
+        let mut parts: Vec<BatchPart> = specs
+            .iter()
+            .map(|_| BatchPart {
+                results: range.clone().map(|_| OnceLock::new()).collect(),
+                setup_ns: 0,
+                run_ns: 0,
+            })
+            .collect();
         let next = AtomicU64::new(range.start);
         let worker = || {
-            let mech = spec.mechanism.build();
-            let mut out: Vec<(u64, TrialResult)> = Vec::new();
-            let (mut setup_ns, mut run_ns) = (0u64, 0u64);
+            let built: Vec<Box<dyn RecoveryMechanism>> =
+                specs.iter().map(|spec| spec.mechanism.build()).collect();
+            let mechs: Vec<&dyn RecoveryMechanism> = built.iter().map(|m| m.as_ref()).collect();
+            let mut nanos = vec![(0u64, 0u64); specs.len()];
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= range.end {
                     break;
                 }
-                let cfg = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
+                let cfg = TrialConfig::new(lead.setup, lead.fault, lead.seed + i);
                 let t0 = Instant::now();
-                let (hv, layout) = match spec.boot {
+                let (hv, layout) = match lead.boot {
                     BootMode::Warm => self.cache.checkout(&cfg.machine, cfg.setup, cfg.seed),
                     BootMode::Cold => build_system(cfg.machine.clone(), cfg.setup, cfg.seed),
                 };
-                setup_ns += elapsed_nanos(t0);
-                let t1 = Instant::now();
-                let (r, _, _) =
-                    run_trial_with(hv, &layout, &cfg, mech.as_ref(), TrialRunOptions::default());
-                run_ns += elapsed_nanos(t1);
-                out.push((i, r));
+                nanos[0].0 += elapsed_nanos(t0);
+                let mut lap = Instant::now();
+                let opts = TrialRunOptions::default();
+                run_trial_group(hv, &layout, &cfg, &mechs, opts, |k, r, record, hv| {
+                    drop((record, hv));
+                    let slot = &parts[k].results[(i - range.start) as usize];
+                    slot.set(r).expect("each trial runs once");
+                    nanos[k].1 += elapsed_nanos(lap);
+                    lap = Instant::now();
+                });
             }
-            (out, setup_ns, run_ns)
+            nanos
         };
-        let mut results = Vec::with_capacity((range.end - range.start) as usize);
-        std::thread::scope(|scope| {
+        let nanos: Vec<Vec<(u64, u64)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            for h in handles {
-                let (out, setup_ns, run_ns) = h.join().expect("engine worker panicked");
-                results.extend(out);
-                shard.add_nanos(setup_ns, run_ns);
-            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("engine worker panicked"))
+                .collect()
         });
-        results.sort_by_key(|(i, _)| *i);
-        results.into_iter().map(|(_, r)| r).collect()
+        for worker in nanos {
+            for (part, (setup, run)) in parts.iter_mut().zip(worker) {
+                part.setup_ns += setup;
+                part.run_ns += run;
+            }
+        }
+        parts
     }
 
-    /// Runs a sampled cell's trials in order on this thread.
+    /// Runs a sampled cell's trials in order on this thread, streaming
+    /// snapshots to `sink`.
     fn run_sampled(
         &self,
-        tally: &CellTally,
-        windows: usize,
-        sampling: SamplingMode,
-        steer_handler: Option<nlh_hv::HandlerKind>,
-        depth_cycle: u64,
+        spec: &CampaignSpec,
+        cache: CellCache,
         sink: &mut dyn TelemetrySink,
     ) -> CellResult {
-        let spec = tally.spec;
+        let ExecMode::Sampled {
+            windows,
+            sampling,
+            steer_handler,
+            depth_cycle,
+        } = spec.mode
+        else {
+            unreachable!("run_sampled runs sampled cells");
+        };
+        let tally = CellTally::new(spec, cache);
+        let started = Instant::now();
         let mech = spec.mechanism.build();
         let mut stopped_at: Option<u64> = None;
         let mut after_trial = |done: u64, detected: u64, successes: u64| {
-            let stop = tally.after_trial(done, (detected, successes), sink);
+            let wall = started.elapsed().as_secs_f64();
+            let stop = tally.after_trial(done, (detected, successes), wall, sink);
             if stop {
                 stopped_at = Some(done);
             }
@@ -439,13 +525,48 @@ impl CampaignEngine {
             &mut after_trial,
         );
         let executed = sampled.trials;
-        CellResult {
+        let cell = CellResult {
             output: CellOutput::Sampled(Box::new(sampled)),
             executed,
             stopped_at,
             cache: tally.cache.counters(executed),
             per_trial: Vec::new(),
+        };
+        tally.finish(&cell, started.elapsed().as_secs_f64(), sink);
+        cell
+    }
+}
+
+/// A sharded cell's fold while its sibling group runs.
+struct SiblingCell {
+    shard: Shard,
+    per_trial: Vec<TrialResult>,
+    /// `Some(n)` once stop-at-confidence halted the cell after `n` trials.
+    stopped_at: Option<u64>,
+    /// Trials the batches ran for this cell.
+    checkouts: u64,
+}
+
+/// One cell's share of a batch: a result slot per trial, in seed order,
+/// and its busy time.
+struct BatchPart {
+    results: Vec<OnceLock<TrialResult>>,
+    setup_ns: u64,
+    run_ns: u64,
+}
+
+/// A group member's share of the group's `elapsed` wall seconds: its share
+/// of the group's busy time, or all of it for the first cell while nothing
+/// has run.
+fn wall_share(elapsed: f64, busy: u64, total: u64, first: bool) -> f64 {
+    if total == 0 {
+        if first {
+            elapsed
+        } else {
+            0.0
         }
+    } else {
+        elapsed * busy as f64 / total as f64
     }
 }
 
@@ -455,7 +576,6 @@ impl CampaignEngine {
 struct CellTally<'a> {
     spec: &'a CampaignSpec,
     cache: CellCache,
-    started: Instant,
     /// Trials between streamed snapshots (`0` = only the final one). A
     /// sharded cell runs one batch per snapshot.
     cadence: u64,
@@ -470,22 +590,43 @@ impl<'a> CellTally<'a> {
         CellTally {
             spec,
             cache,
-            started: Instant::now(),
             cadence,
         }
     }
 
     /// Called once the seed-ordered prefix of `done` trials counts
-    /// `(detected, successes)`: returns whether the stop policy halts the
-    /// cell here, and otherwise streams a snapshot on the cadence.
-    fn after_trial(&self, done: u64, counts: (u64, u64), sink: &mut dyn TelemetrySink) -> bool {
+    /// `(detected, successes)`, `wall_secs` into the cell: returns whether
+    /// the stop policy halts the cell here, and otherwise streams a
+    /// snapshot on the cadence.
+    fn after_trial(
+        &self,
+        done: u64,
+        counts: (u64, u64),
+        wall_secs: f64,
+        sink: &mut dyn TelemetrySink,
+    ) -> bool {
         if self.spec.stop.reached(counts) {
             return true;
         }
         if self.cadence > 0 && done.is_multiple_of(self.cadence) && done < self.spec.trials {
-            sink.snapshot(&self.snapshot(done, counts, self.cache.counters(done), None, false));
+            let cache = self.cache.counters(done);
+            sink.snapshot(&self.snapshot(done, counts, cache, None, wall_secs));
         }
         false
+    }
+
+    /// Streams the finished cell's final snapshot.
+    fn finish(&self, cell: &CellResult, wall_secs: f64, sink: &mut dyn TelemetrySink) {
+        let counts = cell.output.counts();
+        let mut snap = self.snapshot(
+            cell.executed,
+            counts,
+            cell.cache,
+            cell.stopped_at,
+            wall_secs,
+        );
+        snap.done = true;
+        sink.snapshot(&snap);
     }
 
     /// The cell's snapshot after `done` trials.
@@ -495,7 +636,7 @@ impl<'a> CellTally<'a> {
         (detected, successes): (u64, u64),
         cache: CacheCounters,
         stopped_at: Option<u64>,
-        is_final: bool,
+        wall_secs: f64,
     ) -> CampaignSnapshot {
         CampaignSnapshot {
             job: self.spec.name.clone(),
@@ -503,10 +644,10 @@ impl<'a> CellTally<'a> {
             trials_target: self.spec.trials,
             detected,
             successes,
-            done: is_final,
+            done: false,
             stopped_at,
             cache,
-            wall_secs: self.started.elapsed().as_secs_f64(),
+            wall_secs,
         }
     }
 }
@@ -542,19 +683,34 @@ fn parallelism() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// How many jobs at the head of `order` form one concurrent group:
-/// consecutive sampled jobs none of which waits on another of them.
-fn ready_sampled_run(suite: &SuiteSpec, order: &[usize]) -> usize {
+/// How many jobs at the head of `order` form one group: consecutive jobs
+/// that each `join`, none of which waits on another of them.
+fn ready_run(suite: &SuiteSpec, order: &[usize], join: impl Fn(&CampaignSpec) -> bool) -> usize {
     let mut group: Vec<&str> = Vec::new();
     for &i in order {
         let job = &suite.jobs[i];
-        let sampled = matches!(job.spec.mode, ExecMode::Sampled { .. });
-        if !sampled || job.after.iter().any(|dep| group.contains(&dep.as_str())) {
+        if !join(&job.spec) || job.after.iter().any(|dep| group.contains(&dep.as_str())) {
             break;
         }
         group.push(&job.spec.name);
     }
     group.len()
+}
+
+/// What sharded cells must share to run as one sibling group (`None` for
+/// a sampled cell). Trial `i` of every such cell starts from the same
+/// system, seed and fault, and before its first detection a mechanism
+/// reaches the machine only through its `op_support`, so the cells run
+/// every trial identically up to that point. Equal budgets, stop
+/// policies and cadences give them the same batches.
+fn sibling_key(spec: &CampaignSpec) -> Option<impl PartialEq> {
+    matches!(spec.mode, ExecMode::Sharded).then(|| {
+        (
+            (spec.setup, spec.fault, spec.seed, spec.trials),
+            (spec.boot, spec.stop, spec.snapshot_every),
+            spec.mechanism.build().op_support(),
+        )
+    })
 }
 
 /// Validates a suite's job graph and returns a deterministic

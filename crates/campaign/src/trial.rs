@@ -142,18 +142,72 @@ impl Default for TrialRunOptions {
 /// `TrialRunOptions { batched: false, .. }`. Recording only observes rare
 /// events (trigger fire, injection, detection, recovery transitions),
 /// never the per-step hot path.
+///
+/// This is [`run_trial_group`] with a group of one.
 pub fn run_trial_with(
-    mut hv: Hypervisor,
+    hv: Hypervisor,
     layout: &SystemLayout,
     config: &TrialConfig,
     mechanism: &dyn RecoveryMechanism,
     opts: TrialRunOptions,
 ) -> (TrialResult, TrialRecord, Hypervisor) {
+    let mut out = None;
+    run_trial_group(
+        hv,
+        layout,
+        config,
+        &[mechanism],
+        opts,
+        |_, r, record, hv| {
+            out = Some((r, record, hv));
+        },
+    );
+    out.expect("a group of one finishes one trial")
+}
+
+/// Runs one trial for each of several mechanisms that share one
+/// [`OpSupport`](nlh_hv::hypercalls::OpSupport), simulating the part they
+/// share once.
+///
+/// Before the first detection a mechanism reaches the machine only
+/// through its `op_support`, so every sibling executes the same steps up
+/// to that point. The body runs once to the first detection — the fork
+/// point — and then finishes the trial once per sibling, each from its own
+/// copy of the machine, injector, record and observations; the last
+/// sibling takes the original. A trial that ends before any detection
+/// (a non-manifested or SDC fault, an undetected one) is shared whole:
+/// every sibling gets the same result, and records that differ only in
+/// the mechanism name.
+///
+/// `done(k, result, record, hv)` receives sibling `k`'s trial, in sibling
+/// order, as soon as it finishes; each one equals what
+/// [`run_trial_with`] returns for that mechanism alone. At most one
+/// finished machine is alive beside the fork point's.
+///
+/// # Panics
+///
+/// Panics if `mechanisms` is empty or their `op_support`s differ.
+pub fn run_trial_group(
+    mut hv: Hypervisor,
+    layout: &SystemLayout,
+    config: &TrialConfig,
+    mechanisms: &[&dyn RecoveryMechanism],
+    opts: TrialRunOptions,
+    mut done: impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+) {
     assert!(
         opts.step_limit.is_none() || !opts.batched,
         "step_limit requires the unbatched reference loop"
     );
-    hv.support = mechanism.op_support();
+    let (last, earlier) = mechanisms
+        .split_last()
+        .expect("a trial group has at least one mechanism");
+    let lead = mechanisms[0];
+    hv.support = lead.op_support();
+    assert!(
+        mechanisms[1..].iter().all(|m| m.op_support() == hv.support),
+        "sibling mechanisms must share one OpSupport"
+    );
 
     let trigger_ops = opts.trigger_ops.unwrap_or((0, MAX_TRIGGER_OPS));
     let mut injector = Injector::with_ops_range(
@@ -168,7 +222,7 @@ pub fn run_trial_with(
             .with_steer_depth(opts.steer_depth);
     }
 
-    let mut record = TrialRecord {
+    let record = TrialRecord {
         config: config.clone(),
         trigger_ops,
         steer_handler: opts.steer_handler,
@@ -177,7 +231,7 @@ pub fn run_trial_with(
         } else {
             0
         },
-        mechanism: mechanism.name().to_string(),
+        mechanism: lead.name().to_string(),
         fire_at: injector.fire_at(),
         ops_budget: injector.ops_budget(),
         injection: None,
@@ -188,150 +242,234 @@ pub fn run_trial_with(
     let trial_end = nlh_sim::SimTime::ZERO + config.setup.trial_duration();
     let deadline = trial_end.saturating_since(nlh_sim::SimTime::ZERO);
     let deadline = nlh_sim::SimTime::ZERO + deadline.saturating_sub(SimDuration::from_millis(500));
-
-    let steps_before = hv.steps_executed();
-    let mut obs = TrialObservations::default();
-    let mut recovery: Option<RecoveryReport> = None;
-    let mut recovered = false;
-
-    while hv.now() < trial_end {
-        if let Some(limit) = opts.step_limit {
-            if hv.steps_executed() - steps_before >= limit {
-                break;
-            }
-        }
-        if hv.detection().is_some() {
-            if !recovered {
-                obs.detected = true;
-                recovered = true;
-                if let Some(d) = hv.detection() {
-                    record.events.push(
-                        d.at,
-                        TrialEventKind::DetectorFired,
-                        format!("{:?} cpu{} {}", d.kind, d.cpu.index(), d.reason),
-                    );
-                }
-                let started = hv.now_max();
-                record
-                    .events
-                    .push(started, TrialEventKind::RecoveryStarted, mechanism.name());
-                match mechanism.recover(&mut hv) {
-                    Ok(r) => {
-                        for step in &r.steps {
-                            record.events.push(
-                                started,
-                                TrialEventKind::RecoveryPhase,
-                                format!("{} {:?}", step.name, step.duration),
-                            );
-                        }
-                        record.events.push(
-                            hv.now_max(),
-                            TrialEventKind::RecoveryDone,
-                            format!("total {:?}", r.total),
-                        );
-                        recovery = Some(r);
-                    }
-                    Err(e) => {
-                        record.events.push(
-                            hv.now_max(),
-                            TrialEventKind::RecoveryAborted,
-                            e.to_string(),
-                        );
-                        obs.recovery_error = Some(e.to_string());
-                        break;
-                    }
-                }
-            } else {
-                obs.second_detection = true;
-                obs.second_detection_reason = hv.detection().map(|d| d.reason.clone());
-                if let Some(d) = hv.detection() {
-                    record.events.push(
-                        d.at,
-                        TrialEventKind::SecondDetection,
-                        format!("{:?} cpu{} {}", d.kind, d.cpu.index(), d.reason),
-                    );
-                }
-                break;
-            }
-        } else if !opts.inject {
-            // Fault-free reference run: no injector to consult.
-            if opts.batched {
-                hv.run_until(trial_end);
-            } else {
-                hv.step_any();
-            }
-        } else {
-            let was_armed = injector.armed_at().is_some();
-            let injected_now = if opts.batched {
-                injector.run_until(&mut hv, trial_end)
-            } else {
-                let (cpu, out) = hv.step_any();
-                injector.on_step(&mut hv, cpu, out)
-            };
-            if let (false, Some(at)) = (was_armed, injector.armed_at()) {
-                record.events.push(
-                    at,
-                    TrialEventKind::TriggerFired,
-                    format!("ops_budget={}", injector.ops_budget()),
-                );
-            }
-            if injected_now {
-                record.injection = injector.injection_point().copied();
-                if let Some(p) = &record.injection {
-                    record.events.push(
-                        p.at,
-                        TrialEventKind::Injected,
-                        format!(
-                            "cpu={} handler={} op={}/{} outcome={:?}",
-                            p.cpu.index(),
-                            p.handler,
-                            p.op_index,
-                            p.program_len,
-                            injector.outcome()
-                        ),
-                    );
-                }
-            }
-            // Short-circuit: a non-manifested or SDC fault can no
-            // longer trigger detection in this model; the
-            // classification is already determined, so skip simulating
-            // the rest of the run.
-            if injected_now && hv.detection().is_none() {
-                let class = match injector.outcome() {
-                    Some(InjectionOutcome::NonManifested) => Some(TrialClass::NonManifested),
-                    Some(InjectionOutcome::Sdc) => Some(TrialClass::Sdc),
-                    _ => None,
-                };
-                if let Some(class) = class {
-                    let result = TrialResult {
-                        injection: injector.outcome(),
-                        class: class.clone(),
-                        observations: obs,
-                        recovery: None,
-                        steps: hv.steps_executed() - steps_before,
-                    };
-                    finish_record(&mut record, &result, hv.now_max());
-                    return (result, record, hv);
-                }
-            }
-        }
-    }
-
-    let now = hv.now_max();
-    let class = classify(&hv, layout, &obs, now, deadline);
-    let result = TrialResult {
-        injection: injector.outcome(),
-        observations: obs,
-        recovery,
-        class,
-        steps: hv.steps_executed() - steps_before,
+    let ctx = TrialBounds {
+        layout,
+        opts: &opts,
+        trial_end,
+        deadline,
+        steps_before: hv.steps_executed(),
     };
-    // A step-limited probe stops mid-trial; its classification is not the
-    // trial's outcome, so leave the record's outcome empty.
-    if opts.step_limit.is_none() {
-        finish_record(&mut record, &result, now);
+
+    let mut run = TrialRun {
+        hv,
+        injector,
+        record,
+        obs: TrialObservations::default(),
+        recovery: None,
+    };
+    match run.advance(&ctx) {
+        Stop::Detected => {
+            for (k, mech) in earlier.iter().enumerate() {
+                let (r, record, hv) = run.clone().recover_and_finish(*mech, &ctx);
+                done(k, r, record, hv);
+            }
+            let (r, record, hv) = run.recover_and_finish(*last, &ctx);
+            done(earlier.len(), r, record, hv);
+        }
+        stop => {
+            let (r, record, hv) = run.finish(stop, &ctx);
+            for (k, mech) in earlier.iter().enumerate() {
+                let mut own = record.clone();
+                own.mechanism = mech.name().to_string();
+                done(k, r.clone(), own, hv.clone());
+            }
+            let mut own = record;
+            own.mechanism = last.name().to_string();
+            done(earlier.len(), r, own, hv);
+        }
     }
-    (result, record, hv)
+}
+
+/// What stays fixed for the whole trial, on every branch of a group.
+struct TrialBounds<'a> {
+    layout: &'a SystemLayout,
+    opts: &'a TrialRunOptions,
+    trial_end: nlh_sim::SimTime,
+    /// Classification deadline: 500 ms before `trial_end`.
+    deadline: nlh_sim::SimTime,
+    steps_before: u64,
+}
+
+/// Why [`TrialRun::advance`] returned.
+enum Stop {
+    /// The first detection, before any recovery: a group's fork point.
+    Detected,
+    /// A non-manifested or SDC fault, whose class is already determined.
+    Determined(TrialClass),
+    /// The trial's end, its step limit, or a second detection.
+    End,
+}
+
+/// A trial in flight: everything a sibling owns after the fork point.
+#[derive(Clone)]
+struct TrialRun {
+    hv: Hypervisor,
+    injector: Injector,
+    record: TrialRecord,
+    obs: TrialObservations,
+    recovery: Option<RecoveryReport>,
+}
+
+impl TrialRun {
+    /// Steps the machine until the first detection, the trial's end, or a
+    /// determined outcome.
+    fn advance(&mut self, ctx: &TrialBounds) -> Stop {
+        let opts = ctx.opts;
+        while self.hv.now() < ctx.trial_end {
+            if let Some(limit) = opts.step_limit {
+                if self.hv.steps_executed() - ctx.steps_before >= limit {
+                    return Stop::End;
+                }
+            }
+            if let Some(d) = self.hv.detection() {
+                if !self.obs.detected {
+                    return Stop::Detected;
+                }
+                self.obs.second_detection = true;
+                self.obs.second_detection_reason = Some(d.reason.clone());
+                self.record.events.push(
+                    d.at,
+                    TrialEventKind::SecondDetection,
+                    format!("{:?} cpu{} {}", d.kind, d.cpu.index(), d.reason),
+                );
+                return Stop::End;
+            } else if !opts.inject {
+                // Fault-free reference run: no injector to consult.
+                if opts.batched {
+                    self.hv.run_until(ctx.trial_end);
+                } else {
+                    self.hv.step_any();
+                }
+            } else {
+                let (hv, injector) = (&mut self.hv, &mut self.injector);
+                let was_armed = injector.armed_at().is_some();
+                let injected_now = if opts.batched {
+                    injector.run_until(hv, ctx.trial_end)
+                } else {
+                    let (cpu, out) = hv.step_any();
+                    injector.on_step(hv, cpu, out)
+                };
+                if let (false, Some(at)) = (was_armed, injector.armed_at()) {
+                    self.record.events.push(
+                        at,
+                        TrialEventKind::TriggerFired,
+                        format!("ops_budget={}", injector.ops_budget()),
+                    );
+                }
+                if injected_now {
+                    self.record.injection = injector.injection_point().copied();
+                    if let Some(p) = &self.record.injection {
+                        self.record.events.push(
+                            p.at,
+                            TrialEventKind::Injected,
+                            format!(
+                                "cpu={} handler={} op={}/{} outcome={:?}",
+                                p.cpu.index(),
+                                p.handler,
+                                p.op_index,
+                                p.program_len,
+                                injector.outcome()
+                            ),
+                        );
+                    }
+                }
+                // Short-circuit: a non-manifested or SDC fault can no
+                // longer trigger detection in this model; the
+                // classification is already determined, so skip simulating
+                // the rest of the run.
+                if injected_now && hv.detection().is_none() {
+                    match injector.outcome() {
+                        Some(InjectionOutcome::NonManifested) => {
+                            return Stop::Determined(TrialClass::NonManifested)
+                        }
+                        Some(InjectionOutcome::Sdc) => return Stop::Determined(TrialClass::Sdc),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        Stop::End
+    }
+
+    /// Recovers from the pending first detection with `mechanism`, then
+    /// runs the trial to its end.
+    fn recover_and_finish(
+        mut self,
+        mechanism: &dyn RecoveryMechanism,
+        ctx: &TrialBounds,
+    ) -> (TrialResult, TrialRecord, Hypervisor) {
+        self.record.mechanism = mechanism.name().to_string();
+        self.obs.detected = true;
+        let (hv, events) = (&mut self.hv, &mut self.record.events);
+        if let Some(d) = hv.detection() {
+            events.push(
+                d.at,
+                TrialEventKind::DetectorFired,
+                format!("{:?} cpu{} {}", d.kind, d.cpu.index(), d.reason),
+            );
+        }
+        let started = hv.now_max();
+        events.push(started, TrialEventKind::RecoveryStarted, mechanism.name());
+        let stop = match mechanism.recover(hv) {
+            Ok(r) => {
+                for step in &r.steps {
+                    events.push(
+                        started,
+                        TrialEventKind::RecoveryPhase,
+                        format!("{} {:?}", step.name, step.duration),
+                    );
+                }
+                events.push(
+                    hv.now_max(),
+                    TrialEventKind::RecoveryDone,
+                    format!("total {:?}", r.total),
+                );
+                self.recovery = Some(r);
+                self.advance(ctx)
+            }
+            Err(e) => {
+                events.push(hv.now_max(), TrialEventKind::RecoveryAborted, e.to_string());
+                self.obs.recovery_error = Some(e.to_string());
+                Stop::End
+            }
+        };
+        self.finish(stop, ctx)
+    }
+
+    /// Classifies the trial where [`TrialRun::advance`] left it.
+    fn finish(mut self, stop: Stop, ctx: &TrialBounds) -> (TrialResult, TrialRecord, Hypervisor) {
+        let steps = self.hv.steps_executed() - ctx.steps_before;
+        let now = self.hv.now_max();
+        // A step-limited probe that stops mid-trial has no outcome yet, so
+        // its record's outcome stays empty; a determined class is the
+        // outcome wherever the probe stopped.
+        let (result, outcome) = match stop {
+            Stop::Determined(class) => (
+                TrialResult {
+                    injection: self.injector.outcome(),
+                    class,
+                    observations: self.obs,
+                    recovery: None,
+                    steps,
+                },
+                true,
+            ),
+            Stop::Detected | Stop::End => (
+                TrialResult {
+                    injection: self.injector.outcome(),
+                    class: classify(&self.hv, ctx.layout, &self.obs, now, ctx.deadline),
+                    observations: self.obs,
+                    recovery: self.recovery,
+                    steps,
+                },
+                ctx.opts.step_limit.is_none(),
+            ),
+        };
+        if outcome {
+            finish_record(&mut self.record, &result, now);
+        }
+        (result, self.record, self.hv)
+    }
 }
 
 fn finish_record(record: &mut TrialRecord, result: &TrialResult, now: nlh_sim::SimTime) {

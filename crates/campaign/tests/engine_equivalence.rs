@@ -10,16 +10,19 @@
 //! on what the shared cache served before it), and for the
 //! stop-at-confidence policy (a stopped cell must equal a fixed-trials run
 //! of exactly the stop length). A suite whose independent sampled cells run
-//! concurrently must report exactly what running its cells one by one
-//! reports.
+//! concurrently, or whose sibling sharded cells share each trial's run up
+//! to its first detection, must report exactly what running its cells one
+//! by one reports.
+
+use std::time::Instant;
 
 use nlh_campaign::{
-    build_system, run_sampled_campaign_in, run_trial_with, BenchKind, BootCache, BootMode,
-    CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput, CellResult,
-    ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode, SetupKind,
-    StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
+    build_system, run_sampled_campaign_in, run_trial_group, run_trial_with, BenchKind, BootCache,
+    BootMode, CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput,
+    CellResult, ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode,
+    SetupKind, StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
 };
-use nlh_core::LadderRung;
+use nlh_core::{LadderRung, RecoveryMechanism};
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
 use proptest::prelude::*;
@@ -451,6 +454,187 @@ fn concurrent_suite_equals_cells_run_one_by_one() {
         stopped.cell.stopped_at.is_some(),
         "the stopping cell stops early"
     );
+}
+
+/// A sharded 1AppVM/UnixBench cell with `mechanism`.
+fn rung_cell(name: &str, fault: FaultType, trials: u64, mechanism: &str) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(
+        name,
+        SetupKind::OneAppVm(BenchKind::UnixBench),
+        fault,
+        trials,
+    );
+    spec.mechanism = MechanismSpec::parse(mechanism).unwrap();
+    spec
+}
+
+/// Sibling groups: consecutive sharded cells with equal trial inputs and
+/// one `OpSupport` run each trial once up to its first detection. The
+/// suite holds the eight ladder rungs of `suite.manifest` (two groups:
+/// `Basic`/`ClearIrqCount`, whose undo logging is off, and the six rungs
+/// from `ReHypeMechanisms` up), a Register-fault pair whose non-manifested
+/// trials are shared whole, a stop-at-confidence pair that stops at
+/// different trials, a cold-boot pair, a snapshot-cadence pair, and a pair
+/// that differs only in its trial budget. `run_suite` must report exactly
+/// what running each cell alone reports: results, per-trial results, stop
+/// trials, cache counters and every snapshot but its wall time. The
+/// suite's real checkouts show which cells grouped, and the cells' final
+/// wall times must not add up to more than the suite took.
+#[test]
+fn sibling_groups_equal_cells_run_one_by_one() {
+    let manifest = include_str!("../../experiments/manifests/suite.manifest");
+    let mut suite = SuiteSpec::default();
+    for job in SuiteSpec::parse(manifest).unwrap().jobs {
+        if job.spec.name.starts_with("ladder-") {
+            let mut spec = job.spec;
+            spec.trials = 4;
+            suite.push(spec);
+        }
+    }
+    assert_eq!(suite.jobs.len(), 8, "suite.manifest's eight ladder rungs");
+    let register = ["Rung(ReHypeMechanisms)", "Rung(VirtqueueConsistency)"];
+    for (i, mech) in register.iter().enumerate() {
+        let mut spec = rung_cell(&format!("register-{i}"), FaultType::Register, 6, mech);
+        spec.seed = 5;
+        suite.push(spec);
+    }
+    for (i, mech) in ["Rung(ReHypeMechanisms)", "NiLiHype"].iter().enumerate() {
+        let mut spec = rung_cell(&format!("stop-{i}"), FaultType::Failstop, 30, mech);
+        spec.stop = StopPolicy::AtConfidence {
+            halfwidth: 0.2,
+            min_detected: 5,
+            check_every: 4,
+        };
+        suite.push(spec);
+    }
+    for (i, mech) in ["Rung(Basic)", "Rung(ClearIrqCount)"].iter().enumerate() {
+        let mut spec = rung_cell(&format!("cold-{i}"), FaultType::Failstop, 2, mech);
+        spec.boot = BootMode::Cold;
+        suite.push(spec);
+    }
+    for (i, mech) in ["Rung(SchedConsistency)", "Rung(ReprogramTimer)"]
+        .iter()
+        .enumerate()
+    {
+        let mut spec = rung_cell(&format!("every-{i}"), FaultType::Code, 5, mech);
+        spec.snapshot_every = 2;
+        suite.push(spec);
+    }
+    for (i, trials) in [3, 4].into_iter().enumerate() {
+        let mut spec = rung_cell(
+            &format!("budget-{i}"),
+            FaultType::Failstop,
+            trials,
+            "NiLiHype",
+        );
+        spec.seed = 9;
+        suite.push(spec);
+    }
+
+    let engine = CampaignEngine::new();
+    let mut grouped_sink = MemorySink::default();
+    let started = Instant::now();
+    let grouped = engine
+        .run_suite(&suite, &mut grouped_sink)
+        .expect("valid suite");
+    let suite_wall = started.elapsed().as_secs_f64();
+
+    let one_by_one = CampaignEngine::new();
+    let mut sequential_sink = MemorySink::default();
+    for (job, outcome) in suite.jobs.iter().zip(&grouped) {
+        assert_eq!(
+            outcome.name, job.spec.name,
+            "outcomes come back in suite order"
+        );
+        let cell = one_by_one.run_spec(&job.spec, &mut sequential_sink);
+        assert_cells_equal(&outcome.cell, &cell, &job.spec.name);
+    }
+    assert_eq!(
+        without_wall(&grouped_sink.snapshots),
+        without_wall(&sequential_sink.snapshots),
+        "snapshot sequence"
+    );
+
+    let cell = |name: &str| &grouped.iter().find(|o| o.name == name).unwrap().cell;
+    let (stop_a, stop_b) = (cell("stop-0").stopped_at, cell("stop-1").stopped_at);
+    assert!(
+        stop_a.is_some() && stop_b.is_some() && stop_a != stop_b,
+        "the stopping pair stops at different trials: {stop_a:?} vs {stop_b:?}"
+    );
+    // One real checkout per trial of each group: the two ladder groups, the
+    // Register pair, the stopping pair (as long as its longer cell ran),
+    // the cadence pair, and each budget cell on its own. Cold cells check
+    // nothing out.
+    let stop_checkouts = [cell("stop-0"), cell("stop-1")]
+        .map(|c| c.cache.hits + c.cache.misses)
+        .into_iter()
+        .max()
+        .unwrap();
+    let checkouts = engine.cache().counters();
+    assert_eq!(
+        checkouts.hits + checkouts.misses,
+        4 + 4 + 6 + stop_checkouts + 5 + 3 + 4,
+        "real checkouts"
+    );
+    let final_walls: f64 = grouped_sink
+        .snapshots
+        .iter()
+        .filter(|s| s.done)
+        .map(|s| s.wall_secs)
+        .sum();
+    assert!(
+        final_walls <= suite_wall,
+        "cells' wall times sum to {final_walls} s, more than the suite's {suite_wall} s"
+    );
+}
+
+/// The trial layer of a sibling group: for each rung from
+/// `ReHypeMechanisms` up (one `OpSupport`), the group trial hands the rung
+/// exactly what `run_trial_with` returns for it alone: the result, the
+/// record's text and the final machine's state digest. Fail-stop trials
+/// fork at detection; Register and Code trials include ones shared whole.
+#[test]
+fn group_trial_equals_each_rung_alone() {
+    let cache = BootCache::new();
+    let built: Vec<Box<dyn RecoveryMechanism>> = LadderRung::ALL[2..]
+        .iter()
+        .map(|&rung| MechanismSpec::rung(rung).build())
+        .collect();
+    let mechs: Vec<&dyn RecoveryMechanism> = built.iter().map(|m| m.as_ref()).collect();
+    let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
+    for (fault, seeds) in [
+        (FaultType::Failstop, 2018..2021),
+        (FaultType::Register, 40..43),
+        (FaultType::Code, 60..63),
+    ] {
+        for seed in seeds {
+            let cfg = TrialConfig::new(setup, fault, seed);
+            let (hv, layout) = cache.checkout(&cfg.machine, setup, seed);
+            let mut finished = Vec::new();
+            run_trial_group(
+                hv,
+                &layout,
+                &cfg,
+                &mechs,
+                TrialRunOptions::default(),
+                |k, r, record, hv| finished.push((k, r, record.to_text(), hv.state_digest())),
+            );
+            assert_eq!(
+                finished.len(),
+                mechs.len(),
+                "{fault}/{seed}: one trial per rung"
+            );
+            for ((k, r, text, digest), mech) in finished.into_iter().zip(&mechs) {
+                let label = format!("{fault}/{seed}/{}", mech.name());
+                let (hv, layout) = cache.checkout(&cfg.machine, setup, seed);
+                let (alone, record, hv) =
+                    run_trial_with(hv, &layout, &cfg, *mech, TrialRunOptions::default());
+                assert_eq!(r, alone, "{label}: result (sibling {k})");
+                assert_eq!(text, record.to_text(), "{label}: record");
+                assert_eq!(digest, hv.state_digest(), "{label}: state digest");
+            }
+        }
+    }
 }
 
 fn faults() -> impl Strategy<Value = FaultType> {

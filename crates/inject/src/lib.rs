@@ -185,7 +185,7 @@ enum Phase {
 }
 
 /// The fault injector for one trial.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Injector {
     fault: FaultType,
     model: ManifestModel,
