@@ -46,7 +46,7 @@ mod recovery;
 #[cfg(test)]
 mod tests;
 
-pub use dispatch::StopRule;
+pub use dispatch::{StopRule, TierCounters};
 
 /// Coarse per-CPU execution mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,17 +208,26 @@ pub struct Hypervisor {
     next_bound: SimTime,
     next_bound_cpu: u32,
     next_valid: bool,
-    // Set by `MicroOp::IoapicWrite` so the batched steppers recompute
-    // their hoisted check horizon: re-routing a device vector can make an
-    // already-due packet time relevant on the newly routed CPU. Every
-    // other in-dispatch mutation moves check deadlines forward (watchdog
-    // periods, `net.next`) or parks a CPU (which only *raises* the
-    // horizon), and cross-call mutations (recovery, `resume_after`,
-    // direct subsystem pokes) are covered by the recompute on
-    // batched-loop entry. Local APIC one-shots are *not* folded into the
-    // horizon — `step_run` polls `take_fire` on every dispatch — so
+    // Set by `MicroOp::IoapicWrite` so the batched loop recomputes every
+    // CPU's check horizon: re-routing the net vector moves `net.next`
+    // onto another CPU's horizon. Every other in-dispatch mutation of a
+    // check deadline is the stepped CPU's own checked step moving its own
+    // deadlines forward (its watchdog period, `net.next` on the routed
+    // CPU), after which the loop recomputes that CPU's horizon alone;
+    // cross-call mutations (recovery, parking, `resume_after`, direct
+    // subsystem pokes) are covered by the recompute on batched-loop
+    // entry. Local APIC one-shots are *not* folded into the horizons —
+    // `step_run` polls `take_fire` on every dispatch — so
     // `MicroOp::ProgramApic` does not touch this flag.
     horizon_dirty: bool,
+    // The batched loop's per-CPU state (host bookkeeping, never part of
+    // the digest): each CPU's check horizon, and where a CPU the idle tier
+    // jumped ahead started its jump. `jumped` marks the CPUs that are
+    // ahead; it is empty whenever `run_batched` is not running.
+    tier_cpu: Vec<dispatch::TierCpu>,
+    jumped: u64,
+    // Exact work counters of the batched loop's tiers (host-only).
+    tier: TierCounters,
     // Memoized cycle->nanosecond conversions for the dispatch hot path
     // (host bookkeeping, not simulated state: never part of the digest).
     // Slot layout: [cycle_count, cpu_freq_mhz, nanos]; `op_ns_cache[0]`
@@ -336,6 +345,9 @@ impl Hypervisor {
             next_bound_cpu: 0,
             next_valid: false,
             horizon_dirty: false,
+            tier_cpu: vec![dispatch::TierCpu::default(); n],
+            jumped: 0,
+            tier: TierCounters::default(),
             op_ns_cache: [[u64::MAX; 3]; 2],
             run_cost_cache: [u64::MAX; 6],
             domains: Vec::new(),
@@ -536,7 +548,8 @@ impl Hypervisor {
     /// memory, locks, scheduler, timers, interrupts, domains (including
     /// workload state), undo log, network state, detection — and excludes
     /// host-side bookkeeping that does not affect simulated behaviour
-    /// (program pools, the scheduler-pick cache), so a
+    /// (program pools, the scheduler-pick cache and wake mask, the batched
+    /// loop's horizons and tier counters), so a
     /// batched and an unbatched run of the same trial digest identically.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
@@ -588,6 +601,12 @@ impl Hypervisor {
             let _ = write!(s, " virtio={:?}", self.virtio);
         }
         nlh_sim::digest::Fnv64::hash(s.as_bytes())
+    }
+
+    /// The batched loop's work counters so far (host bookkeeping, not
+    /// simulated state: excluded from [`Hypervisor::state_digest`]).
+    pub fn tier_counters(&self) -> &TierCounters {
+        &self.tier
     }
 
     /// Total simulation steps executed on this machine (guest slices,

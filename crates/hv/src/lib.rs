@@ -63,7 +63,7 @@ pub mod timers;
 
 pub use config::{HvTuning, MachineConfig};
 pub use hypercalls::HandlerKind;
-pub use hypervisor::{CpuMode, Hypervisor, StepOutcome, StopRule};
+pub use hypervisor::{CpuMode, Hypervisor, StepOutcome, StopRule, TierCounters};
 
 /// Re-exported id types, so downstream crates rarely need `nlh-sim` directly.
 pub use nlh_sim::{CpuId, DomId, IrqVector, LockId, PageNum, VcpuId};
