@@ -15,9 +15,12 @@
 //!   virtual timer).
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use nlh_sim::{CpuId, DomId, IrqVector};
 use serde::{Deserialize, Serialize};
+
+use crate::sched::cpu_bit;
 
 /// Paravirtual event kinds delivered over event channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -71,7 +74,7 @@ pub const VEC_BLK: IrqVector = IrqVector(2);
 pub const VEC_IPI: IrqVector = IrqVector(3);
 
 /// Interrupt-controller and event-channel state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct IrqSubsystem {
     /// Per-CPU, per-vector pending bit.
     pending: Vec<[bool; NUM_VECTORS]>,
@@ -82,6 +85,25 @@ pub struct IrqSubsystem {
     ioapic_route: [Option<CpuId>; NUM_VECTORS],
     /// Per-domain queues of pending paravirtual events.
     event_channels: Vec<VecDeque<GuestEventKind>>,
+    /// Per-CPU wake-input mask (bit `i` for CPU `i`): set by every raise on
+    /// CPU `i` and by every route write to or away from it, the changes
+    /// that can make a device vector deliverable there. Host-only like
+    /// [`crate::sched::Scheduler`]'s mask, and read with it by the batched
+    /// loop to re-check the idle CPUs it has jumped ahead.
+    touched: u64,
+}
+
+// Hand-written so the wake mask stays out of the Debug output (and thus
+// out of `Hypervisor::state_digest`).
+impl fmt::Debug for IrqSubsystem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IrqSubsystem")
+            .field("pending", &self.pending)
+            .field("in_service", &self.in_service)
+            .field("ioapic_route", &self.ioapic_route)
+            .field("event_channels", &self.event_channels)
+            .finish()
+    }
 }
 
 impl IrqSubsystem {
@@ -95,7 +117,27 @@ impl IrqSubsystem {
             in_service: vec![[false; NUM_VECTORS]; num_cpus],
             ioapic_route,
             event_channels: vec![VecDeque::new(); num_domains_hint],
+            touched: 0,
         }
+    }
+
+    /// The wake-input mask (see the field docs): the CPUs touched since
+    /// their bit was last cleared with [`IrqSubsystem::clear_touched`].
+    #[inline]
+    pub(crate) fn touched(&self) -> u64 {
+        self.touched
+    }
+
+    /// Clears the touched bits of the CPUs in `cpus`.
+    #[inline]
+    pub(crate) fn clear_touched(&mut self, cpus: u64) {
+        self.touched &= !cpus;
+    }
+
+    /// Marks every CPU a change of `vec`'s route can reach: its old and
+    /// new targets.
+    fn touch_route(&mut self, vec: usize, route: Option<CpuId>) {
+        self.touched |= self.ioapic_route[vec].map_or(0, cpu_bit) | route.map_or(0, cpu_bit);
     }
 
     /// Ensures an event-channel queue exists for `dom`.
@@ -107,6 +149,7 @@ impl IrqSubsystem {
 
     /// Marks `vec` pending on `cpu`.
     pub fn raise(&mut self, cpu: CpuId, vec: IrqVector) {
+        self.touched |= cpu_bit(cpu);
         self.pending[cpu.index()][vec.index()] = true;
     }
 
@@ -168,13 +211,14 @@ impl IrqSubsystem {
     /// Writes an I/O APIC redirection entry (normal-operation path; ReHype
     /// logs these writes).
     pub fn ioapic_write(&mut self, vec: IrqVector, route: Option<CpuId>) {
+        self.touch_route(vec.index(), route);
         self.ioapic_route[vec.index()] = route;
     }
 
     /// ReHype's reboot re-initializes the I/O APIC: all device routes reset
     /// to the boot default (unrouted).
     pub fn ioapic_reset_to_boot(&mut self) {
-        self.ioapic_route = [None; NUM_VECTORS];
+        self.ioapic_restore([None; NUM_VECTORS]);
     }
 
     /// Snapshot of the current routes (what ReHype's write log reconstructs).
@@ -184,6 +228,9 @@ impl IrqSubsystem {
 
     /// Restores routes from a snapshot (replaying ReHype's write log).
     pub fn ioapic_restore(&mut self, snapshot: [Option<CpuId>; NUM_VECTORS]) {
+        for (vec, route) in snapshot.into_iter().enumerate() {
+            self.touch_route(vec, route);
+        }
         self.ioapic_route = snapshot;
     }
 
@@ -271,6 +318,24 @@ mod tests {
         s.ioapic_restore(snap);
         assert_eq!(s.ioapic_route(VEC_NET), Some(CpuId(1)));
         assert_eq!(s.ioapic_route(VEC_BLK), Some(CpuId(0)), "boot default kept");
+    }
+
+    #[test]
+    fn raises_and_route_writes_mark_their_cpus() {
+        let mut s = IrqSubsystem::new(4, 1);
+        s.raise(CpuId(2), VEC_BLK);
+        assert_eq!(s.touched(), 0b100);
+        s.clear_touched(u64::MAX);
+        // Both ends of a rewrite: the old target (boot default CPU 0) and
+        // the new one.
+        s.ioapic_write(VEC_NET, Some(CpuId(3)));
+        assert_eq!(s.touched(), 0b1001);
+        s.clear_touched(0b1000);
+        assert_eq!(s.touched(), 0b1);
+        // The digest's view ignores the mask.
+        let mut t = s.clone();
+        t.clear_touched(u64::MAX);
+        assert_eq!(format!("{s:?}"), format!("{t:?}"));
     }
 
     #[test]
