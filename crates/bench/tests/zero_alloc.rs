@@ -161,6 +161,50 @@ fn overcommit_datapath_steady_state_allocates_nothing() {
     );
 }
 
+/// A copy of a warmed machine — what a trial group's fork runs on —
+/// recycles program buffers, binding lists and scratch lists from its
+/// first step, as the original does: their clones keep every buffer's
+/// capacity. What still allocates in the copy's first busy window is
+/// simulated state whose vectors the derived clone copies at their length
+/// (per-CPU frame stacks, event and run queues, page lists, the undo log,
+/// workload queues) and that grows past it once. On 1AppVM that is 12
+/// allocations over 300k steps, against 55 before the pools kept their
+/// capacity; the bound leaves room for run-to-run placement of those
+/// first growths, not for the pools.
+#[test]
+fn clone_of_a_warmed_machine_recycles_its_pools() {
+    const FIRST_WINDOW_ALLOCS_MAX: u64 = 16;
+    let _serial = serial();
+    for setup in [
+        SetupKind::OneAppVm(BenchKind::UnixBench),
+        SetupKind::TwoAppVmVswitch,
+    ] {
+        let (mut hv, _layout) = build_system(MachineConfig::small(), setup, 2018);
+        run_steps(&mut hv, 500_000);
+        let mut copy = hv.clone();
+
+        let before_steps = copy.steps_executed();
+        let before_allocs = ALLOCS.load(Ordering::Relaxed);
+        run_steps(&mut copy, 300_000);
+        let steps = copy.steps_executed() - before_steps;
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before_allocs;
+
+        assert!(
+            allocs <= FIRST_WINDOW_ALLOCS_MAX,
+            "{setup:?}: a clone's first busy window allocated {allocs} times over \
+             {steps} steps (limit {FIRST_WINDOW_ALLOCS_MAX})"
+        );
+        // Once grown, the copy is as allocation-free as the original.
+        let before_allocs = ALLOCS.load(Ordering::Relaxed);
+        run_steps(&mut copy, 300_000);
+        assert_eq!(
+            ALLOCS.load(Ordering::Relaxed) - before_allocs,
+            0,
+            "{setup:?}: the copy's second window must not allocate"
+        );
+    }
+}
+
 #[test]
 fn counting_window_steady_state_allocates_nothing() {
     let _serial = serial();

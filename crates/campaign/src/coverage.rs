@@ -29,7 +29,7 @@ use crate::boot_cache::BootCache;
 use crate::classify::TrialClass;
 use crate::record::TrialRecord;
 use crate::setup::SetupKind;
-use crate::trial::{run_trial_with, TrialConfig, TrialRunOptions, MAX_TRIGGER_OPS};
+use crate::trial::{run_trial_with, TrialConfig, TrialResult, TrialRunOptions, MAX_TRIGGER_OPS};
 
 /// Default number of trigger-ops windows (strata) on the coverage map's
 /// second axis.
@@ -284,39 +284,115 @@ pub fn run_sampled_campaign_in(
     depth_cycle: u64,
     after_trial: &mut dyn FnMut(u64, u64, u64) -> bool,
 ) -> SampledCampaign {
-    let mut coverage = CoverageMap::new(windows);
-    let mut out = SampledCampaign {
+    let mut run = SampledRun::new(
+        setup,
+        fault,
+        base_seed,
+        windows,
         mode,
-        trials,
-        first_failure_trial: None,
-        failures: 0,
-        successes: 0,
-        coverage: CoverageMap::new(windows),
-        first_failure_record: None,
-    };
-    let mut detected = 0u64;
-    let mut executed = 0u64;
-    for i in 0..trials {
-        let config = TrialConfig::new(setup, fault, base_seed + i);
-        let (assigned, trigger_ops) = match mode {
+        steer_handler,
+        depth_cycle,
+    );
+    while run.filed() < trials {
+        let trial = run.next_trial();
+        let config = &trial.config;
+        let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
+        let (result, record, _) =
+            run_trial_with(hv, &layout, config, mechanism, trial.opts.clone());
+        let (done, detected, successes) = run.file(&trial, &result, &record);
+        if after_trial(done, detected, successes) {
+            break;
+        }
+    }
+    run.finish()
+}
+
+/// One sampled cell in flight: its coverage map and counts, advanced one
+/// trial at a time in trial order. Trial `i`'s options depend on the
+/// trials before it only through this state, so a caller can run trial
+/// `i` once trial `i - 1` is filed, however it runs the trial itself.
+#[derive(Debug)]
+pub(crate) struct SampledRun {
+    setup: SetupKind,
+    fault: FaultType,
+    base_seed: u64,
+    steer_handler: Option<HandlerKind>,
+    depth_cycle: u64,
+    out: SampledCampaign,
+    detected: u64,
+}
+
+/// Trial `i` of a sampled cell, as its campaign steers it.
+pub(crate) struct SampledTrial {
+    pub(crate) config: TrialConfig,
+    pub(crate) opts: TrialRunOptions,
+    /// The window the steering loop chose (guided sampling only).
+    assigned: Option<usize>,
+}
+
+impl SampledRun {
+    pub(crate) fn new(
+        setup: SetupKind,
+        fault: FaultType,
+        base_seed: u64,
+        windows: usize,
+        mode: SamplingMode,
+        steer_handler: Option<HandlerKind>,
+        depth_cycle: u64,
+    ) -> Self {
+        SampledRun {
+            setup,
+            fault,
+            base_seed,
+            steer_handler,
+            depth_cycle,
+            out: SampledCampaign {
+                mode,
+                trials: 0,
+                first_failure_trial: None,
+                failures: 0,
+                successes: 0,
+                coverage: CoverageMap::new(windows),
+                first_failure_record: None,
+            },
+            detected: 0,
+        }
+    }
+
+    /// The next trial: seed `base_seed + i`, window and steer depth.
+    pub(crate) fn next_trial(&self) -> SampledTrial {
+        let i = self.out.trials;
+        let (assigned, trigger_ops) = match self.out.mode {
             SamplingMode::Uniform => (None, None),
             SamplingMode::CoverageGuided => {
-                let w = coverage.next_window();
-                (Some(w), Some(coverage.window_range(w)))
+                let w = self.out.coverage.next_window();
+                (Some(w), Some(self.out.coverage.window_range(w)))
             }
         };
-        let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
-        let opts = TrialRunOptions {
-            trigger_ops,
-            steer_handler,
-            steer_depth: i % depth_cycle.max(1),
-            ..TrialRunOptions::default()
-        };
-        let (result, record, _) = run_trial_with(hv, &layout, &config, mechanism, opts);
+        SampledTrial {
+            config: TrialConfig::new(self.setup, self.fault, self.base_seed + i),
+            opts: TrialRunOptions {
+                trigger_ops,
+                steer_handler: self.steer_handler,
+                steer_depth: i % self.depth_cycle.max(1),
+                ..TrialRunOptions::default()
+            },
+            assigned,
+        }
+    }
 
+    /// Files the next trial, planned as `trial`, and returns the cell's
+    /// `(trials_done, detected, successes)`.
+    pub(crate) fn file(
+        &mut self,
+        trial: &SampledTrial,
+        result: &TrialResult,
+        record: &TrialRecord,
+    ) -> (u64, u64, u64) {
+        let out = &mut self.out;
         let failed = matches!(result.class, TrialClass::RecoveryFailure(_));
         if failed || result.class.is_success() {
-            detected += 1;
+            self.detected += 1;
         }
         if result.class.is_success() {
             out.successes += 1;
@@ -324,21 +400,28 @@ pub fn run_sampled_campaign_in(
         if failed {
             out.failures += 1;
             if out.first_failure_trial.is_none() {
-                out.first_failure_trial = Some(i);
+                out.first_failure_trial = Some(out.trials);
                 out.first_failure_record = Some(record.clone());
             }
         }
         let injection = record.injection.map(|p| (p.handler, p.ops_budget));
-        let assigned = assigned.unwrap_or_else(|| coverage.window_of(record.ops_budget));
-        coverage.observe(assigned, injection, failed);
-        executed = i + 1;
-        if after_trial(executed, detected, out.successes) {
-            break;
-        }
+        let assigned = trial
+            .assigned
+            .unwrap_or_else(|| out.coverage.window_of(record.ops_budget));
+        out.coverage.observe(assigned, injection, failed);
+        out.trials += 1;
+        (out.trials, self.detected, out.successes)
     }
-    out.trials = executed;
-    out.coverage = coverage;
-    out
+
+    /// Trials filed so far.
+    pub(crate) fn filed(&self) -> u64 {
+        self.out.trials
+    }
+
+    /// The campaign over the trials filed.
+    pub(crate) fn finish(self) -> SampledCampaign {
+        self.out
+    }
 }
 
 #[cfg(test)]

@@ -27,23 +27,26 @@
 //!
 //! A suite runs consecutive sharded cells that share a [`sibling_key`] as
 //! one sibling group on the trial-level worker pool: trial `i` of every
-//! such cell runs identically up to its first detection, so each trial is
-//! checked out once and run through [`run_trial_group`], which forks it
-//! at that point, once per cell. A lone sharded cell is a group of one.
-//! A sampled cell runs its trials in order on one thread, so
+//! such cell runs identically up to the step that arms its injector, so
+//! each trial is checked out once and run through [`run_trial_group`],
+//! which forks it there once per distinct injector (fault, trigger window,
+//! steer) and again at the first detection, once per cell. A lone sharded
+//! cell is a group of one. A sampled cell runs its trials in order, so
 //! [`CampaignEngine::run_suite`] runs each maximal stretch of consecutive
-//! sampled jobs (in suite order) that do not wait on one another as one
-//! group, one cell per worker. Either group reports what the sequential
-//! run reports: outcomes come back in suite order, the sink gets each
-//! cell's snapshots together and in suite order, and each cell's
-//! [`CacheCounters`] come from its own checkouts plus the template build
-//! it was first to need in suite order, not from whichever cell happened
-//! to check out first.
+//! sampled jobs (in suite order) that do not wait on one another
+//! together (`stretch`): cells with one setup, seed and `OpSupport` form a
+//! sampled sibling group that runs each trial once up to its arming step
+//! and forks it per cell, and a cell with no sibling runs whole on one
+//! worker. Either kind of group reports what the sequential run reports:
+//! outcomes come back in suite order, the sink gets each cell's snapshots
+//! together and in suite order, and each cell's [`CacheCounters`] come
+//! from its own checkouts plus the template build it was first to need
+//! in suite order, not from whichever cell happened to check out first.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use nlh_core::RecoveryMechanism;
@@ -54,7 +57,9 @@ use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
 use crate::setup::build_system;
 use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
 use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
-use crate::trial::{run_trial_group, TrialConfig, TrialResult, TrialRunOptions};
+use crate::trial::{run_trial_group, Sibling, TrialConfig, TrialResult, TrialRunOptions};
+
+mod stretch;
 
 /// The per-mode payload of a finished cell.
 #[derive(Debug)]
@@ -198,8 +203,8 @@ impl CampaignEngine {
     /// Runs a whole suite in a dependency-respecting order (stable: among
     /// ready jobs, submission order wins), sharing the boot cache across
     /// every cell. Validates the graph before running anything. Sibling
-    /// sharded jobs and stretches of independent sampled jobs each run as
-    /// one group (see the module docs); outcomes and snapshots still
+    /// sharded jobs and stretches of independent sampled jobs each run
+    /// together (see the module docs); outcomes and snapshots still
     /// arrive in that order.
     pub fn run_suite(
         &self,
@@ -222,8 +227,8 @@ impl CampaignEngine {
                 }
                 None => {
                     let n = ready_run(suite, rest, |s| matches!(s.mode, ExecMode::Sampled { .. }));
-                    if n > 1 && parallelism() > 1 {
-                        (n, self.run_concurrently(&specs(n), sink))
+                    if n > 1 {
+                        (n, self.run_sampled_stretch(&specs(n), sink))
                     } else {
                         (1, vec![self.run_spec(head, sink)])
                     }
@@ -241,60 +246,6 @@ impl CampaignEngine {
             next += group;
         }
         Ok(outcomes)
-    }
-
-    /// Runs independent sampled cells on up to [`parallelism`] workers,
-    /// one cell per worker at a time; the calling thread is one of the
-    /// workers. Each cell's snapshots are buffered and reach `sink`
-    /// together, in `specs` order, once every earlier cell has finished.
-    fn run_concurrently(
-        &self,
-        specs: &[&CampaignSpec],
-        sink: &mut dyn TelemetrySink,
-    ) -> Vec<CellResult> {
-        // Templates are built here, in suite order, so each cell reports
-        // the cache activity the sequential run would.
-        let caches: Vec<CellCache> = specs.iter().map(|spec| self.cell_cache(spec)).collect();
-        let next = AtomicUsize::new(0);
-        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < specs.len());
-        let run = |i: usize| {
-            let mut buffer = MemorySink::default();
-            let cell = self.run_sampled(specs[i], caches[i], &mut buffer);
-            (i, cell, buffer.snapshots)
-        };
-
-        let mut finished: Vec<Option<(CellResult, Vec<CampaignSnapshot>)>> =
-            specs.iter().map(|_| None).collect();
-        let mut cells = Vec::with_capacity(specs.len());
-        let mut deliver = |(i, cell, snapshots): (usize, CellResult, Vec<CampaignSnapshot>)| {
-            finished[i] = Some((cell, snapshots));
-            while let Some((cell, snapshots)) = finished.get_mut(cells.len()).and_then(Option::take)
-            {
-                for snap in &snapshots {
-                    sink.snapshot(snap);
-                }
-                cells.push(cell);
-            }
-        };
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            for _ in 1..parallelism().min(specs.len()) {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    while let Some(i) = claim() {
-                        // The receiver outlives every worker.
-                        let _ = tx.send(run(i));
-                    }
-                });
-            }
-            drop(tx);
-            while let Some(i) = claim() {
-                deliver(run(i));
-                rx.try_iter().for_each(&mut deliver);
-            }
-            rx.iter().for_each(&mut deliver);
-        });
-        cells
     }
 
     /// Fixes `spec`'s share of the boot cache before it runs: builds its
@@ -324,8 +275,8 @@ impl CampaignEngine {
     /// finishes.
     ///
     /// Busy time and wall time are split so that each sums to the group's:
-    /// a trial's checkout and shared pre-detection run are charged to the
-    /// first running cell, each sibling's run after the fork to that
+    /// a trial's checkout and the run its siblings share are charged to
+    /// the first running cell, each sibling's own run after a fork to that
     /// sibling, and each snapshot's `wall_secs` is the group's elapsed time
     /// times the cell's share of the busy time so far.
     fn run_siblings(
@@ -427,7 +378,6 @@ impl CampaignEngine {
         range: Range<u64>,
         threads: usize,
     ) -> Vec<BatchPart> {
-        let lead = specs[0];
         let mut parts: Vec<BatchPart> = specs
             .iter()
             .map(|_| BatchPart {
@@ -440,23 +390,30 @@ impl CampaignEngine {
         let worker = || {
             let built: Vec<Box<dyn RecoveryMechanism>> =
                 specs.iter().map(|spec| spec.mechanism.build()).collect();
-            let mechs: Vec<&dyn RecoveryMechanism> = built.iter().map(|m| m.as_ref()).collect();
             let mut nanos = vec![(0u64, 0u64); specs.len()];
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= range.end {
                     break;
                 }
-                let cfg = TrialConfig::new(lead.setup, lead.fault, lead.seed + i);
+                let siblings: Vec<Sibling> = specs
+                    .iter()
+                    .zip(&built)
+                    .map(|(spec, mech)| Sibling {
+                        config: TrialConfig::new(spec.setup, spec.fault, spec.seed + i),
+                        mechanism: mech.as_ref(),
+                        opts: TrialRunOptions::default(),
+                    })
+                    .collect();
+                let cfg = &siblings[0].config;
                 let t0 = Instant::now();
-                let (hv, layout) = match lead.boot {
+                let (hv, layout) = match specs[0].boot {
                     BootMode::Warm => self.cache.checkout(&cfg.machine, cfg.setup, cfg.seed),
                     BootMode::Cold => build_system(cfg.machine.clone(), cfg.setup, cfg.seed),
                 };
                 nanos[0].0 += elapsed_nanos(t0);
                 let mut lap = Instant::now();
-                let opts = TrialRunOptions::default();
-                run_trial_group(hv, &layout, &cfg, &mechs, opts, |k, r, record, hv| {
+                run_trial_group(hv, &layout, &siblings, |k, r, record, hv| {
                     drop((record, hv));
                     let slot = &parts[k].results[(i - range.start) as usize];
                     slot.set(r).expect("each trial runs once");
@@ -699,14 +656,15 @@ fn ready_run(suite: &SuiteSpec, order: &[usize], join: impl Fn(&CampaignSpec) ->
 
 /// What sharded cells must share to run as one sibling group (`None` for
 /// a sampled cell). Trial `i` of every such cell starts from the same
-/// system, seed and fault, and before its first detection a mechanism
-/// reaches the machine only through its `op_support`, so the cells run
-/// every trial identically up to that point. Equal budgets, stop
-/// policies and cadences give them the same batches.
+/// system and seed; until its injector arms, the fault plays no part, and
+/// until its first detection a mechanism reaches the machine only through
+/// its `op_support`. So the cells run every trial identically up to the
+/// arming step, and cells with one fault up to the first detection. Equal
+/// budgets, stop policies and cadences give them the same batches.
 fn sibling_key(spec: &CampaignSpec) -> Option<impl PartialEq> {
     matches!(spec.mode, ExecMode::Sharded).then(|| {
         (
-            (spec.setup, spec.fault, spec.seed, spec.trials),
+            (spec.setup, spec.seed, spec.trials),
             (spec.boot, spec.stop, spec.snapshot_every),
             spec.mechanism.build().op_support(),
         )

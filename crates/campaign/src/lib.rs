@@ -49,6 +49,6 @@ pub use spec::{
 };
 pub use stream::{CampaignSnapshot, MemorySink, NullSink, TelemetrySink};
 pub use trial::{
-    run_trial_group, run_trial_with, TrialConfig, TrialObservations, TrialResult, TrialRunOptions,
-    MAX_TRIGGER_OPS,
+    run_trial_group, run_trial_with, ArmedTrial, Sibling, TrialConfig, TrialObservations,
+    TrialResult, TrialRunOptions, MAX_TRIGGER_OPS,
 };

@@ -32,7 +32,11 @@ pub struct CampaignSnapshot {
     /// Boot-cache activity attributable to this cell so far (counter
     /// deltas since the cell started; gauges are current values).
     pub cache: CacheCounters,
-    /// Wall-clock seconds since the cell started.
+    /// Wall-clock seconds since the cell started. A cell that shares its
+    /// trials with siblings reports its share of their time instead: of
+    /// the group's elapsed time in proportion to its busy time (sharded
+    /// siblings), or the host time spent on its own trials (sampled
+    /// siblings).
     pub wall_secs: f64,
 }
 

@@ -2,7 +2,8 @@
 //! classify.
 
 use nlh_core::{RecoveryMechanism, RecoveryReport};
-use nlh_hv::{Hypervisor, MachineConfig};
+use nlh_hv::hypercalls::OpSupport;
+use nlh_hv::{CpuId, Hypervisor, MachineConfig, StepOutcome};
 use nlh_inject::{FaultType, InjectionOutcome, Injector};
 use nlh_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -152,147 +153,360 @@ pub fn run_trial_with(
     opts: TrialRunOptions,
 ) -> (TrialResult, TrialRecord, Hypervisor) {
     let mut out = None;
-    run_trial_group(
-        hv,
-        layout,
-        config,
-        &[mechanism],
+    let solo = Sibling {
+        config: config.clone(),
+        mechanism,
         opts,
-        |_, r, record, hv| {
-            out = Some((r, record, hv));
-        },
-    );
+    };
+    run_trial_group(hv, layout, &[solo], |_, r, record, hv| {
+        out = Some((r, record, hv));
+    });
     out.expect("a group of one finishes one trial")
 }
 
-/// Runs one trial for each of several mechanisms that share one
-/// [`OpSupport`](nlh_hv::hypercalls::OpSupport), simulating the part they
-/// share once.
+/// One trial of a group: what [`run_trial_with`] takes besides the
+/// machine.
+pub struct Sibling<'a> {
+    /// The trial; siblings share its setup, seed and machine, and may
+    /// differ in fault.
+    pub config: TrialConfig,
+    /// The recovery mechanism; siblings share its `OpSupport`.
+    pub mechanism: &'a dyn RecoveryMechanism,
+    /// The options; siblings share `batched`, `inject` and `step_limit`,
+    /// and may differ in trigger window, steer handler and steer depth.
+    pub opts: TrialRunOptions,
+}
+
+/// Runs one trial for each of several siblings that share a setup, seed,
+/// machine and [`OpSupport`](nlh_hv::hypercalls::OpSupport), simulating
+/// the parts they share once.
 ///
-/// Before the first detection a mechanism reaches the machine only
-/// through its `op_support`, so every sibling executes the same steps up
-/// to that point. The body runs once to the first detection — the fork
-/// point — and then finishes the trial once per sibling, each from its own
-/// copy of the machine, injector, record and observations; the last
-/// sibling takes the original. A trial that ends before any detection
-/// (a non-manifested or SDC fault, an undetected one) is shared whole:
-/// every sibling gets the same result, and records that differ only in
-/// the mechanism name.
+/// The trial forks at two points, so the group runs as a tree:
 ///
-/// `done(k, result, record, hv)` receives sibling `k`'s trial, in sibling
-/// order, as soon as it finishes; each one equals what
-/// [`run_trial_with`] returns for that mechanism alone. At most one
-/// finished machine is alive beside the fork point's.
+/// 1. **The arming step.** Before its counter arms, an injector is only a
+///    clock marker at `fire_at`, which the trial seed alone draws (ahead
+///    of the ops budget), and a mechanism reaches the machine only through
+///    its `op_support`. So every sibling executes the same steps up to the
+///    first one whose clock reaches `fire_at` ([`ArmedTrial`]). Siblings
+///    that differ in their injector — fault, trigger window, steer
+///    handler or steer depth — branch there: each branch feeds the
+///    arming step to its own injector. When every sibling has the same
+///    injector there is no branch and no copy.
+/// 2. **The first detection.** Within a branch, siblings differ only in
+///    mechanism, so the branch runs once to its first detection and
+///    finishes once per mechanism from its own copy of the machine,
+///    injector, record and observations. A branch that ends before any
+///    detection (a non-manifested or SDC fault, an undetected one) is
+///    shared whole: every sibling gets the same result, and records that
+///    differ only in the mechanism name.
+///
+/// The first branch runs on the arming step's machine and the others on
+/// copies of a clone of it; within a branch, every mechanism but the last
+/// runs on a clone of the detection's machine, and the last takes it.
+/// `done(k, result, record, hv)` receives sibling `k`'s trial as soon as
+/// it finishes, branch by branch; each one equals what
+/// [`run_trial_with`] returns for that sibling alone. Besides the running
+/// copy, at most the arming step's and one detection's machine are alive.
 ///
 /// # Panics
 ///
-/// Panics if `mechanisms` is empty or their `op_support`s differ.
+/// Panics if `siblings` is empty or its members do not share what they
+/// must.
 pub fn run_trial_group(
     mut hv: Hypervisor,
     layout: &SystemLayout,
-    config: &TrialConfig,
-    mechanisms: &[&dyn RecoveryMechanism],
-    opts: TrialRunOptions,
+    siblings: &[Sibling<'_>],
     mut done: impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
 ) {
+    let lead = siblings
+        .first()
+        .expect("a trial group has at least one sibling");
+    // The trial body's first call: a traced mechanism marks the body's
+    // start on it.
+    hv.support = lead.mechanism.op_support();
+    assert_support(hv.support, &siblings[1..]);
+    let branches = branches(&lead.config, &lead.opts, siblings);
+    if let [whole] = branches.as_slice() {
+        let ctx = TrialBounds::new(layout, lead, hv.steps_executed());
+        TrialRun::new(hv, lead).run_branch(siblings, whole, None, &ctx, &mut done);
+    } else {
+        ArmedTrial::advance(hv, lead).fork_branches(layout, siblings, &branches, &mut done);
+    }
+}
+
+/// A trial run once up to its arming step: the first singly dispatched
+/// step whose clock reaches the first-level trigger's `fire_at`, executed
+/// but fed to no injector yet. [`run_trial_group`] forks here; a caller
+/// that learns its siblings' trigger windows only later (a sampled cell's
+/// coverage map picks each trial's window from the outcomes before it)
+/// can run this part first and fork it once the windows are known.
+#[derive(Clone)]
+pub struct ArmedTrial {
+    hv: Hypervisor,
+    /// The trial and options the shared part ran with.
+    config: TrialConfig,
+    opts: TrialRunOptions,
+    /// The arming step's CPU and outcome; `None` if the trial ended, hit
+    /// its step limit or detected first (or never injects).
+    arm: Option<(CpuId, StepOutcome)>,
+    steps_before: u64,
+}
+
+impl ArmedTrial {
+    /// Runs the part of the trial that every sibling of `lead` shares.
+    pub fn run(mut hv: Hypervisor, lead: &Sibling<'_>) -> ArmedTrial {
+        hv.support = lead.mechanism.op_support();
+        ArmedTrial::advance(hv, lead)
+    }
+
+    fn advance(mut hv: Hypervisor, lead: &Sibling<'_>) -> ArmedTrial {
+        let opts = &lead.opts;
+        let steps_before = hv.steps_executed();
+        let trial_end = trial_end(&lead.config);
+        let waiting = injector(lead);
+        let arm = loop {
+            let limited = opts
+                .step_limit
+                .is_some_and(|limit| hv.steps_executed() - steps_before >= limit);
+            if !opts.inject || limited || hv.now() >= trial_end || hv.detection().is_some() {
+                break None;
+            }
+            if opts.batched {
+                if let Some(arm) = waiting.run_to_arm(&mut hv, trial_end) {
+                    break Some(arm);
+                }
+            } else {
+                let (cpu, out) = hv.step_any();
+                if hv.cpu_now(cpu) >= waiting.fire_at() {
+                    break Some((cpu, out));
+                }
+            }
+        };
+        ArmedTrial {
+            hv,
+            config: lead.config.clone(),
+            opts: lead.opts.clone(),
+            arm,
+            steps_before,
+        }
+    }
+
+    /// Finishes the trial once per sibling, each equal to what
+    /// [`run_trial_with`] returns for it alone (see [`run_trial_group`],
+    /// whose arming-step fork this is).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `siblings` is empty or a member differs from the
+    /// sibling the shared part ran for in what it must share.
+    pub fn fork(
+        self,
+        layout: &SystemLayout,
+        siblings: &[Sibling<'_>],
+        mut done: impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+    ) {
+        let branches = self.branches(siblings);
+        self.fork_branches(layout, siblings, &branches, &mut done);
+    }
+
+    fn fork_branches(
+        self,
+        layout: &SystemLayout,
+        siblings: &[Sibling<'_>],
+        branches: &[Vec<usize>],
+        done: &mut impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+    ) {
+        // The first branch runs on the machine itself and the others on
+        // a clone taken before it, the last on the clone itself: a clone
+        // holds each vector at its length, without the headroom the
+        // machine grew, so the copy that waits is smaller.
+        let mut first = Some(self.hv);
+        let mut kept = None;
+        let machine = |last: bool| match first.take() {
+            Some(hv) => {
+                kept = (!last).then(|| hv.clone());
+                hv
+            }
+            None if last => kept.take().expect("kept for the later branches"),
+            None => kept.as_ref().expect("kept for the later branches").clone(),
+        };
+        run_branches(
+            layout,
+            siblings,
+            branches,
+            self.arm,
+            self.steps_before,
+            machine,
+            done,
+        );
+    }
+
+    /// [`ArmedTrial::fork`] on copies: every branch runs on its own clone,
+    /// and this trial stays as it is for other forks.
+    pub fn fork_copy(
+        &self,
+        layout: &SystemLayout,
+        siblings: &[Sibling<'_>],
+        mut done: impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+    ) {
+        let branches = self.branches(siblings);
+        let machine = |_| self.hv.clone();
+        run_branches(
+            layout,
+            siblings,
+            &branches,
+            self.arm,
+            self.steps_before,
+            machine,
+            &mut done,
+        );
+    }
+
+    fn branches(&self, siblings: &[Sibling<'_>]) -> Vec<Vec<usize>> {
+        assert_support(self.hv.support, siblings);
+        branches(&self.config, &self.opts, siblings)
+    }
+}
+
+/// Runs each branch of `siblings` from the arming step `arm`, on the
+/// machine `machine(last)` gives it.
+fn run_branches(
+    layout: &SystemLayout,
+    siblings: &[Sibling<'_>],
+    branches: &[Vec<usize>],
+    arm: Option<(CpuId, StepOutcome)>,
+    steps_before: u64,
+    mut machine: impl FnMut(bool) -> Hypervisor,
+    done: &mut impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+) {
+    let ctx = TrialBounds::new(layout, &siblings[0], steps_before);
+    for (b, members) in branches.iter().enumerate() {
+        let hv = machine(b + 1 == branches.len());
+        TrialRun::new(hv, &siblings[members[0]]).run_branch(siblings, members, arm, &ctx, done);
+    }
+}
+
+fn assert_support(support: OpSupport, siblings: &[Sibling<'_>]) {
+    assert!(
+        siblings.iter().all(|s| s.mechanism.op_support() == support),
+        "sibling mechanisms must share one OpSupport"
+    );
+}
+
+/// Checks that `siblings` share with the trial `config` and its `opts`
+/// what a group must share, and partitions them into branches: the
+/// sibling indices of each injector, in order of first appearance.
+fn branches(
+    config: &TrialConfig,
+    opts: &TrialRunOptions,
+    siblings: &[Sibling<'_>],
+) -> Vec<Vec<usize>> {
+    let shared = |config: &TrialConfig, opts: &TrialRunOptions| {
+        (
+            (config.setup, config.seed, config.machine.clone()),
+            (opts.batched, opts.inject, opts.step_limit),
+        )
+    };
     assert!(
         opts.step_limit.is_none() || !opts.batched,
         "step_limit requires the unbatched reference loop"
     );
-    let (last, earlier) = mechanisms
-        .split_last()
-        .expect("a trial group has at least one mechanism");
-    let lead = mechanisms[0];
-    hv.support = lead.op_support();
     assert!(
-        mechanisms[1..].iter().all(|m| m.op_support() == hv.support),
-        "sibling mechanisms must share one OpSupport"
+        !siblings.is_empty(),
+        "a trial group has at least one sibling"
     );
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for (k, s) in siblings.iter().enumerate() {
+        assert!(
+            shared(&s.config, &s.opts) == shared(config, opts),
+            "siblings must share setup, seed, machine, batched, inject and step_limit"
+        );
+        match out
+            .iter_mut()
+            .find(|b| injector_key(&siblings[b[0]]) == injector_key(s))
+        {
+            Some(branch) => branch.push(k),
+            None => out.push(vec![k]),
+        }
+    }
+    out
+}
 
-    let trigger_ops = opts.trigger_ops.unwrap_or((0, MAX_TRIGGER_OPS));
-    let mut injector = Injector::with_ops_range(
-        config.fault,
-        config.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF00D,
-        config.setup.trigger_window(),
-        trigger_ops,
+/// What a sibling's injector is made of.
+fn injector_key(s: &Sibling<'_>) -> impl PartialEq {
+    (
+        s.config.fault,
+        trigger_ops(&s.opts),
+        s.opts.steer_handler,
+        steer_depth(&s.opts),
+    )
+}
+
+fn trigger_ops(opts: &TrialRunOptions) -> (u64, u64) {
+    opts.trigger_ops.unwrap_or((0, MAX_TRIGGER_OPS))
+}
+
+/// The steer depth the injector uses (none without a steer handler).
+fn steer_depth(opts: &TrialRunOptions) -> u64 {
+    if opts.steer_handler.is_some() {
+        opts.steer_depth
+    } else {
+        0
+    }
+}
+
+/// A sibling's injector, waiting. Its `fire_at` is the first draw of the
+/// trial seed's stream, so siblings share it.
+fn injector(s: &Sibling<'_>) -> Injector {
+    let injector = Injector::with_ops_range(
+        s.config.fault,
+        s.config.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ 0xF00D,
+        s.config.setup.trigger_window(),
+        trigger_ops(&s.opts),
     );
-    if let Some(h) = opts.steer_handler {
-        injector = injector
+    match s.opts.steer_handler {
+        Some(h) => injector
             .steer_to_handler(h)
-            .with_steer_depth(opts.steer_depth);
+            .with_steer_depth(s.opts.steer_depth),
+        None => injector,
     }
+}
 
-    let record = TrialRecord {
-        config: config.clone(),
-        trigger_ops,
-        steer_handler: opts.steer_handler,
-        steer_depth: if opts.steer_handler.is_some() {
-            opts.steer_depth
-        } else {
-            0
-        },
-        mechanism: lead.name().to_string(),
-        fire_at: injector.fire_at(),
-        ops_budget: injector.ops_budget(),
-        injection: None,
-        events: EventRing::new(),
-        outcome: None,
-    };
-
-    let trial_end = nlh_sim::SimTime::ZERO + config.setup.trial_duration();
-    let deadline = trial_end.saturating_since(nlh_sim::SimTime::ZERO);
-    let deadline = nlh_sim::SimTime::ZERO + deadline.saturating_sub(SimDuration::from_millis(500));
-    let ctx = TrialBounds {
-        layout,
-        opts: &opts,
-        trial_end,
-        deadline,
-        steps_before: hv.steps_executed(),
-    };
-
-    let mut run = TrialRun {
-        hv,
-        injector,
-        record,
-        obs: TrialObservations::default(),
-        recovery: None,
-    };
-    match run.advance(&ctx) {
-        Stop::Detected => {
-            for (k, mech) in earlier.iter().enumerate() {
-                let (r, record, hv) = run.clone().recover_and_finish(*mech, &ctx);
-                done(k, r, record, hv);
-            }
-            let (r, record, hv) = run.recover_and_finish(*last, &ctx);
-            done(earlier.len(), r, record, hv);
-        }
-        stop => {
-            let (r, record, hv) = run.finish(stop, &ctx);
-            for (k, mech) in earlier.iter().enumerate() {
-                let mut own = record.clone();
-                own.mechanism = mech.name().to_string();
-                done(k, r.clone(), own, hv.clone());
-            }
-            let mut own = record;
-            own.mechanism = last.name().to_string();
-            done(earlier.len(), r, own, hv);
-        }
-    }
+fn trial_end(config: &TrialConfig) -> nlh_sim::SimTime {
+    nlh_sim::SimTime::ZERO + config.setup.trial_duration()
 }
 
 /// What stays fixed for the whole trial, on every branch of a group.
 struct TrialBounds<'a> {
     layout: &'a SystemLayout,
-    opts: &'a TrialRunOptions,
+    batched: bool,
+    inject: bool,
+    step_limit: Option<u64>,
     trial_end: nlh_sim::SimTime,
     /// Classification deadline: 500 ms before `trial_end`.
     deadline: nlh_sim::SimTime,
     steps_before: u64,
 }
 
+impl<'a> TrialBounds<'a> {
+    fn new(layout: &'a SystemLayout, s: &Sibling<'_>, steps_before: u64) -> Self {
+        let trial_end = trial_end(&s.config);
+        let span = trial_end.saturating_since(nlh_sim::SimTime::ZERO);
+        TrialBounds {
+            layout,
+            batched: s.opts.batched,
+            inject: s.opts.inject,
+            step_limit: s.opts.step_limit,
+            trial_end,
+            deadline: nlh_sim::SimTime::ZERO + span.saturating_sub(SimDuration::from_millis(500)),
+            steps_before,
+        }
+    }
+}
+
 /// Why [`TrialRun::advance`] returned.
 enum Stop {
-    /// The first detection, before any recovery: a group's fork point.
+    /// The first detection, before any recovery: a branch's fork point.
     Detected,
     /// A non-manifested or SDC fault, whose class is already determined.
     Determined(TrialClass),
@@ -300,7 +514,7 @@ enum Stop {
     End,
 }
 
-/// A trial in flight: everything a sibling owns after the fork point.
+/// A trial in flight: everything a sibling owns after a fork point.
 #[derive(Clone)]
 struct TrialRun {
     hv: Hypervisor,
@@ -311,12 +525,78 @@ struct TrialRun {
 }
 
 impl TrialRun {
+    /// The trial of sibling `s` on `hv`, not yet stepped by its injector.
+    fn new(hv: Hypervisor, s: &Sibling<'_>) -> Self {
+        let injector = injector(s);
+        let record = TrialRecord {
+            config: s.config.clone(),
+            trigger_ops: trigger_ops(&s.opts),
+            steer_handler: s.opts.steer_handler,
+            steer_depth: steer_depth(&s.opts),
+            mechanism: s.mechanism.name().to_string(),
+            fire_at: injector.fire_at(),
+            ops_budget: injector.ops_budget(),
+            injection: None,
+            events: EventRing::new(),
+            outcome: None,
+        };
+        TrialRun {
+            hv,
+            injector,
+            record,
+            obs: TrialObservations::default(),
+            recovery: None,
+        }
+    }
+
+    /// Runs the branch of `members` (sibling indices sharing this run's
+    /// injector) to its end, feeding it the arming step first if the
+    /// shared part stopped on one, and hands each member's trial to
+    /// `done`, forking at the first detection.
+    fn run_branch(
+        mut self,
+        siblings: &[Sibling<'_>],
+        members: &[usize],
+        arm: Option<(CpuId, StepOutcome)>,
+        ctx: &TrialBounds,
+        done: &mut impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+    ) {
+        let stop = arm
+            .and_then(|(cpu, out)| {
+                let injected = self.injector.on_step(&mut self.hv, cpu, out);
+                self.after_injector(false, injected)
+            })
+            .unwrap_or_else(|| self.advance(ctx));
+        let (&last, earlier) = members.split_last().expect("a branch has members");
+        match stop {
+            Stop::Detected => {
+                for &k in earlier {
+                    let (r, record, hv) =
+                        self.clone().recover_and_finish(siblings[k].mechanism, ctx);
+                    done(k, r, record, hv);
+                }
+                let (r, record, hv) = self.recover_and_finish(siblings[last].mechanism, ctx);
+                done(last, r, record, hv);
+            }
+            stop => {
+                let (r, record, hv) = self.finish(stop, ctx);
+                for &k in earlier {
+                    let mut own = record.clone();
+                    own.mechanism = siblings[k].mechanism.name().to_string();
+                    done(k, r.clone(), own, hv.clone());
+                }
+                let mut own = record;
+                own.mechanism = siblings[last].mechanism.name().to_string();
+                done(last, r, own, hv);
+            }
+        }
+    }
+
     /// Steps the machine until the first detection, the trial's end, or a
     /// determined outcome.
     fn advance(&mut self, ctx: &TrialBounds) -> Stop {
-        let opts = ctx.opts;
         while self.hv.now() < ctx.trial_end {
-            if let Some(limit) = opts.step_limit {
+            if let Some(limit) = ctx.step_limit {
                 if self.hv.steps_executed() - ctx.steps_before >= limit {
                     return Stop::End;
                 }
@@ -333,9 +613,9 @@ impl TrialRun {
                     format!("{:?} cpu{} {}", d.kind, d.cpu.index(), d.reason),
                 );
                 return Stop::End;
-            } else if !opts.inject {
+            } else if !ctx.inject {
                 // Fault-free reference run: no injector to consult.
-                if opts.batched {
+                if ctx.batched {
                     self.hv.run_until(ctx.trial_end);
                 } else {
                     self.hv.step_any();
@@ -343,52 +623,63 @@ impl TrialRun {
             } else {
                 let (hv, injector) = (&mut self.hv, &mut self.injector);
                 let was_armed = injector.armed_at().is_some();
-                let injected_now = if opts.batched {
+                let injected_now = if ctx.batched {
                     injector.run_until(hv, ctx.trial_end)
                 } else {
                     let (cpu, out) = hv.step_any();
                     injector.on_step(hv, cpu, out)
                 };
-                if let (false, Some(at)) = (was_armed, injector.armed_at()) {
-                    self.record.events.push(
-                        at,
-                        TrialEventKind::TriggerFired,
-                        format!("ops_budget={}", injector.ops_budget()),
-                    );
-                }
-                if injected_now {
-                    self.record.injection = injector.injection_point().copied();
-                    if let Some(p) = &self.record.injection {
-                        self.record.events.push(
-                            p.at,
-                            TrialEventKind::Injected,
-                            format!(
-                                "cpu={} handler={} op={}/{} outcome={:?}",
-                                p.cpu.index(),
-                                p.handler,
-                                p.op_index,
-                                p.program_len,
-                                injector.outcome()
-                            ),
-                        );
-                    }
-                }
-                // Short-circuit: a non-manifested or SDC fault can no
-                // longer trigger detection in this model; the
-                // classification is already determined, so skip simulating
-                // the rest of the run.
-                if injected_now && hv.detection().is_none() {
-                    match injector.outcome() {
-                        Some(InjectionOutcome::NonManifested) => {
-                            return Stop::Determined(TrialClass::NonManifested)
-                        }
-                        Some(InjectionOutcome::Sdc) => return Stop::Determined(TrialClass::Sdc),
-                        _ => {}
-                    }
+                if let Some(stop) = self.after_injector(was_armed, injected_now) {
+                    return stop;
                 }
             }
         }
         Stop::End
+    }
+
+    /// Records what the injector just did — armed (if it was not armed
+    /// before), injected — and returns the determined outcome of a fault
+    /// that can no longer be detected.
+    fn after_injector(&mut self, was_armed: bool, injected_now: bool) -> Option<Stop> {
+        let injector = &self.injector;
+        if let (false, Some(at)) = (was_armed, injector.armed_at()) {
+            self.record.events.push(
+                at,
+                TrialEventKind::TriggerFired,
+                format!("ops_budget={}", injector.ops_budget()),
+            );
+        }
+        if !injected_now {
+            return None;
+        }
+        self.record.injection = injector.injection_point().copied();
+        if let Some(p) = &self.record.injection {
+            self.record.events.push(
+                p.at,
+                TrialEventKind::Injected,
+                format!(
+                    "cpu={} handler={} op={}/{} outcome={:?}",
+                    p.cpu.index(),
+                    p.handler,
+                    p.op_index,
+                    p.program_len,
+                    injector.outcome()
+                ),
+            );
+        }
+        // Short-circuit: a non-manifested or SDC fault can no longer
+        // trigger detection in this model; the classification is already
+        // determined, so skip simulating the rest of the run.
+        if self.hv.detection().is_some() {
+            return None;
+        }
+        match injector.outcome() {
+            Some(InjectionOutcome::NonManifested) => {
+                Some(Stop::Determined(TrialClass::NonManifested))
+            }
+            Some(InjectionOutcome::Sdc) => Some(Stop::Determined(TrialClass::Sdc)),
+            _ => None,
+        }
     }
 
     /// Recovers from the pending first detection with `mechanism`, then
@@ -462,7 +753,7 @@ impl TrialRun {
                     recovery: self.recovery,
                     steps,
                 },
-                ctx.opts.step_limit.is_none(),
+                ctx.step_limit.is_none(),
             ),
         };
         if outcome {

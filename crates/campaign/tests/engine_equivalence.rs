@@ -20,7 +20,8 @@ use nlh_campaign::{
     build_system, run_sampled_campaign_in, run_trial_group, run_trial_with, BenchKind, BootCache,
     BootMode, CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput,
     CellResult, ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode,
-    SetupKind, StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
+    SetupKind, Sibling, StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult,
+    TrialRunOptions,
 };
 use nlh_core::{LadderRung, RecoveryMechanism};
 use nlh_hv::HandlerKind;
@@ -588,6 +589,99 @@ fn sibling_groups_equal_cells_run_one_by_one() {
     );
 }
 
+/// Runs `suite` through `run_suite` and each cell alone on a fresh engine,
+/// and requires the same outcomes in suite order, the same cells (results,
+/// coverage maps, first-failure records, cache counters) and the same
+/// snapshot sequence, wall time aside. Returns the grouped run's real
+/// checkouts.
+fn assert_suite_equals_cells_alone(suite: &SuiteSpec) -> u64 {
+    let engine = CampaignEngine::new();
+    let mut grouped_sink = MemorySink::default();
+    let grouped = engine
+        .run_suite(suite, &mut grouped_sink)
+        .expect("valid suite");
+    let one_by_one = CampaignEngine::new();
+    let mut sequential_sink = MemorySink::default();
+    assert_eq!(grouped.len(), suite.jobs.len());
+    for (job, outcome) in suite.jobs.iter().zip(&grouped) {
+        assert_eq!(outcome.name, job.spec.name, "outcomes in suite order");
+        let cell = one_by_one.run_spec(&job.spec, &mut sequential_sink);
+        assert_cells_equal(&outcome.cell, &cell, &job.spec.name);
+    }
+    assert_eq!(
+        without_wall(&grouped_sink.snapshots),
+        without_wall(&sequential_sink.snapshots),
+        "snapshot sequence"
+    );
+    let counters = engine.cache().counters();
+    counters.hits + counters.misses
+}
+
+/// Sampled sibling groups: steered vswitch cells that differ in fault and
+/// mechanism but share one `OpSupport` run each trial once up to its
+/// arming step and fork it per fault, each cell with the window its own
+/// coverage map picks. The group holds a cell that stops at confidence
+/// partway through and one with a snapshot cadence; a cell whose
+/// mechanism logs differently (`Rung(Basic)`) must not join. Every cell
+/// must equal its solo run, and the group checks out one system per
+/// trial.
+#[test]
+fn sampled_group_equals_cells_run_one_by_one() {
+    let steered = |name: &str, fault, mechanism: &str, trials| {
+        let mut spec = sampled_spec(
+            name,
+            SetupKind::TwoAppVmVswitch,
+            fault,
+            trials,
+            Some(HandlerKind::VirtioMmio),
+        );
+        spec.snapshot_every = 0;
+        spec.mechanism = MechanismSpec::parse(mechanism).unwrap();
+        spec
+    };
+    let mut suite = SuiteSpec::default();
+    let no_repair = "Rung(ReactivateTimerEvents)";
+    let repair = "Rung(VirtqueueConsistency)";
+    suite.push(steered("failstop-a", FaultType::Failstop, no_repair, 8));
+    suite.push(steered("failstop-b", FaultType::Failstop, repair, 8));
+    let mut every = steered("register-every", FaultType::Register, repair, 7);
+    every.snapshot_every = 3;
+    suite.push(every);
+    let mut stop = steered("code-stop", FaultType::Code, no_repair, 8);
+    stop.stop = StopPolicy::AtConfidence {
+        halfwidth: 0.45,
+        min_detected: 2,
+        check_every: 1,
+    };
+    suite.push(stop);
+    suite.push(steered("basic", FaultType::Failstop, "Rung(Basic)", 3));
+
+    let checkouts = assert_suite_equals_cells_alone(&suite);
+    let alone = CampaignEngine::new()
+        .run_spec(&suite.jobs[3].spec, &mut NullSink)
+        .stopped_at;
+    assert!(
+        alone.is_some_and(|n| n < 8),
+        "the stopping cell stops partway: {alone:?}"
+    );
+    assert_eq!(checkouts, 8 + 3, "one checkout per trial of the group");
+}
+
+/// A sharded sibling group may mix faults: Figure 2's NiLiHype cells fork
+/// each trial at its arming step, once per fault.
+#[test]
+fn sharded_group_mixing_faults_equals_cells_run_one_by_one() {
+    let mut suite = SuiteSpec::default();
+    for fault in FaultType::ALL {
+        let mut spec = CampaignSpec::new(format!("fig2-{fault}"), SetupKind::ThreeAppVm, fault, 4);
+        spec.seed = 77;
+        spec.snapshot_every = 2;
+        suite.push(spec);
+    }
+    let checkouts = assert_suite_equals_cells_alone(&suite);
+    assert_eq!(checkouts, 4, "one checkout per trial of the group");
+}
+
 /// The trial layer of a sibling group: for each rung from
 /// `ReHypeMechanisms` up (one `OpSupport`), the group trial hands the rung
 /// exactly what `run_trial_with` returns for it alone: the result, the
@@ -610,15 +704,18 @@ fn group_trial_equals_each_rung_alone() {
         for seed in seeds {
             let cfg = TrialConfig::new(setup, fault, seed);
             let (hv, layout) = cache.checkout(&cfg.machine, setup, seed);
+            let siblings: Vec<Sibling> = mechs
+                .iter()
+                .map(|&mechanism| Sibling {
+                    config: cfg.clone(),
+                    mechanism,
+                    opts: TrialRunOptions::default(),
+                })
+                .collect();
             let mut finished = Vec::new();
-            run_trial_group(
-                hv,
-                &layout,
-                &cfg,
-                &mechs,
-                TrialRunOptions::default(),
-                |k, r, record, hv| finished.push((k, r, record.to_text(), hv.state_digest())),
-            );
+            run_trial_group(hv, &layout, &siblings, |k, r, record, hv| {
+                finished.push((k, r, record.to_text(), hv.state_digest()))
+            });
             assert_eq!(
                 finished.len(),
                 mechs.len(),

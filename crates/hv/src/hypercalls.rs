@@ -635,7 +635,8 @@ impl Program {
 /// behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct ProgramPool {
-    free: Vec<(Vec<MicroOp>, Vec<u16>)>,
+    ops: FreeList<MicroOp>,
+    runs: FreeList<u16>,
 }
 
 /// Buffers retained per CPU. Program stacks nest at most a few frames
@@ -653,27 +654,86 @@ impl ProgramPool {
     /// the pool (allocating only when the pool is dry, i.e. during the
     /// first few entries after boot).
     pub fn take(&mut self) -> (Vec<MicroOp>, Vec<u16>) {
-        self.free.pop().unwrap_or_default()
+        (self.ops.take(), self.runs.take())
     }
 
     /// Returns a retired program's buffers to the pool.
-    pub fn give(&mut self, buf: (Vec<MicroOp>, Vec<u16>)) {
-        if self.free.len() < POOL_CAP {
-            let (mut ops, mut runs) = buf;
-            ops.clear();
-            runs.clear();
-            self.free.push((ops, runs));
+    pub fn give(&mut self, (ops, runs): (Vec<MicroOp>, Vec<u16>)) {
+        self.ops.give(ops, POOL_CAP);
+        self.runs.give(runs, POOL_CAP);
+    }
+
+    /// Number of op buffers currently pooled.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the pool holds no op buffers.
+    pub fn is_empty(&self) -> bool {
+        self.ops.len() == 0
+    }
+}
+
+/// A free list of empty buffers, reused instead of allocated.
+///
+/// Its clone holds as many empty buffers of the same capacities, with
+/// room for as many more, where a derived clone would hold buffers of
+/// capacity 0 that grow again on first use: a copy of a warmed machine
+/// (a warm checkout, a trial group's fork) recycles from its first step,
+/// as the original does.
+#[derive(Debug)]
+pub(crate) struct FreeList<T>(Vec<Vec<T>>);
+
+impl<T> Default for FreeList<T> {
+    fn default() -> Self {
+        FreeList(Vec::new())
+    }
+}
+
+impl<T> Clone for FreeList<T> {
+    fn clone(&self) -> Self {
+        let mut free = Vec::with_capacity(self.0.capacity());
+        free.extend(self.0.iter().map(|b| Vec::with_capacity(b.capacity())));
+        FreeList(free)
+    }
+}
+
+impl<T> FreeList<T> {
+    /// An empty buffer: a recycled one while any is left.
+    pub(crate) fn take(&mut self) -> Vec<T> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keeps `buf`, emptied, for reuse, unless it never allocated or
+    /// `cap` buffers are kept already.
+    pub(crate) fn give(&mut self, mut buf: Vec<T>, cap: usize) {
+        if buf.capacity() > 0 && self.0.len() < cap {
+            buf.clear();
+            self.0.push(buf);
         }
     }
 
-    /// Number of buffers currently pooled.
-    pub fn len(&self) -> usize {
-        self.free.len()
+    /// Buffers kept.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
+}
 
-    /// Whether the pool holds no buffers.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+/// A scratch list whose contents are never read between uses (each use
+/// clears it first): its clone is empty with the same capacity (see
+/// [`FreeList`] for why).
+#[derive(Debug)]
+pub(crate) struct Scratch<T>(pub(crate) Vec<T>);
+
+impl<T> Default for Scratch<T> {
+    fn default() -> Self {
+        Scratch(Vec::new())
+    }
+}
+
+impl<T> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch(Vec::with_capacity(self.0.capacity()))
     }
 }
 

@@ -31,7 +31,9 @@ use crate::accounting::CycleAccounting;
 use crate::config::{HvTuning, MachineConfig};
 use crate::detect::{Detection, DetectionKind};
 use crate::domain::{Domain, DomainSpec, DomainState};
-use crate::hypercalls::{EntryCause, OpSupport, Program, ProgramPool, UndoEntry};
+use crate::hypercalls::{
+    EntryCause, FreeList, OpSupport, Program, ProgramPool, Scratch, UndoEntry,
+};
 use crate::interrupts::{IrqSubsystem, VEC_BLK, VEC_NET};
 use crate::locks::{LockPlacement, LockRegistry};
 use crate::mem::{Heap, HeapObjKind, PageFrameTable, PageState};
@@ -184,16 +186,16 @@ pub struct Hypervisor {
     /// Per-CPU free lists of micro-op buffers (see [`ProgramPool`]).
     pools: Vec<ProgramPool>,
     /// Reusable scratch for `build_timer_interrupt`'s due-event inspection.
-    timer_scratch: Vec<TimerEvent>,
+    timer_scratch: Scratch<TimerEvent>,
     /// Free lists recycling request-binding storage (the page lists a
     /// hypercall fixes at entry and drops at commit), plus the candidate
     /// list and pinned-page marks `bind_simple` needs, both empty or
     /// all-zero between binds. Like the program pools, this is host-side
     /// memory reuse only: `pick_n_into` draws the same RNG sequence
     /// regardless of where the output lands.
-    binding_pool: Vec<Vec<PageNum>>,
-    binding_set_pool: Vec<Vec<Vec<PageNum>>>,
-    page_scratch: Vec<PageNum>,
+    binding_pool: FreeList<PageNum>,
+    binding_set_pool: FreeList<Vec<PageNum>>,
+    page_scratch: Scratch<PageNum>,
     page_marks: programs::PageMarks,
     // Cached pick for `step_any`: while `next_valid` holds, `next_cpu` is
     // the argmin of `cpu_now` provided its clock is still below
@@ -335,10 +337,10 @@ impl Hypervisor {
             detection: None,
             steps: 0,
             pools: vec![ProgramPool::new(); n],
-            timer_scratch: Vec::new(),
-            binding_pool: Vec::new(),
-            binding_set_pool: Vec::new(),
-            page_scratch: Vec::new(),
+            timer_scratch: Scratch::default(),
+            binding_pool: FreeList::default(),
+            binding_set_pool: FreeList::default(),
+            page_scratch: Scratch::default(),
             page_marks: programs::PageMarks::default(),
             next_cpu: 0,
             next_bound: SimTime::ZERO,

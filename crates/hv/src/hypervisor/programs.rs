@@ -87,7 +87,7 @@ impl Hypervisor {
                 // empty list costs no allocation on the hot path.
                 let b = self.bind_simple(dom, req);
                 if b.is_empty() {
-                    self.give_binding_buf(b);
+                    self.binding_pool.give(b, Self::BINDING_POOL_CAP);
                     Vec::new()
                 } else {
                     let mut out = self.take_binding_set();
@@ -111,26 +111,38 @@ impl Hypervisor {
         let d = &domains[dom.index()];
         let n = match req {
             HcRequest::PinPages(n) | HcRequest::MemoryDecrease(n) => {
-                page_marks.unpinned_into(frames, &d.owned_pages, &d.pinned_pages, page_scratch);
+                page_marks.unpinned_into(
+                    frames,
+                    &d.owned_pages,
+                    &d.pinned_pages,
+                    &mut page_scratch.0,
+                );
                 *n
             }
             HcRequest::UnpinPages(n) => {
-                page_scratch.extend_from_slice(&d.pinned_pages);
+                page_scratch.0.extend_from_slice(&d.pinned_pages);
                 *n
             }
             HcRequest::GrantMap { from } => {
-                page_scratch.extend_from_slice(&domains[from.index()].owned_pages);
+                page_scratch
+                    .0
+                    .extend_from_slice(&domains[from.index()].owned_pages);
                 1
             }
             HcRequest::BlockIo { .. } => {
                 // A blkfront request carries up to 11 data segments, each
                 // of which is granted to the driver domain.
-                page_marks.unpinned_into(frames, &d.owned_pages, &d.pinned_pages, page_scratch);
+                page_marks.unpinned_into(
+                    frames,
+                    &d.owned_pages,
+                    &d.pinned_pages,
+                    &mut page_scratch.0,
+                );
                 11
             }
             _ => return out,
         };
-        pick_n_into(rng, page_scratch, n, &mut out);
+        pick_n_into(rng, &mut page_scratch.0, n, &mut out);
         out
     }
 
@@ -141,29 +153,20 @@ impl Hypervisor {
     const BINDING_POOL_CAP: usize = 32;
 
     fn take_binding_buf(&mut self) -> Vec<PageNum> {
-        self.binding_pool.pop().unwrap_or_default()
+        self.binding_pool.take()
     }
 
     fn take_binding_set(&mut self) -> Vec<Vec<PageNum>> {
-        self.binding_set_pool.pop().unwrap_or_default()
-    }
-
-    fn give_binding_buf(&mut self, mut b: Vec<PageNum>) {
-        if b.capacity() > 0 && self.binding_pool.len() < Self::BINDING_POOL_CAP {
-            b.clear();
-            self.binding_pool.push(b);
-        }
+        self.binding_set_pool.take()
     }
 
     /// Recycles a retired request's binding storage (outer list and every
     /// page list) back into the free lists.
     pub(super) fn recycle_bindings(&mut self, mut bindings: Vec<Vec<PageNum>>) {
         while let Some(b) = bindings.pop() {
-            self.give_binding_buf(b);
+            self.binding_pool.give(b, Self::BINDING_POOL_CAP);
         }
-        if bindings.capacity() > 0 && self.binding_set_pool.len() < Self::BINDING_POOL_CAP {
-            self.binding_set_pool.push(bindings);
-        }
+        self.binding_set_pool.give(bindings, Self::BINDING_POOL_CAP);
     }
 
     // ------------------------------------------------------------------
@@ -181,7 +184,7 @@ impl Hypervisor {
         // Collect due events (without popping: pops happen as micro-ops).
         // We pop due events into a reusable scratch list and re-insert them
         // so the micro-ops can pop them again during execution.
-        let mut due = std::mem::take(&mut self.timer_scratch);
+        let mut due = std::mem::take(&mut self.timer_scratch.0);
         due.clear();
         while let Some(ev) = self.timers.pop_due(cpu, now) {
             due.push(ev);
@@ -281,7 +284,7 @@ impl Hypervisor {
         ops.push(Eoi(crate::interrupts::VEC_TIMER));
         ops.push(Compute);
         ops.push(LeaveIrq);
-        self.timer_scratch = due;
+        self.timer_scratch.0 = due;
         Program::new(EntryCause::TimerInterrupt, ops, runs)
     }
 

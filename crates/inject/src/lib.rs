@@ -352,6 +352,37 @@ impl Injector {
         }
     }
 
+    /// Runs `hv` batched toward `deadline` up to the step that would arm
+    /// this waiting injector's counter — the first singly dispatched step
+    /// whose clock reaches [`Injector::fire_at`] — and returns that step's
+    /// CPU and outcome without feeding it to the injector. `None` if the
+    /// deadline or a detection stopped the run first.
+    ///
+    /// Until it arms, an injector is a clock marker and nothing else, so
+    /// every injector with the same `fire_at` executes these steps alike:
+    /// a trial group runs them once, then feeds the arming step to each
+    /// sibling's own injector through [`Injector::on_step`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the injector is no longer waiting.
+    pub fn run_to_arm(
+        &self,
+        hv: &mut Hypervisor,
+        deadline: SimTime,
+    ) -> Option<(CpuId, StepOutcome)> {
+        assert_eq!(self.phase, Phase::Waiting, "the injector already armed");
+        let mut rule = ArmRule {
+            fire_at: self.fire_at,
+            arm: None,
+        };
+        let cpu = hv.run_batched(deadline, &mut rule)?;
+        Some((
+            cpu,
+            rule.arm.expect("the rule stops only on the arming step"),
+        ))
+    }
+
     /// Feeds one simulation step to the trigger chain; call after every
     /// [`Hypervisor::step_any`]. Returns `true` at the step that injects.
     pub fn on_step(&mut self, hv: &mut Hypervisor, cpu: CpuId, outcome: StepOutcome) -> bool {
@@ -485,6 +516,30 @@ impl StopRule for Injector {
     }
 }
 
+/// A waiting injector's first-level trigger alone: the same clock marker,
+/// stopping on the arming step instead of arming
+/// ([`Injector::run_to_arm`]).
+struct ArmRule {
+    fire_at: SimTime,
+    /// The arming step's outcome, once seen.
+    arm: Option<StepOutcome>,
+}
+
+impl StopRule for ArmRule {
+    fn marker(&self) -> Option<SimTime> {
+        Some(self.fire_at)
+    }
+
+    #[inline]
+    fn after_step(&mut self, hv: &Hypervisor, cpu: CpuId, out: StepOutcome) -> bool {
+        let armed = hv.cpu_now(cpu) >= self.fire_at;
+        if armed {
+            self.arm = Some(out);
+        }
+        armed
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,6 +655,56 @@ mod tests {
         let twin = Injector::new(FaultType::Failstop, 9, window(), 50);
         assert_eq!(inj.fire_at(), twin.fire_at());
         assert_eq!(inj.ops_budget(), twin.ops_budget());
+    }
+
+    /// A trial group runs to the arming step once and feeds that step to
+    /// each sibling's injector later ([`Injector::run_to_arm`]). That must
+    /// equal the injector running through the step itself, including when
+    /// the arming step injects at once: a budget of 0 and a fire time at
+    /// the end of a mid-program micro-op.
+    #[test]
+    fn arming_step_fed_later_equals_running_through_it() {
+        let deadline = SimTime::from_millis(200);
+        let mut injected_on_arm = 0;
+        for seed in 0..3u64 {
+            let mut probe = Hypervisor::new(MachineConfig::small(), seed);
+            let mut fire_times = Vec::new();
+            while fire_times.len() < 30 && probe.now() < deadline {
+                let (cpu, out) = probe.step_any();
+                let at = probe.cpu_now(cpu);
+                if out == StepOutcome::HvOp
+                    && probe.cpu_mid_program(cpu)
+                    && at > SimTime::from_millis(20)
+                {
+                    fire_times.push(at);
+                }
+            }
+            for at in fire_times {
+                let window = (at, SimTime::from_nanos(at.as_nanos() + 1));
+                let make = || Injector::with_ops_range(FaultType::Code, seed, window, (0, 1));
+                let mut through_hv = Hypervisor::new(MachineConfig::small(), seed);
+                let mut through = make();
+                through.run_until(&mut through_hv, deadline);
+
+                let mut fed_hv = Hypervisor::new(MachineConfig::small(), seed);
+                let mut fed = make();
+                let (cpu, out) = make()
+                    .run_to_arm(&mut fed_hv, deadline)
+                    .expect("the run reaches the fire time");
+                if fed.on_step(&mut fed_hv, cpu, out) {
+                    injected_on_arm += 1;
+                } else {
+                    fed.run_until(&mut fed_hv, deadline);
+                }
+
+                assert_eq!(fed.armed_at(), through.armed_at(), "seed {seed} at {at:?}");
+                assert_eq!(fed.injection_point(), through.injection_point());
+                assert_eq!(fed.outcome(), through.outcome());
+                assert_eq!(fed_hv.steps_executed(), through_hv.steps_executed());
+                assert_eq!(fed_hv.state_digest(), through_hv.state_digest());
+            }
+        }
+        assert!(injected_on_arm > 0, "some arming step injects at once");
     }
 
     #[test]
