@@ -36,12 +36,13 @@
 //! sampled jobs (in suite order) that do not wait on one another
 //! together (`stretch`): cells with one setup, seed and `OpSupport` form a
 //! sampled sibling group that runs each trial once up to its arming step
-//! and forks it per cell, and a cell with no sibling runs whole on one
-//! worker. Either kind of group reports what the sequential run reports:
-//! outcomes come back in suite order, the sink gets each cell's snapshots
-//! together and in suite order, and each cell's [`CacheCounters`] come
-//! from its own checkouts plus the template build it was first to need
-//! in suite order, not from whichever cell happened to check out first.
+//! and forks it once per cell, on whichever worker is free, and a cell
+//! with no sibling runs whole on one worker. Either kind of group reports
+//! what the sequential run reports: outcomes come back in suite order,
+//! the sink gets each cell's snapshots together and in suite order, and
+//! each cell's [`CacheCounters`] come from its own checkouts plus the
+//! template build it was first to need in suite order, not from whichever
+//! cell happened to check out first.
 
 use std::collections::BTreeSet;
 use std::ops::Range;

@@ -619,7 +619,7 @@ fn assert_suite_equals_cells_alone(suite: &SuiteSpec) -> u64 {
 
 /// Sampled sibling groups: steered vswitch cells that differ in fault and
 /// mechanism but share one `OpSupport` run each trial once up to its
-/// arming step and fork it per fault, each cell with the window its own
+/// arming step and fork it once per cell, each with the window its own
 /// coverage map picks. The group holds a cell that stops at confidence
 /// partway through and one with a snapshot cadence; a cell whose
 /// mechanism logs differently (`Rung(Basic)`) must not join. Every cell
