@@ -76,7 +76,7 @@ fn main() {
     let mut failures = Vec::new();
     let mut checked = 0;
 
-    for name in ["per_step", "batched", "virtio", "overcommit"] {
+    for name in ["per_step", "batched", "virtio", "overcommit", "three_appvm"] {
         let fl =
             section(&floors, name).unwrap_or_else(|| panic!("floors file has no section {name}"));
         let fr =

@@ -4,13 +4,14 @@
 //!
 //! CI runs this on every push so the stepping-hot-path trajectory is
 //! tracked PR by PR (see `ARCHITECTURE.md`, "How to profile a trial").
-//! Each section is one simulated-time window — from 200 ms to 9.2 s after
-//! boot — inside its workload's busy phase (every bundled benchmark runs
-//! for 10 simulated seconds, then its machine idles). The window is
-//! stepped `--reps` times, each from a fresh copy of the same
-//! warmed machine, and timed over all of them; the step count, the
-//! determinism counters and the tier counters are those of one window,
-//! identical across repetitions. The sections:
+//! Each section is one simulated-time window inside its workload's busy
+//! phase (the 1AppVM, vswitch and overcommit benchmarks run for 10
+//! simulated seconds, the 3AppVM ones for 24, then the machine idles):
+//! from 200 ms to 9.2 s after boot, or, for `three_appvm`, from the end of
+//! a recovery to 12 s. The window is stepped `--reps` times, each from a
+//! fresh copy of the same warmed machine, and timed over all of them; the
+//! step count, the determinism counters and the tier counters are those
+//! of one window, identical across repetitions. The sections:
 //!
 //! * `per_step` — the 1AppVM/UnixBench window through the injector's
 //!   counting path (the batched loop with the injector as its stop rule,
@@ -19,7 +20,11 @@
 //! * `virtio` — the 2AppVM vswitch window (descriptor-ring handlers and
 //!   guest-to-guest frame forwarding);
 //! * `overcommit` — the 4:1 credit-scheduler window (preemption
-//!   switches, WFI block/wake, load-balancing migrations).
+//!   switches, WFI block/wake, load-balancing migrations);
+//! * `three_appvm` — the 3AppVM post-recovery window (Figure 2's
+//!   dominant phase): right after NiLiHype recovers a fixed-seed
+//!   fail-stop trial, through the third AppVM's creation at 9 s, with
+//!   four CPUs stepping their handler programs in lockstep.
 //!
 //! Usage: `stepper_bench [--reps R] [--out PATH]`
 
@@ -27,7 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use nlh_campaign::{build_system, BenchKind, SetupKind};
+use nlh_campaign::{build_system, BenchKind, MechanismSpec, SetupKind};
 use nlh_hv::{Hypervisor, MachineConfig, TierCounters};
 use nlh_inject::{FaultType, Injector};
 use nlh_sim::{SimDuration, SimTime};
@@ -63,9 +68,12 @@ const WARMUP: SimDuration = SimDuration::from_millis(200);
 /// Simulated time each window covers, from the warm-up on.
 const WINDOW: SimDuration = SimDuration::from_millis(9_000);
 
-/// The latest window end: the bundled benchmarks run 10 simulated
-/// seconds, then the machine idles.
-const BUSY_END: SimTime = SimTime::from_secs(10);
+/// The seed of the 3AppVM window's fail-stop trial: one that NiLiHype
+/// recovers, with no second detection before the window ends.
+const TRIAL_SEED: u64 = 77;
+
+/// The 3AppVM window's end: past the third AppVM's creation at 9 s.
+const THREE_APPVM_END: SimTime = SimTime::from_secs(12);
 
 /// Simulated time one batched-loop call covers.
 const CALL: SimDuration = SimDuration::from_millis(50);
@@ -132,6 +140,32 @@ fn warmed(setup: SetupKind) -> Hypervisor {
     hv
 }
 
+/// A 3AppVM machine right after NiLiHype recovered it: a fail-stop fault
+/// injected with the injector as stop rule, detected, then recovered.
+fn recovered_three_appvm() -> Hypervisor {
+    let setup = SetupKind::ThreeAppVm;
+    let (mut hv, _layout) = build_system(MachineConfig::small(), setup, TRIAL_SEED);
+    let nilihype = MechanismSpec::parse("NiLiHype")
+        .expect("a manifest spelling")
+        .build();
+    hv.support = nilihype.op_support();
+    let mut inj = Injector::new(
+        FaultType::Failstop,
+        TRIAL_SEED,
+        setup.trigger_window(),
+        2_000,
+    );
+    let end = SimTime::ZERO + setup.bench_duration();
+    while hv.detection().is_none() && hv.now() < end {
+        inj.run_until(&mut hv, end);
+    }
+    assert!(hv.detection().is_some(), "the fail-stop fault is detected");
+    nilihype
+        .recover(&mut hv)
+        .expect("NiLiHype recovers the trial");
+    hv
+}
+
 /// One section's JSON object: `extra` fields, then the window's figures
 /// and its tier counters (flat, so `bench_guard` can read every field).
 fn json_section(name: &str, extra: &str, s: &Section, reps: u32) -> String {
@@ -170,7 +204,16 @@ fn main() {
         }
     }
     let deadline = SimTime::ZERO + WARMUP + WINDOW;
-    assert!(deadline <= BUSY_END, "the window ends in the busy phase");
+    // Every window ends inside its workload's busy phase.
+    let busy_end = |setup: SetupKind| SimTime::ZERO + setup.bench_duration();
+    for setup in [
+        SetupKind::OneAppVm(BenchKind::UnixBench),
+        SetupKind::TwoAppVmVswitch,
+        SetupKind::Overcommit(4),
+    ] {
+        assert!(deadline <= busy_end(setup), "{setup:?} window too long");
+    }
+    assert!(THREE_APPVM_END <= busy_end(SetupKind::ThreeAppVm));
 
     let app = warmed(SetupKind::OneAppVm(BenchKind::UnixBench));
     // The injector arms on the window's first step and its budget never
@@ -208,6 +251,15 @@ fn main() {
     // stops scheduling (rather than slowing it) also shows up.
     let mutations = overcommit.end.sched.mutation_generation() - oc.sched.mutation_generation();
 
+    let recovered = recovered_three_appvm();
+    let three_appvm = measure(&recovered, THREE_APPVM_END, reps, plain);
+    assert_eq!(
+        three_appvm.end.domains.len(),
+        4,
+        "the third AppVM is created inside the window"
+    );
+    let three_digest = three_appvm.end.state_digest();
+
     let sections = [
         json_section(
             "per_step",
@@ -235,6 +287,14 @@ fn main() {
                 "    \"workload\": \"warm_trial/overcommit_4to1\",\n    \"sched_mutations\": {mutations},\n"
             ),
             &overcommit,
+            reps,
+        ),
+        json_section(
+            "three_appvm",
+            &format!(
+                "    \"workload\": \"post_recovery/3appvm_nilihype\",\n    \"state_digest\": {three_digest},\n"
+            ),
+            &three_appvm,
             reps,
         ),
     ];

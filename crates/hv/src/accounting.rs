@@ -67,6 +67,15 @@ impl CycleAccounting {
         self.hv_micro_ops += count;
     }
 
+    /// Takes back `count` ops of an earlier [`CycleAccounting::charge_hv_span`]
+    /// on `cpu`, `cycles` in total: the batched loop's rewind of a
+    /// `Compute` run it ran ahead of the other CPUs.
+    pub fn uncharge_hv_span(&mut self, cpu: CpuId, cycles: Cycles, count: u64) {
+        let c = &mut self.per_cpu[cpu.index()];
+        c.hypervisor = c.hypervisor - cycles;
+        self.hv_micro_ops -= count;
+    }
+
     /// Counters for one CPU.
     pub fn cpu(&self, cpu: CpuId) -> &CpuCounters {
         &self.per_cpu[cpu.index()]
@@ -141,6 +150,9 @@ mod tests {
         let mut span = CycleAccounting::new(1);
         span.charge_hv_span(CpuId(0), Cycles(2500 * 7), 7);
         assert_eq!(one, span);
+        span.charge_hv_span(CpuId(0), Cycles(2500 * 4), 4);
+        span.uncharge_hv_span(CpuId(0), Cycles(2500 * 4), 4);
+        assert_eq!(one, span, "an uncharge takes back exactly its charge");
     }
 
     #[test]

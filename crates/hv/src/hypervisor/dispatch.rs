@@ -16,7 +16,14 @@
 //!    on ties); reaching the deadline ends the run.
 //! 3. **Fused hypervisor span.** Below its horizon, a CPU mid-program runs
 //!    a stretch of micro-ops in one dispatch (`fused_hv_run`): `Compute`
-//!    runs and contended-lock spins in bulk, everything else op by op.
+//!    runs and contended-lock spins in bulk, everything else op by op
+//!    after one fetch each. At the pick bound the span rescans and *hands
+//!    off*: if the next pick is also mid-program below its horizon, the
+//!    span carries on there, so CPUs stepping their programs in lockstep
+//!    cost no loop iteration per op. Under a stop rule with no marker and
+//!    no budget, a `Compute` run may *jump* past the pick bound, clipped
+//!    only by its own CPU's horizon: it touches nothing but that CPU's
+//!    clock, pc and cycles, the micro-op count and the step counter.
 //! 4. **Idle window.** Provably idle CPUs fast-forward whole quanta at
 //!    once (`fused_idle_window`). Most are capped at the earliest instant
 //!    anything could disturb them; a CPU with no current vCPU and no
@@ -36,9 +43,12 @@
 //!    (`Hypervisor::woken`).
 //!    When a step does, or when a detection or the stop rule ends the run,
 //!    the CPU is rewound to the first of its quanta the reference would
-//!    not yet have run at that step (`rewind_jumped`); a CPU the pick
-//!    reaches has all its quanta behind every other CPU and stops being
-//!    jumped.
+//!    not yet have run at that step (`rewind_jumped`). A compute-jumped
+//!    CPU's ops commute with every other CPU's steps, wakes included, so
+//!    only a detection, a stop, or a route write that lowers its horizon
+//!    to or below the start of its last jumped op rewinds it, by the same
+//!    first-index tie rule (`rewind_hv_jumped`). A CPU the pick reaches has all its quanta
+//!    or ops behind every other CPU and stops being jumped (`settle`).
 //!
 //! The differential tests pin the whole loop against the reference: the
 //! same step sequence, step count, final state digest and trial result.
@@ -67,9 +77,16 @@ use crate::sched::cpu_bit;
 ///
 /// * a fused hypervisor span executes at most [`StopRule::span_budget`]
 ///   micro-ops, all with post-step clocks below [`StopRule::marker`], and
-///   is reported through [`StopRule::after_span`];
+///   is reported through [`StopRule::after_span`] (a span may hand off
+///   between CPUs, so its ops can belong to several of them);
 /// * a fused idle window takes only `Idle` steps, again with post-step
 ///   clocks below the marker.
+///
+/// A rule with neither a marker nor a budget lets a span run a `Compute`
+/// run ahead of the other CPUs; a stop or a detection may then take some
+/// of those ops back, and they are executed and reported again later, so
+/// only a rule that bounds spans gets an exact op count from
+/// `after_span`.
 ///
 /// The unit rule `()` never stops early: a plain run to the deadline. The
 /// fault injector's trigger chain (`nlh_inject::Injector`) is the other
@@ -96,9 +113,10 @@ pub trait StopRule {
     /// Sees one singly dispatched step of `cpu` and its outcome; `true`
     /// ends the run right after it.
     ///
-    /// The rule may read `cpu`'s own state only: idle CPUs the loop has
-    /// jumped ahead may show later clocks (and the step counter their
-    /// quanta) until the run ends, when a stop rewinds them exactly.
+    /// The rule may read `cpu`'s own state only: CPUs the loop has jumped
+    /// ahead may show later clocks (and the step counter their quanta or
+    /// ops; a compute-jumped CPU also its pc, cycles and micro-op count)
+    /// until the run ends, when a stop rewinds them exactly.
     fn after_step(&mut self, hv: &Hypervisor, cpu: CpuId, out: StepOutcome) -> bool;
 }
 
@@ -120,21 +138,30 @@ pub struct TierCounters {
     pub horizon_recomputes: u64,
     /// Fused hypervisor spans that executed at least one step.
     pub fused_spans: u64,
-    /// Steps executed inside fused spans (spins included).
+    /// Steps executed inside fused spans (spins and compute jumps
+    /// included).
     pub fused_ops: u64,
+    /// Fused spans carried on to the next-picked CPU at the pick bound.
+    pub handoffs: u64,
     /// Bulk contended-lock spins inside fused spans.
     pub spin_spans: u64,
     /// Spin steps taken in bulk.
     pub spin_ops: u64,
+    /// `Compute` runs that carried their CPU past the pick bound.
+    pub compute_jumps: u64,
+    /// Ops of those runs.
+    pub compute_jump_ops: u64,
+    /// Compute-jumped CPUs moved back to the reference's position.
+    pub compute_rewinds: u64,
     /// Idle windows that advanced at least one quantum.
     pub idle_windows: u64,
     /// Quanta those windows advanced (jumped quanta included).
     pub idle_quanta: u64,
-    /// Idle-window advances of a CPU to its own next event.
+    /// Idle-window advances of an idle CPU to its own next event.
     pub jumps: u64,
     /// Quanta of those advances.
     pub jump_quanta: u64,
-    /// Jumped CPUs moved back to the reference's position.
+    /// Idle-jumped CPUs moved back to the reference's position.
     pub rewinds: u64,
     /// Quanta those rewinds took back.
     pub rewound_quanta: u64,
@@ -142,7 +169,8 @@ pub struct TierCounters {
     pub unchecked_steps: u64,
     /// Single steps at or past it, entry checks included.
     pub checked_steps: u64,
-    /// Full next-CPU rescans (cache misses of the pick).
+    /// Full next-CPU scans (pick cache misses its third smallest could
+    /// not serve).
     pub rescans: u64,
 }
 
@@ -155,8 +183,12 @@ impl TierCounters {
             horizon_recomputes: self.horizon_recomputes - earlier.horizon_recomputes,
             fused_spans: self.fused_spans - earlier.fused_spans,
             fused_ops: self.fused_ops - earlier.fused_ops,
+            handoffs: self.handoffs - earlier.handoffs,
             spin_spans: self.spin_spans - earlier.spin_spans,
             spin_ops: self.spin_ops - earlier.spin_ops,
+            compute_jumps: self.compute_jumps - earlier.compute_jumps,
+            compute_jump_ops: self.compute_jump_ops - earlier.compute_jump_ops,
+            compute_rewinds: self.compute_rewinds - earlier.compute_rewinds,
             idle_windows: self.idle_windows - earlier.idle_windows,
             idle_quanta: self.idle_quanta - earlier.idle_quanta,
             jumps: self.jumps - earlier.jumps,
@@ -170,14 +202,18 @@ impl TierCounters {
     }
 
     /// `(name, value)` for every counter, in declaration order.
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
+    pub fn fields(&self) -> [(&'static str, u64); 19] {
         [
             ("iterations", self.iterations),
             ("horizon_recomputes", self.horizon_recomputes),
             ("fused_spans", self.fused_spans),
             ("fused_ops", self.fused_ops),
+            ("handoffs", self.handoffs),
             ("spin_spans", self.spin_spans),
             ("spin_ops", self.spin_ops),
+            ("compute_jumps", self.compute_jumps),
+            ("compute_jump_ops", self.compute_jump_ops),
+            ("compute_rewinds", self.compute_rewinds),
             ("idle_windows", self.idle_windows),
             ("idle_quanta", self.idle_quanta),
             ("jumps", self.jumps),
@@ -197,7 +233,7 @@ pub(super) struct TierCpu {
     /// The earliest clock at which this CPU's own entry checks could act.
     horizon: SimTime,
     /// The clock this CPU's current jump started from (meaningful while
-    /// its bit in `Hypervisor::jumped` is set).
+    /// its bit in `Hypervisor::jumped` or `Hypervisor::hv_jumped` is set).
     jump_from: SimTime,
 }
 
@@ -240,33 +276,73 @@ impl Hypervisor {
                 return CpuId::from_index(c);
             }
         }
-        self.rescan_next_cpu()
+        self.repick_next_cpu()
     }
 
-    /// Full O(#CPUs) scan: finds the argmin clock and records the
-    /// second-smallest as the cache bound.
+    /// The pick once the cached CPU has passed the bound. Only that CPU's
+    /// clock moved since the cache was filled, so the bound's CPU holds
+    /// the minimum now, and the second smallest is the third or the
+    /// passed CPU, whichever is smaller (first index on ties). When it is
+    /// the third, the new third is unknown and the next miss scans.
+    #[inline]
+    fn repick_next_cpu(&mut self) -> CpuId {
+        if !(self.next_valid && self.third_valid) || self.next_bound_cpu == u32::MAX {
+            return self.rescan_next_cpu();
+        }
+        let (c, tc) = (self.next_cpu, self.cpu_now[self.next_cpu as usize]);
+        let next = self.next_bound_cpu;
+        if tc < self.next_third || (tc == self.next_third && c < self.next_third_cpu) {
+            self.next_bound = tc;
+            self.next_bound_cpu = c;
+        } else {
+            self.next_bound = self.next_third;
+            self.next_bound_cpu = self.next_third_cpu;
+            self.third_valid = false;
+        }
+        self.next_cpu = next;
+        debug_assert_eq!(
+            self.three_smallest()[..2],
+            [
+                (self.cpu_now[next as usize], next),
+                (self.next_bound, self.next_bound_cpu)
+            ],
+            "the repick is the scan's"
+        );
+        CpuId::from_index(next as usize)
+    }
+
+    /// Full O(#CPUs) scan: fills the cache with the argmin clock, the
+    /// second smallest as its bound, and the third smallest.
     fn rescan_next_cpu(&mut self) -> CpuId {
         self.tier.rescans += 1;
-        let mut best = 0usize;
-        let mut best_t = self.cpu_now[0];
-        let mut bound = SimTime::FAR_FUTURE;
-        let mut bound_cpu = u32::MAX;
-        for (i, &t) in self.cpu_now.iter().enumerate().skip(1) {
-            if t < best_t {
-                bound = best_t;
-                bound_cpu = best as u32;
-                best = i;
-                best_t = t;
-            } else if t < bound {
-                bound = t;
-                bound_cpu = i as u32;
-            }
-        }
-        self.next_cpu = best as u32;
+        let [(_, best), (bound, bound_cpu), (third, third_cpu)] = self.three_smallest();
+        self.next_cpu = best;
         self.next_bound = bound;
         self.next_bound_cpu = bound_cpu;
+        self.next_third = third;
+        self.next_third_cpu = third_cpu;
         self.next_valid = true;
-        CpuId::from_index(best)
+        self.third_valid = true;
+        CpuId::from_index(best as usize)
+    }
+
+    /// The three smallest `(clock, cpu)` pairs, first index on ties
+    /// (`(FAR_FUTURE, u32::MAX)` past the number of CPUs).
+    #[inline]
+    fn three_smallest(&self) -> [(SimTime, u32); 3] {
+        let mut best = (self.cpu_now[0], 0);
+        let mut bound = (SimTime::FAR_FUTURE, u32::MAX);
+        let mut third = bound;
+        for (i, &t) in self.cpu_now.iter().enumerate().skip(1) {
+            if t < best.0 {
+                (third, bound, best) = (bound, best, (t, i as u32));
+            } else if t < bound.0 {
+                (third, bound) = (bound, (t, i as u32));
+            } else if t < third.0 {
+                third = (t, i as u32);
+            }
+        }
+        [best, bound, third]
     }
 
     /// Runs until `deadline` or until an error is detected: the batched
@@ -310,6 +386,7 @@ impl Hypervisor {
         }
         // 1. Horizons.
         self.recompute_horizons(deadline);
+        let costs = self.fused_costs();
         loop {
             self.tier.iterations += 1;
             // 2. Pick. The picked CPU holds the minimum clock, so any
@@ -319,25 +396,28 @@ impl Hypervisor {
             let t = self.cpu_now[i];
             if t >= deadline {
                 self.jumped = 0;
+                self.hv_jumped = 0;
                 return None;
             }
-            self.jumped &= !cpu_bit(cpu);
+            self.settle(cpu);
             let checked = t >= self.tier_cpu[i].horizon;
             if !checked {
                 // 3. Fused hypervisor span. It stops on a detection, on a
                 // dirtied horizon and on a touched jumped CPU, each handled
-                // exactly as after a single unchecked step of its last op.
+                // exactly as after a single unchecked step of its last op
+                // (on whichever CPU the span had handed off to).
                 let budget = stop.span_budget();
                 if budget > 0 {
-                    let (span, last) = self.fused_hv_run(cpu, stop.marker(), budget);
+                    let (span, last, last_cpu) =
+                        self.fused_hv_run(cpu, costs, stop.marker(), budget);
                     if span > 0 {
                         let frozen = self.detection.is_some();
                         stop.after_span(span - frozen as u64);
                         if frozen {
-                            self.rewind_jumped(self.jumped, last, cpu);
+                            self.rewind_all(last, last_cpu);
                             return None;
                         }
-                        self.after_dispatch(last, cpu, deadline);
+                        self.after_dispatch(last, last_cpu, deadline);
                         continue;
                     }
                 }
@@ -356,11 +436,11 @@ impl Hypervisor {
             };
             // 6. Stop rule.
             if stop.after_step(self, cpu, out) {
-                self.rewind_jumped(self.jumped, t, cpu);
+                self.rewind_all(t, cpu);
                 return Some(cpu);
             }
             if self.detection.is_some() {
-                self.rewind_jumped(self.jumped, t, cpu);
+                self.rewind_all(t, cpu);
                 return None;
             }
             // A checked step fired its due checks and moved their
@@ -373,8 +453,9 @@ impl Hypervisor {
     }
 
     /// Step 7 after a dispatch whose last step started at `at` on `cpu`:
-    /// rewinds every jumped CPU whose wake inputs that step touched, and
-    /// recomputes the horizons a route rewrite may have lowered.
+    /// rewinds every idle-jumped CPU whose wake inputs that step touched,
+    /// recomputes the horizons a route rewrite may have lowered, and
+    /// rewinds every compute-jumped CPU the lowered horizon now cuts.
     #[inline]
     fn after_dispatch(&mut self, at: SimTime, cpu: CpuId, deadline: SimTime) {
         let woken = self.woken();
@@ -384,7 +465,28 @@ impl Hypervisor {
         if self.horizon_dirty {
             self.horizon_dirty = false;
             self.recompute_horizons(deadline);
+            if self.hv_jumped != 0 {
+                let cut = self.cut_hv_jumps();
+                self.rewind_hv_jumped(cut, at, cpu);
+            }
         }
+    }
+
+    /// The picked CPU holds the minimum clock, so every quantum or op it
+    /// jumped precedes each step still to come: it stops being jumped.
+    #[inline]
+    fn settle(&mut self, cpu: CpuId) {
+        let bit = !cpu_bit(cpu);
+        self.jumped &= bit;
+        self.hv_jumped &= bit;
+    }
+
+    /// Rewinds every jumped CPU, idle or compute, to where the reference
+    /// would have it right after the step of `w` that started at `tw`: a
+    /// detection or a stop ends the run there.
+    fn rewind_all(&mut self, tw: SimTime, w: CpuId) {
+        self.rewind_jumped(self.jumped, tw, w);
+        self.rewind_hv_jumped(self.hv_jumped, tw, w);
     }
 
     /// The jumped CPUs whose wake inputs changed since their jump: the
@@ -432,7 +534,6 @@ impl Hypervisor {
     /// the rest are taken back, clock and step count alike.
     fn rewind_jumped(&mut self, cpus: u64, tw: SimTime, w: CpuId) {
         let q = self.tuning.idle_quantum.as_nanos();
-        let tw = tw.as_nanos();
         let mut left = cpus & self.jumped;
         self.jumped &= !cpus;
         while left != 0 {
@@ -440,14 +541,7 @@ impl Hypervisor {
             left &= left - 1;
             let b = self.tier_cpu[j].jump_from.as_nanos();
             let n = (self.cpu_now[j].as_nanos() - b) / q;
-            let mut k = if tw > b {
-                ((tw - b - 1) / q + 1).min(n)
-            } else {
-                0
-            };
-            if k < n && b + k * q == tw && j < w.index() {
-                k += 1;
-            }
+            let k = steps_before(b, n, q, j, tw, w);
             if k < n {
                 self.cpu_now[j] = SimTime::ZERO + SimDuration::from_nanos(b + k * q);
                 self.steps -= n - k;
@@ -459,13 +553,68 @@ impl Hypervisor {
         }
     }
 
+    /// [`Self::rewind_jumped`] for compute-jumped CPUs: a CPU whose
+    /// `Compute` run took `n` ops of `d` from `b` keeps the ones the
+    /// reference runs before `w`'s step at `tw`, by the same first-index
+    /// tie rule. The rest are taken back: clock, step count, pc, cycles
+    /// and the micro-op count alike (the run never retired its frame, so
+    /// the pc still indexes into it).
+    fn rewind_hv_jumped(&mut self, cpus: u64, tw: SimTime, w: CpuId) {
+        let mut left = cpus & self.hv_jumped;
+        self.hv_jumped &= !cpus;
+        if left == 0 {
+            return;
+        }
+        let (d, _) = self.fused_costs();
+        while left != 0 {
+            let j = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let b = self.tier_cpu[j].jump_from.as_nanos();
+            let n = (self.cpu_now[j].as_nanos() - b) / d;
+            let k = steps_before(b, n, d, j, tw, w);
+            if k < n {
+                let back = n - k;
+                self.cpu_now[j] = SimTime::ZERO + SimDuration::from_nanos(b + k * d);
+                let f = self.stacks[j].last_mut().expect("a jump keeps its frame");
+                f.pc -= back as usize;
+                self.steps -= back;
+                self.accounting.uncharge_hv_span(
+                    CpuId::from_index(j),
+                    Cycles(self.tuning.cycles_per_micro_op) * back,
+                    back,
+                );
+                self.tier.compute_rewinds += 1;
+                self.next_valid = false;
+            }
+        }
+    }
+
+    /// The compute-jumped CPUs whose last jumped op starts at or past
+    /// their (just recomputed) horizon: a route rewrite moved the net
+    /// vector's packet time onto them, so the reference runs that op
+    /// checked.
+    fn cut_hv_jumps(&mut self) -> u64 {
+        let (d, _) = self.fused_costs();
+        let mut cut = 0;
+        let mut left = self.hv_jumped;
+        while left != 0 {
+            let j = left.trailing_zeros() as usize;
+            left &= left - 1;
+            if self.cpu_now[j].as_nanos() - d >= self.tier_cpu[j].horizon.as_nanos() {
+                cut |= 1 << j;
+            }
+        }
+        cut
+    }
+
     /// The superop dispatcher's per-op clock costs, memoized on the
     /// tuning knobs and CPU frequency they were computed from: the plain
     /// micro-op advance and the worst-case single-op advance (the larger
     /// of a full micro-op and a pure-log base, plus the larger logging
     /// share), used for the conservative marker clip. Cycle-to-time
     /// conversion divides, and the operands only change when the caller
-    /// retunes the machine — not once per fused op.
+    /// retunes the machine between runs, so the batched loop reads them
+    /// once per run.
     #[inline]
     fn fused_costs(&mut self) -> (u64, u64) {
         let key = [
@@ -501,39 +650,44 @@ impl Hypervisor {
         ns
     }
 
-    /// Executes up to `cap` micro-ops of the current handler program on
-    /// `cpu` as one fused superop dispatch, returning how many steps were
-    /// taken (0 means the caller must take a normal single step) and the
-    /// start time of the last op executed singly (the one a detection, a
-    /// dirtied horizon or a touched jumped CPU broke the span on).
+    /// Executes up to `cap` micro-ops of the current handler programs as
+    /// one fused superop dispatch, starting on `cpu`, returning how many
+    /// steps were taken (0 means the caller must take a normal single
+    /// step) and the start time and CPU of the last op executed singly
+    /// (the one a detection, a dirtied horizon or a touched jumped CPU
+    /// broke the span on).
     ///
     /// Fusion rules (see ARCHITECTURE.md §9): a *run* is a maximal stretch
     /// of micro-ops that cannot suspend the program counter — everything
     /// except a contended `Acquire`, which spins in place and is the
     /// program’s abandonment boundary structure made visible to the
-    /// dispatcher. Each fused op executes through [`Self::step_hv`]
-    /// itself, so its side effects, charging, and program-counter motion
-    /// are the reference’s own code; what the fused run elides is the
-    /// outer loop’s per-step machinery (next-CPU pick, horizon compare,
-    /// fusion attempts, outcome plumbing), which is provably no-op under
-    /// the clip rules below. Two shapes take a faster bulk branch that
-    /// charges many steps in one call: runs of [`MicroOp::Compute`] —
-    /// precompiled per program at build time ([`Program::runs`]) — and
-    /// spins on a held lock, whose steps each charge one plain micro-op
-    /// and move nothing but the clock (no other CPU steps inside the span,
-    /// so nothing can release the lock).
+    /// dispatcher. Each fused op executes through [`Self::exec_op`], the
+    /// body of [`Self::step_hv`], after the span's own fetch, so its side
+    /// effects, charging, and program-counter motion are the reference’s
+    /// own code; what the fused run elides is the outer loop’s per-step
+    /// machinery (next-CPU pick, horizon compare, fusion attempts, outcome
+    /// plumbing), which is provably no-op under the clip rules below. Two
+    /// shapes take a faster bulk branch that charges many steps in one
+    /// call: runs of [`MicroOp::Compute`] — precompiled per program at
+    /// build time ([`Program::runs`]) — and spins on a held lock, whose
+    /// steps each charge one plain micro-op and move nothing but the
+    /// clock (no other CPU steps before the next pick bound, so nothing
+    /// can release the lock inside one spin).
     ///
     /// The loop is clipped so that fusing is *provably* invisible next to
     /// the reference one-op-at-a-time execution:
     ///
-    /// * every fused step's *start* time stays below the CPU's own
+    /// * every fused step's *start* time stays below its CPU's own
     ///   horizon, where its per-step entry checks are no-ops (Hv-mode
     ///   dispatches never poll the local APIC, so the one-shot needs no
     ///   bound here);
     /// * every fused step's start stays within the cached next-CPU pick's
     ///   validity bound (including `min_by_key`'s first-index tie rule),
     ///   so cross-CPU interleaving — and the cache fields themselves —
-    ///   match the reference exactly;
+    ///   match the reference exactly. At the bound the span makes the
+    ///   rescan the outer loop would make next, and *hands off*: when the
+    ///   new pick is also mid-program below its horizon (and so below the
+    ///   deadline), the span carries on there with the same clips;
     /// * with a `marker`, every fused step's *post*-step time stays below
     ///   it (conservatively, using the largest charge any op can incur),
     ///   so the marker-crossing step itself runs through the normal path;
@@ -546,27 +700,54 @@ impl Hypervisor {
     /// * the run is capped at the stop rule's span budget and its step
     ///   count reported to the rule in bulk, so no step the rule must see
     ///   (an injector fire attempt) is ever buried inside a fused run.
+    ///
+    /// With no marker and no budget, nothing reads the global op order
+    /// but the pick, so a `Compute` run may *jump* past the pick bound,
+    /// clipped only by its CPU's horizon: its ops touch nothing but that
+    /// CPU's clock, pc, cycles and the micro-op count, so they commute
+    /// with every other CPU's steps. A jump keeps its program's last op
+    /// (it never retires a frame), and its CPU is settled when the pick
+    /// next reaches it, or rewound when a detection, a stop or a lowered
+    /// horizon ends the run before that (`rewind_hv_jumped`).
     #[inline]
-    fn fused_hv_run(&mut self, cpu: CpuId, marker: Option<SimTime>, cap: u64) -> (u64, SimTime) {
-        let i = cpu.index();
-        let mut last = self.cpu_now[i];
-        if self.cpu_mode[i] != CpuMode::Hv {
-            return (0, last);
+    fn fused_hv_run(
+        &mut self,
+        cpu: CpuId,
+        (d, dmax): (u64, u64),
+        marker: Option<SimTime>,
+        cap: u64,
+    ) -> (u64, SimTime, CpuId) {
+        let (mut cpu, mut i) = (cpu, cpu.index());
+        let mut last = (self.cpu_now[i], cpu);
+        if self.cpu_mode[i] != CpuMode::Hv || d == 0 {
+            return (0, last.0, last.1);
         }
-        let (d, dmax) = self.fused_costs();
-        if d == 0 {
-            return (0, last);
-        }
-        let h = self.tier_cpu[i].horizon.as_nanos();
+        let mut h = self.tier_cpu[i].horizon.as_nanos();
         // Pick-cache validity: starts may sit *at* `next_bound` only while
         // this CPU wins the `min_by_key` first-index tie.
-        let nb = self.next_bound.as_nanos();
-        let tie_win = self.next_cpu < self.next_bound_cpu;
+        let mut nb = self.next_bound.as_nanos();
+        let mut tie_win = self.next_cpu < self.next_bound_cpu;
         let mk = marker.map(|m| m.as_nanos());
+        let may_jump = mk.is_none() && cap == u64::MAX;
         let mut executed: u64 = 0;
         while executed < cap {
-            let t = self.cpu_now[i].as_nanos();
-            if t >= h || t > nb || (t == nb && !tie_win) {
+            let mut t = self.cpu_now[i].as_nanos();
+            if t > nb || (t == nb && !tie_win) {
+                // Handoff: the outer loop's next pick, made here.
+                let next = self.repick_next_cpu();
+                let j = next.index();
+                if self.cpu_mode[j] != CpuMode::Hv || self.cpu_now[j] >= self.tier_cpu[j].horizon {
+                    break;
+                }
+                self.settle(next);
+                self.tier.handoffs += 1;
+                (cpu, i) = (next, j);
+                t = self.cpu_now[i].as_nanos();
+                h = self.tier_cpu[i].horizon.as_nanos();
+                nb = self.next_bound.as_nanos();
+                tie_win = self.next_cpu < self.next_bound_cpu;
+            }
+            if t >= h {
                 break;
             }
             if let Some(mk) = mk {
@@ -581,25 +762,43 @@ impl Hypervisor {
             if f.pc >= f.program.len() {
                 break;
             }
-            // How many plain micro-op steps of `d` the clips leave room
-            // for, starting at `t` (at least one: the checks above).
-            let room = || {
+            // How many plain micro-op steps of `d` the CPU's own clips
+            // (budget, horizon, marker) and the pick bound leave room for,
+            // starting at `t` (at least one each: the checks above).
+            let own = || {
                 let mut m = (cap - executed).min((h - t - 1) / d + 1);
-                m = m.min(if tie_win {
-                    (nb - t) / d + 1
-                } else {
-                    (nb - t - 1) / d + 1
-                });
                 if let Some(mk) = mk {
                     m = m.min((mk - t - 1) / d);
                 }
                 m
             };
-            let crun = f.program.run_len_at(f.pc) as u64;
+            let pick = || {
+                if tie_win {
+                    (nb - t) / d + 1
+                } else {
+                    (nb - t - 1) / d + 1
+                }
+            };
+            let op = f.program.ops()[f.pc];
+            let crun = if matches!(op, MicroOp::Compute) {
+                f.program.run_len_at(f.pc) as u64
+            } else {
+                0
+            };
             if crun >= 2 {
                 // Bulk branch: a precompiled `Compute` run charges and
                 // advances in one call (uniform cost, no side effects).
-                let m = crun.min(room());
+                let (own, pick) = (own(), pick());
+                let mut m = crun.min(own).min(pick);
+                let mut jump = false;
+                if may_jump {
+                    // A jump stops short of the program's last op.
+                    let at_end = f.pc + crun as usize == f.program.len();
+                    let far = (crun - at_end as u64).min(own);
+                    if far > pick {
+                        (m, jump) = (far, true);
+                    }
+                }
                 if m >= 2 {
                     self.bulk_hv_steps(cpu, t, d, m);
                     executed += m;
@@ -607,7 +806,12 @@ impl Hypervisor {
                         .last_mut()
                         .expect("span bounds checked above");
                     f.pc += m as usize;
-                    if f.pc >= f.program.len() {
+                    if jump {
+                        self.hv_jumped |= cpu_bit(cpu);
+                        self.tier_cpu[i].jump_from = SimTime::ZERO + SimDuration::from_nanos(t);
+                        self.tier.compute_jumps += 1;
+                        self.tier.compute_jump_ops += m;
+                    } else if f.pc >= f.program.len() {
                         self.retire_frame(i);
                         if self.cpu_mode[i] != CpuMode::Hv {
                             break;
@@ -618,13 +822,12 @@ impl Hypervisor {
                 // The clips left less than a full bulk span; fall through
                 // to a single fused op.
             }
-            let op = f.program.ops()[f.pc];
             if let MicroOp::Acquire(l) = op {
                 if self.locks.get(l).holder.is_some() {
                     // Spin branch: each contended attempt leaves the pc
                     // and the lock as they are, so the clips alone bound
-                    // the spin. It ends at a clip, where the loop breaks.
-                    let m = room();
+                    // the spin. It ends at a clip.
+                    let m = own().min(pick());
                     self.bulk_hv_steps(cpu, t, d, m);
                     executed += m;
                     self.tier.spin_spans += 1;
@@ -636,10 +839,11 @@ impl Hypervisor {
             }
             // Single fused op: the reference dispatch itself, minus the
             // outer loop's bookkeeping.
+            let (cause, logged) = (f.program.cause, f.program.logged);
             self.steps += 1;
             executed += 1;
-            last = self.cpu_now[i];
-            let out = self.step_hv(cpu);
+            last = (self.cpu_now[i], cpu);
+            let out = self.exec_op(cpu, op, cause, logged);
             if out == StepOutcome::Frozen
                 || self.cpu_mode[i] != CpuMode::Hv
                 || self.horizon_dirty
@@ -652,7 +856,7 @@ impl Hypervisor {
             self.tier.fused_spans += 1;
             self.tier.fused_ops += executed;
         }
-        (executed, last)
+        (executed, last.0, last.1)
     }
 
     /// `m` plain micro-op steps of `d` each on `cpu` from clock `t`, in
@@ -1209,4 +1413,22 @@ impl Hypervisor {
     fn virtio_owns_vector(&self, vec: IrqVector) -> bool {
         self.virtio.devices.iter().any(|d| d.vector == vec)
     }
+}
+
+/// How many of a jumped CPU `j`'s `n` steps of `q` from `b` the reference
+/// runs before the step of `w` that starts at `tw`: the steps that start
+/// before `tw`, plus the one at `tw` when `j`'s index is below `w`'s (the
+/// pick's first-index tie).
+#[inline]
+fn steps_before(b: u64, n: u64, q: u64, j: usize, tw: SimTime, w: CpuId) -> u64 {
+    let tw = tw.as_nanos();
+    let mut k = if tw > b {
+        ((tw - b - 1) / q + 1).min(n)
+    } else {
+        0
+    };
+    if k < n && b + k * q == tw && j < w.index() {
+        k += 1;
+    }
+    k
 }

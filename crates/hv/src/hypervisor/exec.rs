@@ -6,7 +6,7 @@ use nlh_sim::{CpuId, Cycles, DomId, IrqVector, PageNum, SimDuration, VcpuId};
 
 use super::{CpuMode, Hypervisor, StepOutcome, LOG_OP_BASE_CYCLES};
 use crate::domain::{DomainState, GuestNotice};
-use crate::hypercalls::{HcRequest, MicroOp, PendingKind, UndoEntry};
+use crate::hypercalls::{EntryCause, HcRequest, MicroOp, PendingKind, UndoEntry};
 use crate::interrupts::GuestEventKind;
 use crate::locks::AcquireOutcome;
 use crate::mem::PageState;
@@ -17,6 +17,8 @@ impl Hypervisor {
     // Micro-op execution
     // ------------------------------------------------------------------
 
+    /// One Hv-mode step: fetches `program[pc]` of the top frame and
+    /// executes it ([`Self::exec_op`]).
     #[inline]
     pub(super) fn step_hv(&mut self, cpu: CpuId) -> StepOutcome {
         let i = cpu.index();
@@ -32,9 +34,25 @@ impl Hypervisor {
             return StepOutcome::HvOp;
         }
         let op = frame.program.ops()[frame.pc];
-        let cause = frame.program.cause;
-        let logged = frame.program.logged;
+        let (cause, logged) = (frame.program.cause, frame.program.logged);
+        self.exec_op(cpu, op, cause, logged)
+    }
 
+    /// Executes `op`, already fetched from `program[pc]` of `cpu`'s top
+    /// frame (a program of `cause`, undo-`logged` or not): its side
+    /// effects, its charge, and the pc's motion, retiring the frame after
+    /// its last op. The fused span calls this after its own fetch, so
+    /// both paths run the same op code. Always inlined: as a call, its
+    /// register saves alone were 2% of a single-threaded `fig2` round.
+    #[inline(always)]
+    pub(super) fn exec_op(
+        &mut self,
+        cpu: CpuId,
+        op: MicroOp,
+        cause: EntryCause,
+        logged: bool,
+    ) -> StepOutcome {
+        let i = cpu.index();
         let mut log_cycles = Cycles::ZERO;
         let mut advance_pc = true;
 

@@ -205,11 +205,16 @@ pub struct Hypervisor {
     // the only non-monotonic clock write is `resume_after`, which
     // invalidates. Ties replicate `min_by_key`'s first-index choice: the
     // cache stays valid at `t == next_bound` only while `next_cpu <
-    // next_bound_cpu`.
+    // next_bound_cpu`. `next_third` and `next_third_cpu` hold the third
+    // smallest (while `third_valid`), so when the picked CPU passes the
+    // bound the next pick and its bound follow without a scan.
     next_cpu: u32,
     next_bound: SimTime,
     next_bound_cpu: u32,
+    next_third: SimTime,
+    next_third_cpu: u32,
     next_valid: bool,
+    third_valid: bool,
     // Set by `MicroOp::IoapicWrite` so the batched loop recomputes every
     // CPU's check horizon: re-routing the net vector moves `net.next`
     // onto another CPU's horizon. Every other in-dispatch mutation of a
@@ -223,11 +228,13 @@ pub struct Hypervisor {
     // `MicroOp::ProgramApic` does not touch this flag.
     horizon_dirty: bool,
     // The batched loop's per-CPU state (host bookkeeping, never part of
-    // the digest): each CPU's check horizon, and where a CPU the idle tier
-    // jumped ahead started its jump. `jumped` marks the CPUs that are
-    // ahead; it is empty whenever `run_batched` is not running.
+    // the digest): each CPU's check horizon, and where a CPU the loop
+    // jumped ahead started its jump. `jumped` marks the idle CPUs that are
+    // ahead, `hv_jumped` the CPUs whose `Compute` run went ahead; both are
+    // empty whenever `run_batched` is not running.
     tier_cpu: Vec<dispatch::TierCpu>,
     jumped: u64,
+    hv_jumped: u64,
     // Exact work counters of the batched loop's tiers (host-only).
     tier: TierCounters,
     // Memoized cycle->nanosecond conversions for the dispatch hot path
@@ -345,10 +352,14 @@ impl Hypervisor {
             next_cpu: 0,
             next_bound: SimTime::ZERO,
             next_bound_cpu: 0,
+            next_third: SimTime::ZERO,
+            next_third_cpu: 0,
             next_valid: false,
+            third_valid: false,
             horizon_dirty: false,
             tier_cpu: vec![dispatch::TierCpu::default(); n],
             jumped: 0,
+            hv_jumped: 0,
             tier: TierCounters::default(),
             op_ns_cache: [[u64::MAX; 3]; 2],
             run_cost_cache: [u64::MAX; 6],
