@@ -134,11 +134,6 @@ impl Shard {
         self.run_nanos += run;
     }
 
-    /// Setup plus trial-body nanoseconds accounted so far.
-    pub(crate) fn busy_nanos(&self) -> u64 {
-        self.setup_nanos + self.run_nanos
-    }
-
     pub(crate) fn add(&mut self, result: &TrialResult) {
         self.steps += result.steps;
         match &result.class {

@@ -246,8 +246,9 @@ pub struct SampledCampaign {
 }
 
 /// Runs a sequential, deterministic fault campaign in either sampling
-/// mode, filing every trial in a coverage map — the executor behind the
-/// engine's sampled cells ([`crate::ExecMode::Sampled`]).
+/// mode, filing every trial in a coverage map, one trial at a time: the
+/// reference that the engine's sampled cells ([`crate::ExecMode::Sampled`])
+/// must equal, however the engine shares and forks their trials.
 ///
 /// Trial `i` uses seed `base_seed + i` and checks its system out of
 /// `cache`, which reseeds it, so results are independent of what else the

@@ -13,52 +13,38 @@
 //! (pinned by the `engine_equivalence` suite).
 //!
 //! Cells name their mechanism by [`crate::MechanismSpec`], which spells
-//! every configuration, and run through [`CampaignEngine::run_spec`]; the
-//! engine builds the spec's mechanism once per worker.
+//! every configuration, and run through [`CampaignEngine::run_suite`] or,
+//! alone, [`CampaignEngine::run_spec`].
 //!
-//! Execution is batched: workers pull trial indices from an atomic
-//! counter and fill each cell's result slot for that index, and each cell
-//! folds its batch **seed-ordered** through one [`Shard`]. Seed-order
-//! folding is what makes the optional stop-at-confidence policy
-//! deterministic: the stop trial is the first `n` at which the
-//! seed-ordered prefix's Wilson half-width crosses the threshold,
-//! independent of how the batch's trials interleaved across workers, and
-//! the aggregated result equals a fixed-trials run of exactly `n` trials.
-//!
-//! A suite runs consecutive sharded cells that share a [`sibling_key`] as
-//! one sibling group on the trial-level worker pool: trial `i` of every
-//! such cell runs identically up to the step that arms its injector, so
-//! each trial is checked out once and run through [`run_trial_group`],
-//! which forks it there once per distinct injector (fault, trigger window,
-//! steer) and again at the first detection, once per cell. A lone sharded
-//! cell is a group of one. A sampled cell runs its trials in order, so
-//! [`CampaignEngine::run_suite`] runs each maximal stretch of consecutive
-//! sampled jobs (in suite order) that do not wait on one another
-//! together (`stretch`): cells with one setup, seed and `OpSupport` form a
-//! sampled sibling group that runs each trial once up to its arming step
-//! and forks it once per cell, on whichever worker is free, and a cell
-//! with no sibling runs whole on one worker. Either kind of group reports
-//! what the sequential run reports: outcomes come back in suite order,
-//! the sink gets each cell's snapshots together and in suite order, and
-//! each cell's [`CacheCounters`] come from its own checkouts plus the
-//! template build it was first to need in suite order, not from whichever
-//! cell happened to check out first.
+//! Every cell runs on one board (`stretch`). [`CampaignEngine::run_suite`]
+//! hands it each maximal stretch of consecutive jobs, in suite order, none
+//! of which waits (`after`) on another job of the stretch, whatever their
+//! kind; `run_spec` is a stretch of one. On the board, any free worker
+//! takes a sharded group's next trial whole: one checkout and one
+//! [`run_trial_group`](crate::run_trial_group), which forks the trial at
+//! its arming step once per injector and at its first detection once per
+//! cell. A sampled group's trials are run to their arming step once and
+//! forked once per cell, each with the window the cell's own coverage map
+//! picks. Each cell folds its trials **seed-ordered**: that makes the
+//! optional stop-at-confidence policy deterministic, since the stop trial
+//! is the first `n` at which the seed-ordered prefix's Wilson half-width
+//! crosses the threshold, however the trials interleaved across workers,
+//! and the aggregated result equals a fixed-trials run of exactly `n`
+//! trials. Either kind of group reports what the sequential run reports:
+//! outcomes come back in suite order, the sink gets each cell's snapshots
+//! together and in suite order, and each cell's [`CacheCounters`] come
+//! from its own checkouts plus the template build it was first to need
+//! in suite order, not from whichever cell happened to check out first.
 
 use std::collections::BTreeSet;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use nlh_core::RecoveryMechanism;
-
 use crate::boot_cache::{BootCache, CacheCounters};
-use crate::campaign::{BootMode, CampaignResult, Shard};
-use crate::coverage::{run_sampled_campaign_in, SampledCampaign};
-use crate::setup::build_system;
-use crate::spec::{CampaignSpec, ExecMode, StopPolicy, SuiteSpec};
-use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
-use crate::trial::{run_trial_group, Sibling, TrialConfig, TrialResult, TrialRunOptions};
+use crate::campaign::{BootMode, CampaignResult};
+use crate::coverage::SampledCampaign;
+use crate::spec::{CampaignSpec, SuiteSpec};
+use crate::stream::{CampaignSnapshot, TelemetrySink};
+use crate::trial::{TrialConfig, TrialResult};
 
 mod stretch;
 
@@ -189,24 +175,20 @@ impl CampaignEngine {
         &self.cache
     }
 
-    /// Runs one cell, streaming snapshots to `sink`. A sharded cell runs
-    /// as a sibling group of one.
+    /// Runs one cell, streaming snapshots to `sink`: a stretch of one.
     pub fn run_spec(&self, spec: &CampaignSpec, sink: &mut dyn TelemetrySink) -> CellResult {
-        match spec.mode {
-            ExecMode::Sharded => self
-                .run_siblings(&[spec], sink)
-                .pop()
-                .expect("a group of one runs one cell"),
-            ExecMode::Sampled { .. } => self.run_sampled(spec, self.cell_cache(spec), sink),
-        }
+        self.run_stretch(&[spec], parallelism(), sink)
+            .0
+            .pop()
+            .expect("a stretch of one runs one cell")
     }
 
     /// Runs a whole suite in a dependency-respecting order (stable: among
     /// ready jobs, submission order wins), sharing the boot cache across
-    /// every cell. Validates the graph before running anything. Sibling
-    /// sharded jobs and stretches of independent sampled jobs each run
-    /// together (see the module docs); outcomes and snapshots still
-    /// arrive in that order.
+    /// every cell. Validates the graph before running anything. Each
+    /// maximal stretch of consecutive jobs that do not wait on one another
+    /// runs on the board (see the module docs); outcomes and snapshots
+    /// still arrive in that order.
     pub fn run_suite(
         &self,
         suite: &SuiteSpec,
@@ -216,35 +198,14 @@ impl CampaignEngine {
         let mut outcomes = Vec::with_capacity(order.len());
         let mut next = 0;
         while next < order.len() {
-            let rest = &order[next..];
-            let specs = |n: usize| -> Vec<&CampaignSpec> {
-                rest[..n].iter().map(|&i| &suite.jobs[i].spec).collect()
-            };
-            let head = &suite.jobs[rest[0]].spec;
-            let (group, cells) = match sibling_key(head) {
-                Some(key) => {
-                    let n = ready_run(suite, rest, |s| sibling_key(s).as_ref() == Some(&key));
-                    (n, self.run_siblings(&specs(n), sink))
-                }
-                None => {
-                    let n = ready_run(suite, rest, |s| matches!(s.mode, ExecMode::Sampled { .. }));
-                    if n > 1 {
-                        (n, self.run_sampled_stretch(&specs(n), sink))
-                    } else {
-                        (1, vec![self.run_spec(head, sink)])
-                    }
-                }
-            };
-            outcomes.extend(
-                rest[..group]
-                    .iter()
-                    .zip(cells)
-                    .map(|(&i, cell)| JobOutcome {
-                        name: suite.jobs[i].spec.name.clone(),
-                        cell,
-                    }),
-            );
-            next += group;
+            let stretch = &order[next..next + ready_run(suite, &order[next..])];
+            let specs: Vec<&CampaignSpec> = stretch.iter().map(|&i| &suite.jobs[i].spec).collect();
+            let (cells, _) = self.run_stretch(&specs, parallelism(), sink);
+            outcomes.extend(stretch.iter().zip(cells).map(|(&i, cell)| JobOutcome {
+                name: suite.jobs[i].spec.name.clone(),
+                cell,
+            }));
+            next += stretch.len();
         }
         Ok(outcomes)
     }
@@ -265,267 +226,6 @@ impl CampaignEngine {
             }
         }
     }
-
-    /// Runs a sibling group of sharded cells (jobs with one
-    /// [`sibling_key`]) in batches on the trial-level worker pool. Each
-    /// trial checks one system out and runs [`run_trial_group`] over the
-    /// cells still running, and each cell folds its own results in seed
-    /// order. A cell that stops at confidence leaves the group at the next
-    /// batch boundary. The first cell's snapshots stream to `sink`; the
-    /// others' are buffered and follow it in cell order once the group
-    /// finishes.
-    ///
-    /// Busy time and wall time are split so that each sums to the group's:
-    /// a trial's checkout and the run its siblings share are charged to
-    /// the first running cell, each sibling's own run after a fork to that
-    /// sibling, and each snapshot's `wall_secs` is the group's elapsed time
-    /// times the cell's share of the busy time so far.
-    fn run_siblings(
-        &self,
-        specs: &[&CampaignSpec],
-        sink: &mut dyn TelemetrySink,
-    ) -> Vec<CellResult> {
-        let tallies: Vec<CellTally> = specs
-            .iter()
-            .map(|spec| CellTally::new(spec, self.cell_cache(spec)))
-            .collect();
-        let started = Instant::now();
-        let trials = specs[0].trials;
-        let threads = parallelism().min(trials.max(1) as usize);
-        let batch = if tallies[0].cadence > 0 {
-            tallies[0].cadence
-        } else {
-            trials.max(1)
-        };
-
-        let mut cells: Vec<SiblingCell> = specs
-            .iter()
-            .map(|spec| SiblingCell {
-                shard: Shard::new(spec.mechanism.name()),
-                per_trial: Vec::new(),
-                stopped_at: None,
-                checkouts: 0,
-            })
-            .collect();
-        // The first cell streams to `sink`, so its buffer stays empty.
-        let mut buffers: Vec<MemorySink> = specs.iter().map(|_| MemorySink::default()).collect();
-        let mut start = 0u64;
-        while start < trials {
-            let active: Vec<usize> = (0..cells.len())
-                .filter(|&j| cells[j].stopped_at.is_none())
-                .collect();
-            if active.is_empty() {
-                break;
-            }
-            let end = (start + batch).min(trials);
-            let active_specs: Vec<&CampaignSpec> = active.iter().map(|&j| specs[j]).collect();
-            let parts = self.run_batch(&active_specs, start..end, threads);
-            for (&j, part) in active.iter().zip(&parts) {
-                cells[j].shard.add_nanos(part.setup_ns, part.run_ns);
-                cells[j].checkouts = end;
-            }
-            let busy: u64 = cells.iter().map(|c| c.shard.busy_nanos()).sum();
-            let elapsed = started.elapsed().as_secs_f64();
-            for (&j, part) in active.iter().zip(parts) {
-                let cell = &mut cells[j];
-                let wall = wall_share(elapsed, cell.shard.busy_nanos(), busy, j == 0);
-                let out: &mut dyn TelemetrySink = if j == 0 { &mut *sink } else { &mut buffers[j] };
-                // Under stop-at-confidence, halt at the exact first crossing
-                // trial and drop the rest of its batch.
-                for slot in part.results {
-                    let r = slot.into_inner().expect("every trial of the batch ran");
-                    cell.shard.add(&r);
-                    cell.per_trial.push(r);
-                    let done = cell.per_trial.len() as u64;
-                    if tallies[j].after_trial(done, cell.shard.counts(), wall, out) {
-                        cell.stopped_at = Some(done);
-                        break;
-                    }
-                }
-            }
-            start = end;
-        }
-
-        let busy: u64 = cells.iter().map(|c| c.shard.busy_nanos()).sum();
-        let elapsed = started.elapsed().as_secs_f64();
-        let mut results = Vec::with_capacity(cells.len());
-        for (j, (cell, buffer)) in cells.into_iter().zip(buffers).enumerate() {
-            for snap in &buffer.snapshots {
-                sink.snapshot(snap);
-            }
-            let wall = wall_share(elapsed, cell.shard.busy_nanos(), busy, j == 0);
-            let executed = cell.per_trial.len() as u64;
-            let result = CellResult {
-                output: CellOutput::Sharded(cell.shard.into_result(specs[j].fault, executed)),
-                executed,
-                stopped_at: cell.stopped_at,
-                // Every trial a batch ran for the cell counts as one of its
-                // checkouts, including those past its stop trial.
-                cache: tallies[j].cache.counters(cell.checkouts),
-                per_trial: cell.per_trial,
-            };
-            tallies[j].finish(&result, wall, sink);
-            results.push(result);
-        }
-        results
-    }
-
-    /// Runs trials `range` of the sibling cells `specs` on `threads`
-    /// workers, one checkout and one [`run_trial_group`] per trial, and
-    /// returns each cell's results in seed order with its busy time.
-    fn run_batch(
-        &self,
-        specs: &[&CampaignSpec],
-        range: Range<u64>,
-        threads: usize,
-    ) -> Vec<BatchPart> {
-        let mut parts: Vec<BatchPart> = specs
-            .iter()
-            .map(|_| BatchPart {
-                results: range.clone().map(|_| OnceLock::new()).collect(),
-                setup_ns: 0,
-                run_ns: 0,
-            })
-            .collect();
-        let next = AtomicU64::new(range.start);
-        let worker = || {
-            let built: Vec<Box<dyn RecoveryMechanism>> =
-                specs.iter().map(|spec| spec.mechanism.build()).collect();
-            let mut nanos = vec![(0u64, 0u64); specs.len()];
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= range.end {
-                    break;
-                }
-                let siblings: Vec<Sibling> = specs
-                    .iter()
-                    .zip(&built)
-                    .map(|(spec, mech)| Sibling {
-                        config: TrialConfig::new(spec.setup, spec.fault, spec.seed + i),
-                        mechanism: mech.as_ref(),
-                        opts: TrialRunOptions::default(),
-                    })
-                    .collect();
-                let cfg = &siblings[0].config;
-                let t0 = Instant::now();
-                let (hv, layout) = match specs[0].boot {
-                    BootMode::Warm => self.cache.checkout(&cfg.machine, cfg.setup, cfg.seed),
-                    BootMode::Cold => build_system(cfg.machine.clone(), cfg.setup, cfg.seed),
-                };
-                nanos[0].0 += elapsed_nanos(t0);
-                let mut lap = Instant::now();
-                run_trial_group(hv, &layout, &siblings, |k, r, record, hv| {
-                    drop((record, hv));
-                    let slot = &parts[k].results[(i - range.start) as usize];
-                    slot.set(r).expect("each trial runs once");
-                    nanos[k].1 += elapsed_nanos(lap);
-                    lap = Instant::now();
-                });
-            }
-            nanos
-        };
-        let nanos: Vec<Vec<(u64, u64)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("engine worker panicked"))
-                .collect()
-        });
-        for worker in nanos {
-            for (part, (setup, run)) in parts.iter_mut().zip(worker) {
-                part.setup_ns += setup;
-                part.run_ns += run;
-            }
-        }
-        parts
-    }
-
-    /// Runs a sampled cell's trials in order on this thread, streaming
-    /// snapshots to `sink`.
-    fn run_sampled(
-        &self,
-        spec: &CampaignSpec,
-        cache: CellCache,
-        sink: &mut dyn TelemetrySink,
-    ) -> CellResult {
-        let ExecMode::Sampled {
-            windows,
-            sampling,
-            steer_handler,
-            depth_cycle,
-        } = spec.mode
-        else {
-            unreachable!("run_sampled runs sampled cells");
-        };
-        let tally = CellTally::new(spec, cache);
-        let started = Instant::now();
-        let mech = spec.mechanism.build();
-        let mut stopped_at: Option<u64> = None;
-        let mut after_trial = |done: u64, detected: u64, successes: u64| {
-            let wall = started.elapsed().as_secs_f64();
-            let stop = tally.after_trial(done, (detected, successes), wall, sink);
-            if stop {
-                stopped_at = Some(done);
-            }
-            stop
-        };
-        let sampled = run_sampled_campaign_in(
-            &self.cache,
-            spec.setup,
-            spec.fault,
-            mech.as_ref(),
-            spec.seed,
-            spec.trials,
-            windows,
-            sampling,
-            steer_handler,
-            depth_cycle,
-            &mut after_trial,
-        );
-        let executed = sampled.trials;
-        let cell = CellResult {
-            output: CellOutput::Sampled(Box::new(sampled)),
-            executed,
-            stopped_at,
-            cache: tally.cache.counters(executed),
-            per_trial: Vec::new(),
-        };
-        tally.finish(&cell, started.elapsed().as_secs_f64(), sink);
-        cell
-    }
-}
-
-/// A sharded cell's fold while its sibling group runs.
-struct SiblingCell {
-    shard: Shard,
-    per_trial: Vec<TrialResult>,
-    /// `Some(n)` once stop-at-confidence halted the cell after `n` trials.
-    stopped_at: Option<u64>,
-    /// Trials the batches ran for this cell.
-    checkouts: u64,
-}
-
-/// One cell's share of a batch: a result slot per trial, in seed order,
-/// and its busy time.
-struct BatchPart {
-    results: Vec<OnceLock<TrialResult>>,
-    setup_ns: u64,
-    run_ns: u64,
-}
-
-/// A group member's share of the group's `elapsed` wall seconds: its share
-/// of the group's busy time, or all of it for the first cell while nothing
-/// has run.
-fn wall_share(elapsed: f64, busy: u64, total: u64, first: bool) -> f64 {
-    if total == 0 {
-        if first {
-            elapsed
-        } else {
-            0.0
-        }
-    } else {
-        elapsed * busy as f64 / total as f64
-    }
 }
 
 /// The bookkeeping a running cell of either mode shares: its stop test,
@@ -534,21 +234,16 @@ fn wall_share(elapsed: f64, busy: u64, total: u64, first: bool) -> f64 {
 struct CellTally<'a> {
     spec: &'a CampaignSpec,
     cache: CellCache,
-    /// Trials between streamed snapshots (`0` = only the final one). A
-    /// sharded cell runs one batch per snapshot.
+    /// Trials between streamed snapshots (`0` = only the final one).
     cadence: u64,
 }
 
 impl<'a> CellTally<'a> {
     fn new(spec: &'a CampaignSpec, cache: CellCache) -> Self {
-        let cadence = match spec.stop {
-            StopPolicy::AtConfidence { check_every, .. } => check_every.max(1),
-            StopPolicy::FixedTrials => spec.snapshot_every,
-        };
         CellTally {
             spec,
             cache,
-            cadence,
+            cadence: spec.stop.check_every().unwrap_or(spec.snapshot_every),
         }
     }
 
@@ -636,40 +331,23 @@ impl CellCache {
     }
 }
 
-/// Workers per pool: the host's parallelism.
+/// Workers per stretch: the host's parallelism.
 fn parallelism() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// How many jobs at the head of `order` form one group: consecutive jobs
-/// that each `join`, none of which waits on another of them.
-fn ready_run(suite: &SuiteSpec, order: &[usize], join: impl Fn(&CampaignSpec) -> bool) -> usize {
-    let mut group: Vec<&str> = Vec::new();
+/// How many jobs at the head of `order` form one stretch: consecutive
+/// jobs none of which waits on another of them.
+fn ready_run(suite: &SuiteSpec, order: &[usize]) -> usize {
+    let mut stretch: Vec<&str> = Vec::new();
     for &i in order {
         let job = &suite.jobs[i];
-        if !join(&job.spec) || job.after.iter().any(|dep| group.contains(&dep.as_str())) {
+        if job.after.iter().any(|dep| stretch.contains(&dep.as_str())) {
             break;
         }
-        group.push(&job.spec.name);
+        stretch.push(&job.spec.name);
     }
-    group.len()
-}
-
-/// What sharded cells must share to run as one sibling group (`None` for
-/// a sampled cell). Trial `i` of every such cell starts from the same
-/// system and seed; until its injector arms, the fault plays no part, and
-/// until its first detection a mechanism reaches the machine only through
-/// its `op_support`. So the cells run every trial identically up to the
-/// arming step, and cells with one fault up to the first detection. Equal
-/// budgets, stop policies and cadences give them the same batches.
-fn sibling_key(spec: &CampaignSpec) -> Option<impl PartialEq> {
-    matches!(spec.mode, ExecMode::Sharded).then(|| {
-        (
-            (spec.setup, spec.seed, spec.trials),
-            (spec.boot, spec.stop, spec.snapshot_every),
-            spec.mechanism.build().op_support(),
-        )
-    })
+    stretch.len()
 }
 
 /// Validates a suite's job graph and returns a deterministic
@@ -727,6 +405,7 @@ fn elapsed_nanos(since: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::setup::{BenchKind, SetupKind};
+    use crate::spec::{ExecMode, StopPolicy};
     use crate::stream::{MemorySink, NullSink};
     use nlh_inject::FaultType;
 

@@ -1,80 +1,120 @@
-//! A stretch of independent sampled cells on the engine's workers.
+//! The board: a stretch of independent cells on the engine's workers.
 //!
-//! A sampled cell runs its trials in order: trial `i`'s trigger window
-//! comes from the coverage map of the trials before it. Its run up to the
-//! arming step does not: that part depends only on the setup, the trial
-//! seed and the mechanism's `OpSupport`. Cells that share those
-//! ([`sampled_key`]) form a *sampled sibling group*.
+//! Every cell runs here. [`CampaignEngine::run_stretch`] takes the cells
+//! of one stretch and splits them into groups ([`group_key`]):
 //!
-//! Each trial of a group is checked out and run to its arming step once
-//! ([`ArmedTrial::run`]), then forked once per cell ([`ArmedTrial::fork`]),
-//! each with the window the cell's own coverage map picks. The armed
-//! trials wait on the stretch's [`Board`], where any worker forks them:
-//! a cell forks trial `i` once it has filed trial `i - 1`, so every cell
-//! files its trials in order. Each worker takes the first of these it can
-//! ([`Board::next_action`]):
+//! - a **sharded group** is consecutive sharded cells with one setup,
+//!   seed, trial budget, boot mode, stop policy, snapshot cadence and
+//!   mechanism `OpSupport`. Its trial `i` needs nothing from earlier
+//!   trials, so it is one action that any free worker takes whole: one
+//!   checkout (or [`build_system`] under [`BootMode::Cold`]) and one
+//!   [`run_trial_group`] over the members that still need the trial.
+//! - a **sampled group** is the stretch's sampled cells with one setup,
+//!   seed and `OpSupport`. A sampled cell runs its trials in order: trial
+//!   `i`'s trigger window comes from the coverage map of the trials
+//!   before it. Its run up to the arming step does not, so each trial is
+//!   checked out and run to its arming step once ([`ArmedTrial::run`]),
+//!   then forked once per cell ([`ArmedTrial::fork`]) with the window the
+//!   cell's own coverage map picks. A cell forks trial `i` once it has
+//!   filed trial `i - 1`. A lone sampled cell is a group of one.
+//!
+//! Each worker takes the first of these it can ([`Board::next_action`]):
 //!
 //! 1. **Arm.** While no trial is being armed or waits armed ahead, check
-//!    out the group's next trial and run it to its arming step, if
+//!    out a sampled group's next trial and run it to its arming step, if
 //!    nothing can be forked or the open trial has fewer unforked cells
 //!    than twice the workers. The trial opens for forking at once if no
 //!    open trial has unforked cells; otherwise it waits armed ahead and
 //!    opens when the open one has none.
 //! 2. **Fork.** Fork a cell that has filed the trial before out of the
 //!    open trial.
-//! 3. **Solo.** Run a cell that has no sibling whole, on this worker.
+//! 3. **Run** a sharded group's next trial whole.
 //! 4. **Wait** for a cell to file a trial.
 //!
 //! Arming ahead while the last cells of a trial are still forked keeps
 //! the workers busy; at most one open trial has unforked cells, and one
-//! more waits armed ahead. The waiting copy of an armed trial is a clone
+//! more waits armed ahead. The worker that arms a trial forks the armed
+//! machine itself for a cell that is ready then. Only if cells remain
+//! unforked after that claim does the trial get a waiting copy: a clone
 //! of it, without the headroom the running machine grew, shared through
-//! an [`Arc`]. A fork on another worker clones it and drops its
-//! reference at once; only the worker that armed it frees it, so drained
-//! states stay on the board until that worker drops them. The worker
-//! that arms a trial forks the armed machine itself for a cell that is
-//! ready then, and forks the waiting copy in place when it takes the last
-//! fork with the only reference. A cell with no sibling runs whole on one
-//! worker, as before groups existed.
+//! an [`Arc`]. A fork on another worker clones it and drops its reference
+//! at once; only the worker that armed it frees it, so drained states
+//! stay on the board until that worker drops them. The arming worker
+//! forks the waiting copy in place when it takes the last fork with the
+//! only reference.
+//!
+//! A sharded cell buffers the results of the trials it ran and folds
+//! their seed-ordered prefix through its [`Shard`]. Under
+//! [`crate::StopPolicy::AtConfidence`] the group's trials come in batches
+//! of `check_every`, fenced at each check boundary: no trial at or past a
+//! boundary is handed out until every running member has filed the
+//! trials before it, and a member that stopped before a boundary is left
+//! out of the trials after it. A member that stops within a batch still
+//! runs the rest of that batch, whose results it drops; its cache
+//! counters count those trials too. `FixedTrials` groups have no fence.
+//!
+//! Every cell's snapshots go to its own buffer. The sink gets them in
+//! cell order: a cell's buffer as soon as every earlier cell has finished,
+//! and the rest of it as it grows until the cell finishes. A snapshot's
+//! `wall_secs` is the stretch's elapsed time times the cell's share of
+//! the busy time so far. A final snapshot splits what earlier final
+//! snapshots left of the elapsed time by the busy time of the cells not
+//! yet handed on, so the final wall times sum to at most the stretch's.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nlh_core::RecoveryMechanism;
 
-use super::{parallelism, CampaignEngine, CellCache, CellOutput, CellResult, CellTally};
+use super::{elapsed_nanos, CampaignEngine, CellCache, CellOutput, CellResult, CellTally};
+use crate::campaign::{BootMode, Shard};
 use crate::coverage::{SampledRun, SampledTrial};
 use crate::record::TrialRecord;
-use crate::setup::SystemLayout;
+use crate::setup::{build_system, SystemLayout};
 use crate::spec::{CampaignSpec, ExecMode};
 use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
-use crate::trial::{ArmedTrial, Sibling, TrialConfig, TrialResult, TrialRunOptions};
+use crate::trial::{
+    run_trial_group, ArmedTrial, Sibling, TrialConfig, TrialResult, TrialRunOptions,
+};
 
-/// What sampled cells must share to run as one sampled sibling group:
-/// trial `i` of each starts from the same system and seed and runs
-/// identically up to its arming step.
-fn sampled_key(spec: &CampaignSpec) -> impl PartialEq {
-    (spec.setup, spec.seed, spec.mechanism.build().op_support())
+/// What cells must share to run as one group. Trial `i` of each starts
+/// from the same system and seed; until its injector arms, the fault
+/// plays no part, and until its first detection a mechanism reaches the
+/// machine only through its `op_support`. So the cells run every trial
+/// identically up to the arming step, and cells with one injector up to
+/// the first detection. Sharded cells also share a budget, stop policy
+/// and cadence, so that their trials come in the same batches.
+fn group_key(spec: &CampaignSpec) -> impl PartialEq {
+    let batches = matches!(spec.mode, ExecMode::Sharded).then_some((
+        spec.trials,
+        spec.boot,
+        spec.stop,
+        spec.snapshot_every,
+    ));
+    (
+        (spec.setup, spec.seed),
+        spec.mechanism.build().op_support(),
+        batches,
+    )
+}
+
+/// `part`'s share of `whole`.
+fn share(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
 }
 
 impl CampaignEngine {
-    /// Runs independent sampled cells on up to [`parallelism`] workers;
-    /// the calling thread is one of them. Each cell's snapshots are
-    /// buffered and reach `sink` together, in `specs` order, once every
-    /// earlier cell has finished. Results and snapshots (wall time aside)
-    /// equal running the cells one by one.
-    pub(super) fn run_sampled_stretch(
-        &self,
-        specs: &[&CampaignSpec],
-        sink: &mut dyn TelemetrySink,
-    ) -> Vec<CellResult> {
-        self.run_stretch(specs, parallelism(), sink).0
-    }
-
-    /// [`CampaignEngine::run_sampled_stretch`] on up to `workers` workers.
-    /// Also returns the most open armed trials that had unforked cells at
-    /// once.
-    fn run_stretch(
+    /// Runs a stretch of cells, none of which waits on another, on up to
+    /// `workers` workers; the calling thread is one of them. Results and
+    /// snapshots (wall time aside) equal running the cells one by one, and
+    /// come back in `specs` order. Also returns the most open armed trials
+    /// that had unforked cells at once.
+    pub(super) fn run_stretch(
         &self,
         specs: &[&CampaignSpec],
         workers: usize,
@@ -87,7 +127,6 @@ impl CampaignEngine {
         let stretch = Stretch {
             engine: self,
             specs,
-            caches: &caches,
             workers: workers.min(trials.max(1) as usize),
             board: Mutex::new(Board::new(specs, &caches)),
             wake: Condvar::new(),
@@ -100,13 +139,11 @@ impl CampaignEngine {
             }
             stretch.work(
                 0,
-                Some(&mut |finished| {
-                    for (cell, snapshots) in finished {
-                        for snap in &snapshots {
-                            sink.snapshot(snap);
-                        }
-                        cells.push(cell);
+                Some(&mut |snapshots, finished| {
+                    for snap in &snapshots {
+                        sink.snapshot(snap);
                     }
+                    cells.extend(finished);
                 }),
             );
         });
@@ -119,7 +156,6 @@ impl CampaignEngine {
 struct Stretch<'a> {
     engine: &'a CampaignEngine,
     specs: &'a [&'a CampaignSpec],
-    caches: &'a [CellCache],
     workers: usize,
     board: Mutex<Board<'a>>,
     /// Signalled whenever a cell files a trial or finishes, and whenever
@@ -131,9 +167,6 @@ struct Stretch<'a> {
 struct Board<'a> {
     cells: Vec<Cell<'a>>,
     groups: Vec<Group>,
-    /// Cells with no sibling, in suite order, and the next to start.
-    solos: Vec<usize>,
-    next_solo: usize,
     /// Armed trials open for forking: at most one with unforked cells,
     /// and drained ones the worker that armed them has not freed yet.
     open: Vec<Armed>,
@@ -145,46 +178,71 @@ struct Board<'a> {
     /// The most open trials with unforked cells at once (host-only).
     peak_waiting: usize,
     /// Finished cells not yet handed on, and how many were.
-    finished: Vec<Option<Finished>>,
+    finished: Vec<Option<(CellResult, MemorySink)>>,
     delivered: usize,
+    /// When the stretch started, the host nanoseconds charged to its
+    /// cells, and the wall seconds and busy nanoseconds of the cells
+    /// handed on.
+    started: Instant,
+    busy: u64,
+    handed_wall: f64,
+    handed_busy: u64,
     /// A worker panicked: the others stop.
     aborted: bool,
 }
 
-/// A finished cell and its snapshots.
-type Finished = (CellResult, Vec<CampaignSnapshot>);
-
-/// A cell's fold while its group runs.
+/// A cell while its group runs.
 struct Cell<'a> {
     spec: &'a CampaignSpec,
     tally: CellTally<'a>,
-    /// `None` for a cell with no sibling (which runs whole elsewhere) and
-    /// for a finished one.
-    run: Option<SampledRun>,
+    /// `None` once the cell has finished.
+    fold: Option<Fold>,
+    /// Trials filed, in trial order.
+    filed: u64,
     stopped_at: Option<u64>,
     snapshots: MemorySink,
-    /// Host seconds spent on the cell's trials so far: its snapshots'
-    /// `wall_secs`.
-    busy_secs: f64,
+    /// Host nanoseconds charged to the cell so far.
+    busy: u64,
+}
+
+/// What a cell folds its filed trials into.
+enum Fold {
+    Sharded {
+        shard: Shard,
+        per_trial: Vec<TrialResult>,
+        /// Results of trials past the filed prefix.
+        waiting: BTreeMap<u64, TrialResult>,
+    },
+    Sampled(Box<SampledRun>),
 }
 
 impl Cell<'_> {
+    /// Whether the sampled cell needs `trial`.
     fn needs(&self, trial: u64) -> bool {
-        self.run.is_some() && self.stopped_at.is_none() && trial < self.spec.trials
+        self.fold.is_some() && trial < self.spec.trials
     }
 
     /// Whether the cell needs `trial` and has filed every trial before it.
     fn ready_for(&self, trial: u64) -> bool {
-        self.needs(trial) && self.run.as_ref().is_some_and(|r| r.filed() == trial)
+        self.needs(trial) && self.filed == trial
+    }
+
+    /// The sampled cell's next trial, as its coverage map steers it.
+    fn next_trial(&self) -> SampledTrial {
+        match &self.fold {
+            Some(Fold::Sampled(run)) => run.next_trial(),
+            _ => unreachable!("a running sampled cell"),
+        }
     }
 }
 
 struct Group {
-    /// Member cells, in suite order; the first one's mechanism runs the
-    /// shared part.
+    /// Member cells, in suite order; a sampled group's first one's
+    /// mechanism runs the shared part.
     cells: Vec<usize>,
-    /// The next trial to arm.
+    /// The next trial to arm or run.
     next_trial: u64,
+    sharded: bool,
 }
 
 /// A trial run to its arming step, and the system layout it was checked
@@ -205,8 +263,9 @@ struct Armed {
     /// Member cells that still need the trial and have not forked it, in
     /// suite order.
     unforked: Vec<usize>,
-    /// The checkout and the shared run, charged to the first cell forked.
-    shared: Duration,
+    /// Nanoseconds of the checkout and the shared run, charged to the
+    /// first cell forked.
+    shared: u64,
 }
 
 /// What a worker does next.
@@ -216,7 +275,11 @@ enum Action {
         trial: u64,
     },
     Fork(Fork),
-    Solo(usize),
+    /// Run a sharded trial for these member cells.
+    Run {
+        trial: u64,
+        cells: Vec<usize>,
+    },
     Wait,
     /// Every cell has finished.
     Done,
@@ -227,8 +290,8 @@ struct Fork {
     cell: usize,
     next: SampledTrial,
     source: Source,
-    /// Host time charged to this fork besides its own run.
-    shared: Duration,
+    /// Host nanoseconds charged to this fork besides its own run.
+    shared: u64,
 }
 
 /// The armed state a fork runs on.
@@ -241,45 +304,42 @@ enum Source {
 
 impl<'a> Board<'a> {
     fn new(specs: &[&'a CampaignSpec], caches: &[CellCache]) -> Self {
-        let keys: Vec<_> = specs.iter().map(|spec| sampled_key(spec)).collect();
-        let mut keyed: Vec<Vec<usize>> = Vec::new();
-        for c in 0..specs.len() {
-            match keyed.iter_mut().find(|cells| keys[cells[0]] == keys[c]) {
-                Some(cells) => cells.push(c),
-                None => keyed.push(vec![c]),
+        let keys: Vec<_> = specs.iter().map(|spec| group_key(spec)).collect();
+        let mut groups: Vec<Group> = Vec::new();
+        for (c, spec) in specs.iter().enumerate() {
+            let sharded = matches!(spec.mode, ExecMode::Sharded);
+            // A sharded cell joins only the group of the cell just before it.
+            let joins = |group: &Group| {
+                keys[group.cells[0]] == keys[c]
+                    && (!sharded || group.cells.last() == Some(&(c - 1)))
+            };
+            match groups.iter_mut().find(|group| joins(group)) {
+                Some(group) => group.cells.push(c),
+                None => groups.push(Group {
+                    cells: vec![c],
+                    next_trial: 0,
+                    sharded,
+                }),
             }
         }
-        let mut board = Board {
-            cells: Vec::with_capacity(specs.len()),
-            groups: Vec::new(),
-            solos: Vec::new(),
-            next_solo: 0,
-            open: Vec::new(),
-            ahead: None,
-            arming: false,
-            peak_waiting: 0,
-            finished: specs.iter().map(|_| None).collect(),
-            delivered: 0,
-            aborted: false,
-        };
-        for (c, spec) in specs.iter().enumerate() {
-            let ExecMode::Sampled {
-                windows,
-                sampling,
-                steer_handler,
-                depth_cycle,
-            } = spec.mode
-            else {
-                unreachable!("a stretch holds sampled cells");
-            };
-            let grouped = keyed
-                .iter()
-                .any(|cells| cells.len() > 1 && cells.contains(&c));
-            board.cells.push(Cell {
+        let cells = specs
+            .iter()
+            .zip(caches)
+            .map(|(&spec, &cache)| Cell {
                 spec,
-                tally: CellTally::new(spec, caches[c]),
-                run: grouped.then(|| {
-                    SampledRun::new(
+                tally: CellTally::new(spec, cache),
+                fold: Some(match spec.mode {
+                    ExecMode::Sharded => Fold::Sharded {
+                        shard: Shard::new(spec.mechanism.name()),
+                        per_trial: Vec::new(),
+                        waiting: BTreeMap::new(),
+                    },
+                    ExecMode::Sampled {
+                        windows,
+                        sampling,
+                        steer_handler,
+                        depth_cycle,
+                    } => Fold::Sampled(Box::new(SampledRun::new(
                         spec.setup,
                         spec.fault,
                         spec.seed,
@@ -287,23 +347,29 @@ impl<'a> Board<'a> {
                         sampling,
                         steer_handler,
                         depth_cycle,
-                    )
+                    ))),
                 }),
+                filed: 0,
                 stopped_at: None,
                 snapshots: MemorySink::default(),
-                busy_secs: 0.0,
-            });
-        }
-        for cells in keyed {
-            if let [solo] = cells[..] {
-                board.solos.push(solo);
-                continue;
-            }
-            board.groups.push(Group {
-                cells,
-                next_trial: 0,
-            });
-        }
+                busy: 0,
+            })
+            .collect();
+        let mut board = Board {
+            cells,
+            groups,
+            open: Vec::new(),
+            ahead: None,
+            arming: false,
+            peak_waiting: 0,
+            finished: specs.iter().map(|_| None).collect(),
+            delivered: 0,
+            started: Instant::now(),
+            busy: 0,
+            handed_wall: 0.0,
+            handed_busy: 0,
+            aborted: false,
+        };
         // A cell with no trials is finished before it starts.
         for c in 0..board.cells.len() {
             board.finish_if_done(c);
@@ -329,7 +395,7 @@ impl<'a> Board<'a> {
         let unforked: usize = self.open.iter().map(|armed| armed.unforked.len()).sum();
         let slot_free = !self.arming && self.ahead.is_none();
         if slot_free && (fork.is_none() || unforked < 2 * workers) {
-            if let Some((group, trial)) = self.next_trial() {
+            if let Some((group, trial)) = self.next_armable() {
                 self.arming = true;
                 return Action::Arm { group, trial };
             }
@@ -337,9 +403,8 @@ impl<'a> Board<'a> {
         if let Some((e, k)) = fork {
             return Action::Fork(self.claim(me, e, k));
         }
-        if let Some(&c) = self.solos.get(self.next_solo) {
-            self.next_solo += 1;
-            return Action::Solo(c);
+        if let Some((trial, cells)) = self.next_run() {
+            return Action::Run { trial, cells };
         }
         if self.finished[self.delivered..].iter().all(Option::is_some) {
             Action::Done
@@ -348,18 +413,56 @@ impl<'a> Board<'a> {
         }
     }
 
-    /// The next trial of the first group some cell of which still needs
-    /// it, taken.
-    fn next_trial(&mut self) -> Option<(usize, u64)> {
+    /// The next trial of the first sampled group some cell of which still
+    /// needs it, taken.
+    fn next_armable(&mut self) -> Option<(usize, u64)> {
         let cells = &self.cells;
         let (g, group) = self.groups.iter_mut().enumerate().find(|(_, group)| {
-            group
-                .cells
-                .iter()
-                .any(|&c| cells[c].needs(group.next_trial))
+            !group.sharded
+                && group
+                    .cells
+                    .iter()
+                    .any(|&c| cells[c].needs(group.next_trial))
         })?;
         group.next_trial += 1;
         Some((g, group.next_trial - 1))
+    }
+
+    /// The next trial of the first sharded group that can hand one out,
+    /// taken, with the member cells it runs for: those that had not
+    /// stopped by the trial's check boundary, once every running member
+    /// has filed the trials before that boundary.
+    fn next_run(&mut self) -> Option<(u64, Vec<usize>)> {
+        let cells = &self.cells;
+        self.groups.iter_mut().find_map(|group| {
+            let spec = cells[group.cells[0]].spec;
+            let trial = group.next_trial;
+            if !group.sharded || trial >= spec.trials {
+                return None;
+            }
+            let boundary = spec
+                .stop
+                .check_every()
+                .map_or(0, |every| trial - trial % every);
+            let fenced = group
+                .cells
+                .iter()
+                .any(|&c| cells[c].fold.is_some() && cells[c].filed < boundary);
+            if fenced {
+                return None;
+            }
+            let members: Vec<usize> = group
+                .cells
+                .iter()
+                .copied()
+                .filter(|&c| cells[c].stopped_at.is_none_or(|n| n > boundary))
+                .collect();
+            if members.is_empty() {
+                return None;
+            }
+            group.next_trial += 1;
+            Some((trial, members))
+        })
     }
 
     /// Claims the `k`th unforked cell of open trial `e` for worker `me`.
@@ -377,17 +480,31 @@ impl<'a> Board<'a> {
             Source::Shared(Arc::clone(&armed.state))
         };
         self.open_ahead();
-        let next = self.cells[cell]
-            .run
-            .as_ref()
-            .expect("a ready cell")
-            .next_trial();
         Fork {
             cell,
-            next,
+            next: self.cells[cell].next_trial(),
             source,
             shared,
         }
+    }
+
+    /// Claims trial `trial` of group `g` for the worker that armed it if
+    /// exactly one cell needs the trial and that cell is ready for it, so
+    /// that the trial needs no waiting copy.
+    fn claim_whole(&mut self, g: usize, trial: u64) -> Option<(usize, SampledTrial)> {
+        let cells = &self.cells;
+        let mut needing = self.groups[g]
+            .cells
+            .iter()
+            .filter(|&&c| cells[c].needs(trial));
+        let (Some(&c), None) = (needing.next(), needing.next()) else {
+            return None;
+        };
+        if !cells[c].ready_for(trial) {
+            return None;
+        }
+        self.arming = false;
+        Some((c, cells[c].next_trial()))
     }
 
     /// Opens the trial armed ahead once no open trial has unforked cells.
@@ -416,7 +533,7 @@ impl<'a> Board<'a> {
         trial: u64,
         state: ArmedState,
         copy: ArmedState,
-        shared: Duration,
+        shared: u64,
     ) -> (Option<Fork>, Source) {
         self.arming = false;
         let cells = &self.cells;
@@ -467,64 +584,139 @@ impl<'a> Board<'a> {
         own
     }
 
-    /// Files cell `c`'s next trial, which took `secs` of host time: its
-    /// result, stop test and snapshots; finishes the cell if it is done.
+    /// Charges `nanos` of host time to cell `c` while it runs, and returns
+    /// its snapshots' wall seconds.
+    fn charge(&mut self, c: usize, nanos: u64) -> f64 {
+        let cell = &mut self.cells[c];
+        if cell.fold.is_some() {
+            cell.busy += nanos;
+            self.busy += nanos;
+        }
+        self.started.elapsed().as_secs_f64() * share(cell.busy, self.busy)
+    }
+
+    /// Files sampled cell `c`'s next trial, which took `nanos` of host
+    /// time: its result, stop test and snapshots.
     fn file(
         &mut self,
         c: usize,
         trial: &SampledTrial,
         result: &TrialResult,
         record: &TrialRecord,
-        secs: f64,
+        nanos: u64,
     ) {
+        let wall = self.charge(c, nanos);
         let cell = &mut self.cells[c];
-        cell.busy_secs += secs;
-        let run = cell.run.as_mut().expect("a running grouped cell");
+        let Some(Fold::Sampled(run)) = &mut cell.fold else {
+            unreachable!("a running sampled cell");
+        };
         let (done, detected, successes) = run.file(trial, result, record);
-        let counts = (detected, successes);
-        let wall = cell.busy_secs;
+        cell.filed = done;
         if cell
             .tally
-            .after_trial(done, counts, wall, &mut cell.snapshots)
+            .after_trial(done, (detected, successes), wall, &mut cell.snapshots)
         {
             cell.stopped_at = Some(done);
         }
         self.finish_if_done(c);
     }
 
-    /// Finishes grouped cell `c` once it needs no further trial.
-    fn finish_if_done(&mut self, c: usize) {
+    /// Files sharded cell `c`'s result of `trial`, whose checkout and run
+    /// took `(setup, run)` nanoseconds, and folds the filed prefix. A cell
+    /// that has finished drops it.
+    fn file_sharded(
+        &mut self,
+        c: usize,
+        trial: u64,
+        result: TrialResult,
+        (setup, run): (u64, u64),
+    ) {
+        let wall = self.charge(c, setup + run);
         let cell = &mut self.cells[c];
-        let Some(run) = cell.run.as_ref() else {
+        let Some(Fold::Sharded {
+            shard,
+            per_trial,
+            waiting,
+        }) = &mut cell.fold
+        else {
             return;
         };
-        if cell.needs(run.filed()) {
-            return;
+        shard.add_nanos(setup, run);
+        waiting.insert(trial, result);
+        while let Some(r) = waiting.remove(&cell.filed) {
+            shard.add(&r);
+            per_trial.push(r);
+            cell.filed += 1;
+            let counts = shard.counts();
+            if cell
+                .tally
+                .after_trial(cell.filed, counts, wall, &mut cell.snapshots)
+            {
+                cell.stopped_at = Some(cell.filed);
+                break;
+            }
         }
-        let sampled = cell.run.take().expect("checked above").finish();
-        let executed = sampled.trials;
-        let result = CellResult {
-            output: CellOutput::Sampled(Box::new(sampled)),
-            executed,
-            stopped_at: cell.stopped_at,
-            cache: cell.tally.cache.counters(executed),
-            per_trial: Vec::new(),
-        };
-        cell.tally
-            .finish(&result, cell.busy_secs, &mut cell.snapshots);
-        let snapshots = std::mem::take(&mut cell.snapshots.snapshots);
-        self.finished[c] = Some((result, snapshots));
+        self.finish_if_done(c);
     }
 
-    /// Takes the finished cells every earlier cell of which has been
-    /// handed on.
-    fn deliverable(&mut self) -> Vec<Finished> {
-        let mut out = Vec::new();
-        while let Some(cell) = self.finished.get_mut(self.delivered).and_then(Option::take) {
-            out.push(cell);
+    /// Finishes cell `c` once it has stopped or filed its budget.
+    fn finish_if_done(&mut self, c: usize) {
+        let cell = &mut self.cells[c];
+        if cell.fold.is_none() || (cell.stopped_at.is_none() && cell.filed < cell.spec.trials) {
+            return;
+        }
+        let executed = cell.filed;
+        let (output, per_trial, checkouts) = match cell.fold.take().expect("checked above") {
+            Fold::Sampled(run) => (
+                CellOutput::Sampled(Box::new(run.finish())),
+                Vec::new(),
+                executed,
+            ),
+            // A stopped sharded cell checked out every trial up to the
+            // end of its batch.
+            Fold::Sharded {
+                shard, per_trial, ..
+            } => (
+                CellOutput::Sharded(shard.into_result(cell.spec.fault, executed)),
+                per_trial,
+                cell.spec.stop.check_every().map_or(executed, |every| {
+                    executed.next_multiple_of(every).min(cell.spec.trials)
+                }),
+            ),
+        };
+        let result = CellResult {
+            output,
+            executed,
+            stopped_at: cell.stopped_at,
+            cache: cell.tally.cache.counters(checkouts),
+            per_trial,
+        };
+        self.finished[c] = Some((result, std::mem::take(&mut cell.snapshots)));
+    }
+
+    /// Takes what the sink may have now, in order: the snapshots of each
+    /// finished cell every earlier cell of which has been handed on, with
+    /// its final snapshot, then those the first running cell has so far;
+    /// and those finished cells.
+    fn deliverable(&mut self) -> (Vec<CampaignSnapshot>, Vec<CellResult>) {
+        let (mut snapshots, mut cells) = (Vec::new(), Vec::new());
+        while let Some((result, mut buffer)) =
+            self.finished.get_mut(self.delivered).and_then(Option::take)
+        {
+            let cell = &self.cells[self.delivered];
+            let elapsed = self.started.elapsed().as_secs_f64() - self.handed_wall;
+            let wall = elapsed.max(0.0) * share(cell.busy, self.busy - self.handed_busy);
+            self.handed_wall += wall;
+            self.handed_busy += cell.busy;
+            cell.tally.finish(&result, wall, &mut buffer);
+            snapshots.append(&mut buffer.snapshots);
+            cells.push(result);
             self.delivered += 1;
         }
-        out
+        if let Some(cell) = self.cells.get_mut(self.delivered) {
+            snapshots.append(&mut cell.snapshots.snapshots);
+        }
+        (snapshots, cells)
     }
 }
 
@@ -541,25 +733,31 @@ impl Drop for AbortOnPanic<'_, '_> {
     }
 }
 
+/// Each worker's mechanisms, built once per cell on first use.
+type Mechanisms = [Option<Box<dyn RecoveryMechanism>>];
+
 impl<'a> Stretch<'a> {
     fn lock(&self) -> MutexGuard<'_, Board<'a>> {
         self.board.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Worker `me`: takes actions until every cell has finished. The
-    /// worker with `deliver` hands it each newly deliverable run of
-    /// finished cells.
-    fn work(&self, me: usize, mut deliver: Option<&mut dyn FnMut(Vec<Finished>)>) {
+    /// worker with `deliver` hands it what [`Board::deliverable`] takes.
+    fn work(
+        &self,
+        me: usize,
+        mut deliver: Option<&mut dyn FnMut(Vec<CampaignSnapshot>, Vec<CellResult>)>,
+    ) {
         let _abort = AbortOnPanic(self);
         let mut mechanisms: Vec<Option<Box<dyn RecoveryMechanism>>> =
             self.specs.iter().map(|_| None).collect();
         let mut board = self.lock();
         loop {
             if let Some(deliver) = deliver.as_mut() {
-                let ready = board.deliverable();
-                if !ready.is_empty() {
+                let (snapshots, cells) = board.deliverable();
+                if !snapshots.is_empty() || !cells.is_empty() {
                     drop(board);
-                    deliver(ready);
+                    deliver(snapshots, cells);
                     board = self.lock();
                     continue;
                 }
@@ -588,14 +786,9 @@ impl<'a> Stretch<'a> {
                     self.wake.notify_all();
                     self.fork(fork, &mut mechanisms);
                 }
-                Action::Solo(c) => {
+                Action::Run { trial, cells } => {
                     drop(board);
-                    let mut buffer = MemorySink::default();
-                    let cell = self
-                        .engine
-                        .run_sampled(self.specs[c], self.caches[c], &mut buffer);
-                    self.lock().finished[c] = Some((cell, buffer.snapshots));
-                    self.wake.notify_all();
+                    self.run(trial, &cells, &mut mechanisms);
                 }
                 Action::Wait => {
                     board = self.wake.wait(board).unwrap_or_else(|e| e.into_inner());
@@ -612,20 +805,63 @@ impl<'a> Stretch<'a> {
         }
     }
 
+    /// Cell `c`'s mechanism on this worker.
+    fn mechanism<'m>(&self, mechanisms: &'m mut Mechanisms, c: usize) -> &'m dyn RecoveryMechanism {
+        &**mechanisms[c].get_or_insert_with(|| self.specs[c].mechanism.build())
+    }
+
+    /// Runs sharded trial `trial` for member cells `cells` and files each
+    /// member's result. The checkout is charged to the first member, each
+    /// member's run since the one before it finished to that member.
+    fn run(&self, trial: u64, cells: &[usize], mechanisms: &mut Mechanisms) {
+        for &c in cells {
+            self.mechanism(mechanisms, c);
+        }
+        let siblings: Vec<Sibling> = cells
+            .iter()
+            .map(|&c| {
+                let spec = self.specs[c];
+                Sibling {
+                    config: TrialConfig::new(spec.setup, spec.fault, spec.seed + trial),
+                    mechanism: mechanisms[c].as_deref().expect("built above"),
+                    opts: TrialRunOptions::default(),
+                }
+            })
+            .collect();
+        let config = &siblings[0].config;
+        let started = Instant::now();
+        let (hv, layout) = match self.specs[cells[0]].boot {
+            BootMode::Warm => {
+                self.engine
+                    .cache
+                    .checkout(&config.machine, config.setup, config.seed)
+            }
+            BootMode::Cold => build_system(config.machine.clone(), config.setup, config.seed),
+        };
+        let setup = elapsed_nanos(started);
+        let mut lap = Instant::now();
+        let mut results = Vec::with_capacity(cells.len());
+        run_trial_group(hv, &layout, &siblings, |k, result, record, hv| {
+            drop((record, hv));
+            let setup = if k == 0 { setup } else { 0 };
+            results.push((cells[k], result, (setup, elapsed_nanos(lap))));
+            lap = Instant::now();
+        });
+        let mut board = self.lock();
+        for (c, result, nanos) in results {
+            board.file_sharded(c, trial, result, nanos);
+        }
+        drop(board);
+        self.wake.notify_all();
+    }
+
     /// Checks trial `trial` of group `g` out, runs it to its arming step
-    /// and puts it on the board, forking it first for a cell that is
-    /// ready.
-    fn arm(
-        &self,
-        me: usize,
-        g: usize,
-        trial: u64,
-        mechanisms: &mut [Option<Box<dyn RecoveryMechanism>>],
-    ) {
+    /// and forks it for a cell that is ready, putting a waiting copy on
+    /// the board if other cells still need it.
+    fn arm(&self, me: usize, g: usize, trial: u64, mechanisms: &mut Mechanisms) {
         let started = Instant::now();
         let lead = self.lock().groups[g].cells[0];
         let spec = self.specs[lead];
-        let mechanism = mechanisms[lead].get_or_insert_with(|| spec.mechanism.build());
         let config = TrialConfig::new(spec.setup, spec.fault, spec.seed + trial);
         let (hv, layout) = self
             .engine
@@ -633,7 +869,7 @@ impl<'a> Stretch<'a> {
             .checkout(&config.machine, config.setup, config.seed);
         let lead = Sibling {
             config,
-            mechanism: mechanism.as_ref(),
+            mechanism: self.mechanism(mechanisms, lead),
             opts: TrialRunOptions::default(),
         };
         let state = ArmedState {
@@ -642,7 +878,20 @@ impl<'a> Stretch<'a> {
         };
         // The checkout and the shared run are charged to the first cell
         // forked, as in a sharded group; waiting is charged to none.
-        let shared = started.elapsed();
+        let shared = elapsed_nanos(started);
+        let whole = self.lock().claim_whole(g, trial);
+        if let Some((cell, next)) = whole {
+            self.wake.notify_all();
+            let source = Source::Own(Box::new(state));
+            let fork = Fork {
+                cell,
+                next,
+                source,
+                shared,
+            };
+            self.fork(fork, mechanisms);
+            return;
+        }
         // Trials drained while this one ran are freed before its copy is
         // made, which may then reuse their memory.
         let drained = self.lock().take_own(me, false);
@@ -659,7 +908,7 @@ impl<'a> Stretch<'a> {
     }
 
     /// Runs a claimed fork and files its result.
-    fn fork(&self, fork: Fork, mechanisms: &mut [Option<Box<dyn RecoveryMechanism>>]) {
+    fn fork(&self, fork: Fork, mechanisms: &mut Mechanisms) {
         let Fork {
             cell: c,
             next,
@@ -671,11 +920,9 @@ impl<'a> Stretch<'a> {
             Source::Own(state) => *state,
             Source::Shared(state) => ArmedState::clone(&state),
         };
-        let spec = self.specs[c];
-        let mechanism = mechanisms[c].get_or_insert_with(|| spec.mechanism.build());
         let sibling = [Sibling {
             config: next.config.clone(),
-            mechanism: mechanism.as_ref(),
+            mechanism: self.mechanism(mechanisms, c),
             opts: next.opts.clone(),
         }];
         let mut finished = None;
@@ -683,9 +930,8 @@ impl<'a> Stretch<'a> {
             finished = Some((result, record))
         });
         let (result, record) = finished.expect("the sibling finishes");
-        let secs = started.elapsed() + shared;
-        self.lock()
-            .file(c, &next, &result, &record, secs.as_secs_f64());
+        let nanos = elapsed_nanos(started) + shared;
+        self.lock().file(c, &next, &result, &record, nanos);
         self.wake.notify_all();
     }
 }
@@ -693,12 +939,21 @@ impl<'a> Stretch<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::SamplingMode;
-    use crate::setup::SetupKind;
+    use crate::boot_cache::BootCache;
+    use crate::coverage::{run_sampled_campaign_in, SampledCampaign, SamplingMode};
+    use crate::setup::{BenchKind, SetupKind};
     use crate::spec::StopPolicy;
+    use crate::trial::run_trial_with;
     use nlh_core::MechanismSpec;
     use nlh_hv::HandlerKind;
     use nlh_inject::FaultType;
+
+    fn sharded(name: &str, fault: FaultType, mechanism: &str, trials: u64) -> CampaignSpec {
+        let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
+        let mut spec = CampaignSpec::new(name, setup, fault, trials);
+        spec.mechanism = MechanismSpec::parse(mechanism).unwrap();
+        spec
+    }
 
     fn steered(name: &str, fault: FaultType, mechanism: &str, trials: u64) -> CampaignSpec {
         let mut spec = CampaignSpec::new(name, SetupKind::TwoAppVmVswitch, fault, trials);
@@ -720,14 +975,64 @@ mod tests {
         snapshots.iter().map(clear).collect()
     }
 
-    /// Everything a cell reports but its wall time.
-    fn fingerprint(cell: &CellResult) -> String {
-        let s = cell.sampled().expect("a sampled cell");
+    /// A sharded cell as the reference path computes it: a checkout (or a
+    /// cold boot) and `run_trial_with` per trial, folded in seed order up
+    /// to the first trial at which the stop policy is reached. Returns the
+    /// per-trial results and the stop trial.
+    fn sharded_reference(spec: &CampaignSpec) -> (Vec<TrialResult>, Option<u64>) {
+        let cache = BootCache::new();
+        let mechanism = spec.mechanism.build();
+        let mut shard = Shard::new(spec.mechanism.name());
+        let mut trials = Vec::new();
+        for i in 0..spec.trials {
+            let config = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
+            let (hv, layout) = match spec.boot {
+                BootMode::Warm => cache.checkout(&config.machine, config.setup, config.seed),
+                BootMode::Cold => build_system(config.machine.clone(), config.setup, config.seed),
+            };
+            let opts = TrialRunOptions::default();
+            let (result, _, _) = run_trial_with(hv, &layout, &config, mechanism.as_ref(), opts);
+            shard.add(&result);
+            trials.push(result);
+            if spec.stop.reached(shard.counts()) {
+                return (trials, Some(i + 1));
+            }
+        }
+        (trials, None)
+    }
+
+    /// A sampled cell as `run_sampled_campaign_in` computes it, stopped at
+    /// the first trial at which the stop policy is reached.
+    fn sampled_reference(spec: &CampaignSpec) -> SampledCampaign {
+        let ExecMode::Sampled {
+            windows,
+            sampling,
+            steer_handler,
+            depth_cycle,
+        } = spec.mode
+        else {
+            unreachable!("a sampled cell");
+        };
+        let mechanism = spec.mechanism.build();
+        run_sampled_campaign_in(
+            &BootCache::new(),
+            spec.setup,
+            spec.fault,
+            mechanism.as_ref(),
+            spec.seed,
+            spec.trials,
+            windows,
+            sampling,
+            steer_handler,
+            depth_cycle,
+            &mut |_, detected, successes| spec.stop.reached((detected, successes)),
+        )
+    }
+
+    /// Everything a sampled campaign reports.
+    fn sampled_fingerprint(s: &SampledCampaign) -> String {
         format!(
-            "{:?} {:?} {:?} {} {} {} {:?} {} {:?}",
-            cell.executed,
-            cell.stopped_at,
-            cell.cache,
+            "{} {} {} {:?} {} {:?}",
             s.trials,
             s.successes,
             s.failures,
@@ -737,56 +1042,145 @@ mod tests {
         )
     }
 
-    /// One stretch on 1, 3 and 4 workers: a steered group whose cells
-    /// differ in fault and mechanism, with a member that stops at
-    /// confidence and one with a snapshot cadence, beside a cell whose
-    /// mechanism logs differently (`Rung(Basic)`) and so runs solo. Each
-    /// run must report what the cells run one by one report, and no more
-    /// than one open trial may ever wait with unforked cells.
+    /// One stretch on 1, 3 and 4 workers, mixing every kind of group: a
+    /// sharded rung group at confidence, a lone sharded cell at confidence,
+    /// a sharded group with a snapshot cadence, a cold-boot sharded cell, a
+    /// steered sampled group with a member that stops, and a lone sampled
+    /// cell (its mechanism logs differently, so it joins no group). Each
+    /// cell must equal the reference path: per-trial results and stop trial
+    /// for a sharded cell, and results, coverage map and first-failure
+    /// record for a sampled one. The snapshot sequence, wall time aside,
+    /// must not depend on the worker count, and no more than one open
+    /// trial may ever wait with unforked cells.
+    ///
+    /// The stops pin the check-boundary fence. In the rung group one member
+    /// stops between check boundaries and the other runs on past that
+    /// batch and stops on a boundary, so only the fence keeps the group
+    /// from checking out trials past it. The lone cell stops two or more
+    /// trials before its batch ends, so the rest of its batch runs after
+    /// the stop. A stopped member counts its whole batch's checkouts, and
+    /// the stretch checks out one system per trial of each group.
     #[test]
-    fn stretch_on_any_worker_count_equals_cells_run_one_by_one() {
+    fn stretch_on_any_worker_count_equals_the_reference_path() {
+        let stopping = |name: &str, mechanism: &str, check_every: u64| {
+            let mut spec = sharded(name, FaultType::Code, mechanism, 40);
+            spec.stop = StopPolicy::AtConfidence {
+                halfwidth: 0.2,
+                min_detected: 5,
+                check_every,
+            };
+            spec
+        };
+        let mut specs = vec![
+            stopping("stop-later", "Rung(SchedConsistency)", 5),
+            stopping("stop", "NiLiHype", 5),
+            stopping("stop-alone", "NiLiHype", 8),
+        ];
+        for (name, mechanism) in [
+            ("every-a", "Rung(SchedConsistency)"),
+            ("every-b", "NiLiHype"),
+        ] {
+            let mut spec = sharded(name, FaultType::Register, mechanism, 5);
+            spec.snapshot_every = 2;
+            specs.push(spec);
+        }
+        let mut cold = sharded("cold", FaultType::Failstop, "NiLiHype", 2);
+        cold.boot = BootMode::Cold;
+        specs.push(cold);
         let no_repair = "Rung(ReactivateTimerEvents)";
         let repair = "Rung(VirtqueueConsistency)";
         let mut every = steered("failstop-every", FaultType::Failstop, repair, 6);
         every.snapshot_every = 2;
+        specs.push(every);
         let mut stop = steered("code-stop", FaultType::Code, no_repair, 8);
         stop.stop = StopPolicy::AtConfidence {
             halfwidth: 0.45,
             min_detected: 2,
             check_every: 1,
         };
-        let specs = [
-            steered("failstop", FaultType::Failstop, no_repair, 6),
-            every,
-            steered("register", FaultType::Register, repair, 5),
-            stop,
-            steered("solo", FaultType::Failstop, "Rung(Basic)", 3),
-        ];
+        specs.push(stop);
+        specs.push(steered("register", FaultType::Register, repair, 5));
+        specs.push(steered("lone", FaultType::Failstop, "Rung(Basic)", 3));
         let specs: Vec<&CampaignSpec> = specs.iter().collect();
+        let (sharded_specs, sampled_specs) = specs.split_at(6);
 
-        let alone = CampaignEngine::new();
-        let mut alone_sink = MemorySink::default();
-        let alone_cells: Vec<CellResult> = specs
+        let sharded_want: Vec<(Vec<TrialResult>, Option<u64>)> = sharded_specs
             .iter()
-            .map(|spec| alone.run_spec(spec, &mut alone_sink))
+            .map(|spec| sharded_reference(spec))
             .collect();
-        let stopped = alone_cells[3].stopped_at;
+        let sampled_want: Vec<SampledCampaign> = sampled_specs
+            .iter()
+            .map(|spec| sampled_reference(spec))
+            .collect();
+        // Trials a sharded cell checks out: to the end of its stop's batch.
+        let checkouts = |c: usize| {
+            let (spec, stop) = (sharded_specs[c], sharded_want[c].1);
+            match (stop, spec.stop.check_every()) {
+                (Some(n), Some(every)) => n.next_multiple_of(every).min(spec.trials),
+                _ => spec.trials,
+            }
+        };
+        let stops: Vec<u64> = sharded_want[..3]
+            .iter()
+            .map(|(_, stop)| stop.expect("the cells at confidence stop"))
+            .collect();
         assert!(
-            stopped.is_some_and(|n| n < 8),
-            "the stopping cell stops partway: {stopped:?}"
+            !stops[1].is_multiple_of(5)
+                && stops[0] > checkouts(1)
+                && stops[0].is_multiple_of(5)
+                && checkouts(2) - stops[2] >= 2,
+            "stops at {stops:?}"
         );
-        let want: Vec<String> = alone_cells.iter().map(fingerprint).collect();
+        assert!(
+            sampled_want[1].trials < 8,
+            "the sampled member stops partway"
+        );
+        // One real checkout per trial of each group: the rung group up to
+        // its last batch end, the sampled group as far as its longest-running
+        // member needs; the cold cell checks nothing out.
+        let real_checkouts = checkouts(0).max(checkouts(1))
+            + checkouts(2)
+            + checkouts(3)
+            + sampled_want[..3].iter().map(|s| s.trials).max().unwrap()
+            + sampled_want[3].trials;
+
+        let mut first_snapshots = None;
         for workers in [1, 3, 4] {
             let engine = CampaignEngine::new();
             let mut sink = MemorySink::default();
             let (cells, peak) = engine.run_stretch(&specs, workers, &mut sink);
-            let got: Vec<String> = cells.iter().map(fingerprint).collect();
-            assert_eq!(got, want, "{workers} workers");
+            for (c, (trials, stopped_at)) in sharded_want.iter().enumerate() {
+                let (cell, spec) = (&cells[c], sharded_specs[c]);
+                let label = format!("{workers} workers, {}", spec.name);
+                assert_eq!(&cell.per_trial, trials, "{label}");
+                assert_eq!(cell.stopped_at, *stopped_at, "{label}");
+                let want = match spec.boot {
+                    BootMode::Warm => checkouts(c),
+                    BootMode::Cold => 0,
+                };
+                let counters = cell.cache;
+                assert_eq!(counters.hits + counters.misses, want, "{label}: checkouts");
+            }
+            for ((cell, spec), want) in cells[6..].iter().zip(sampled_specs).zip(&sampled_want) {
+                let label = format!("{workers} workers, {}", spec.name);
+                let got = cell.sampled().expect("a sampled cell");
+                assert_eq!(
+                    sampled_fingerprint(got),
+                    sampled_fingerprint(want),
+                    "{label}"
+                );
+                let stopped_at = (want.trials < spec.trials).then_some(want.trials);
+                assert_eq!(cell.stopped_at, stopped_at, "{label}");
+            }
+            let real = engine.cache().counters();
             assert_eq!(
-                without_wall(&sink.snapshots),
-                without_wall(&alone_sink.snapshots),
-                "{workers} workers: snapshot sequence"
+                real.hits + real.misses,
+                real_checkouts,
+                "{workers} workers: real checkouts"
             );
+            let snapshots = without_wall(&sink.snapshots);
+            let first = first_snapshots.get_or_insert_with(|| snapshots.clone());
+            assert_eq!(&snapshots, first, "{workers} workers: snapshot sequence");
             assert_eq!(peak, 1, "{workers} workers: open trials waiting at once");
         }
     }

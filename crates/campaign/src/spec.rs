@@ -67,6 +67,14 @@ pub enum StopPolicy {
 }
 
 impl StopPolicy {
+    /// Trials between stop checks, if the policy can stop a cell.
+    pub(crate) fn check_every(self) -> Option<u64> {
+        match self {
+            StopPolicy::AtConfidence { check_every, .. } => Some(check_every.max(1)),
+            StopPolicy::FixedTrials => None,
+        }
+    }
+
     /// Whether a cell stops once its seed-ordered prefix counts
     /// `(detected, successes)`.
     pub(crate) fn reached(self, (detected, successes): (u64, u64)) -> bool {

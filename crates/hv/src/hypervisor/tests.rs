@@ -1,6 +1,6 @@
 use super::*;
 use crate::domain::{DomainKind, GuestNotice, GuestOp, GuestProgram, IdleLoop};
-use crate::hypercalls::HcRequest;
+use crate::hypercalls::{HcRequest, MicroOp};
 use crate::interrupts::GuestEventKind;
 
 fn small_hv() -> Hypervisor {
@@ -381,4 +381,41 @@ fn abandoned_notify_leaves_residue_repair_completes_it() {
     hv.run_for(SimDuration::from_millis(50));
     assert!(hv.domains[dom.index()].finished, "guest saw the completion");
     assert!(hv.virtio.check_invariants().is_ok());
+}
+
+/// A `Compute` run may jump past the pick bound, but never onto its
+/// program's end: a jump does not retire its frame, so that a rewind can
+/// restore the pc. Programs that end in runs of `Compute` ops, pushed on
+/// every CPU at once so that each run crosses the others' pick bounds,
+/// must run batched exactly as the reference steps them: the same steps,
+/// clocks and state digest.
+#[test]
+fn compute_jump_stops_short_of_its_program_end() {
+    let mut hv = small_hv();
+    hv.add_boot_domain(app_spec(1));
+    hv.run_for(SimDuration::from_millis(5));
+    for cpu in 0..hv.num_cpus() {
+        let mut ops = vec![MicroOp::Compute; 2 + 5 * cpu];
+        ops.insert(0, MicroOp::EnterIrq);
+        ops.insert(1, MicroOp::LeaveIrq);
+        let program = Program::new(EntryCause::TimerInterrupt, ops, Vec::new());
+        hv.push_frame(CpuId::from_index(cpu), program);
+    }
+    let (mut fast, mut slow) = (hv.clone(), hv);
+    let deadline = fast.now() + SimDuration::from_millis(1);
+    let jumps = fast.tier_counters().compute_jumps;
+    fast.run_until(deadline);
+    slow.run_until_unbatched(deadline);
+    assert!(
+        fast.tier_counters().compute_jumps > jumps,
+        "a Compute run jumped the pick bound"
+    );
+    assert_eq!(fast.steps_executed(), slow.steps_executed(), "steps");
+    let clocks = |hv: &Hypervisor| -> Vec<SimTime> {
+        (0..hv.num_cpus())
+            .map(|cpu| hv.cpu_now(CpuId::from_index(cpu)))
+            .collect()
+    };
+    assert_eq!(clocks(&fast), clocks(&slow), "clocks");
+    assert_eq!(fast.state_digest(), slow.state_digest(), "state digest");
 }
