@@ -1,12 +1,14 @@
 //! Campaign results: the aggregate counts, recovery rates and telemetry
 //! of many trials.
 //!
-//! Campaigns execute on the resident [`crate::CampaignEngine`]. By default
+//! Campaigns execute on the resident [`crate::CampaignEngine`], whose
 //! trials are **warm-started**: each one clones a cached post-boot template
 //! from the engine's [`crate::BootCache`] instead of booting from scratch —
-//! bit-identical results (see the differential tests) at a fraction of the
-//! setup cost. Set [`crate::CampaignSpec::boot`] to [`BootMode::Cold`] to
-//! boot every trial from scratch, e.g. when validating the warm path itself.
+//! bit-identical results at a fraction of the setup cost. A cold boot
+//! ([`crate::build_system`] plus [`crate::run_trial_with`]) stays the
+//! reference the warm path is tested against (the differential proptests,
+//! `boot_cache::checkout_matches_cold_boot_layout_and_state` and
+//! `trial::warm_trial_equals_cold_trial`).
 
 use std::collections::BTreeMap;
 
@@ -17,13 +19,13 @@ use serde::{Deserialize, Serialize};
 use crate::classify::TrialClass;
 use crate::trial::TrialResult;
 
-/// How each trial obtains its booted target system.
+/// How each trial obtains its booted target system. Every cell warm-starts;
+/// the one-variant enum stays because `campaign_bench` names
+/// [`BootMode::Warm`] when it checks a workload's manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BootMode {
-    /// Clone a cached post-boot template and reseed it (the default).
+    /// Clone a cached post-boot template and reseed it.
     Warm,
-    /// Boot the system from scratch for every trial.
-    Cold,
 }
 
 /// Performance counters for one campaign run.
@@ -32,8 +34,8 @@ pub enum BootMode {
 /// nanoseconds depend on the host and are reported for visibility only.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignTelemetry {
-    /// Wall-clock nanoseconds spent obtaining booted systems (cold boot or
-    /// clone + reseed), summed over workers.
+    /// Wall-clock nanoseconds spent obtaining booted systems (clone +
+    /// reseed), summed over workers.
     pub setup_nanos: u64,
     /// Wall-clock nanoseconds spent running trial bodies, summed over
     /// workers.
@@ -190,7 +192,7 @@ mod tests {
     use crate::stream::NullSink;
 
     /// A fresh-engine NiLiHype cell on the 1AppVM/UnixBench setup.
-    fn cell(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CellResult {
+    fn cell(fault: FaultType, trials: u64, seed: u64) -> CellResult {
         let mut spec = CampaignSpec::new(
             "cell",
             SetupKind::OneAppVm(BenchKind::UnixBench),
@@ -198,12 +200,11 @@ mod tests {
             trials,
         );
         spec.seed = seed;
-        spec.boot = boot;
         CampaignEngine::new().run_spec(&spec, &mut NullSink)
     }
 
-    fn run(fault: FaultType, trials: u64, seed: u64, boot: BootMode) -> CampaignResult {
-        cell(fault, trials, seed, boot)
+    fn run(fault: FaultType, trials: u64, seed: u64) -> CampaignResult {
+        cell(fault, trials, seed)
             .sharded()
             .expect("sharded cell")
             .clone()
@@ -211,7 +212,7 @@ mod tests {
 
     #[test]
     fn small_failstop_campaign_aggregates() {
-        let r = run(FaultType::Failstop, 24, 7, BootMode::Warm);
+        let r = run(FaultType::Failstop, 24, 7);
         assert_eq!(r.trials, 24);
         assert_eq!(r.detected, 24, "failstop always detected");
         assert_eq!(r.non_manifested + r.sdc, 0);
@@ -223,30 +224,16 @@ mod tests {
 
     #[test]
     fn campaign_is_reproducible() {
-        let a = run(FaultType::Register, 16, 99, BootMode::Warm);
-        let b = run(FaultType::Register, 16, 99, BootMode::Warm);
+        let a = run(FaultType::Register, 16, 99);
+        let b = run(FaultType::Register, 16, 99);
         assert_eq!(a.successes, b.successes);
         assert_eq!(a.non_manifested, b.non_manifested);
         assert_eq!(a.sdc, b.sdc);
     }
 
     #[test]
-    fn warm_and_cold_campaigns_agree() {
-        let warm = cell(FaultType::Failstop, 12, 321, BootMode::Warm);
-        let cold = cell(FaultType::Failstop, 12, 321, BootMode::Cold);
-        // Per-trial results, recovery reports included, are deterministic;
-        // the aggregate is their fold.
-        assert_eq!(warm.per_trial, cold.per_trial);
-        assert_eq!(
-            cold.cache,
-            Default::default(),
-            "cold cells never touch the cache"
-        );
-    }
-
-    #[test]
     fn telemetry_counts_steps_and_time() {
-        let cell = cell(FaultType::Failstop, 8, 5, BootMode::Warm);
+        let cell = cell(FaultType::Failstop, 8, 5);
         let r = cell.sharded().unwrap();
         let t = &r.telemetry;
         assert!(t.setup_nanos > 0 && t.run_nanos > 0);

@@ -270,7 +270,9 @@ pub struct SampledCampaign {
 /// `after_trial` is called once per completed trial with
 /// `(trials_done, detected, successes)`; returning `true` halts the
 /// campaign there, and the returned [`SampledCampaign::trials`] records
-/// the executed count.
+/// the executed count. Every caller in this workspace returns `false`;
+/// the hook and its signature stay because `campaign_bench`'s tracer
+/// times each trial through it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sampled_campaign_in(
     cache: &BootCache,

@@ -25,12 +25,9 @@
 //! its arming step once per injector and at its first detection once per
 //! cell. A sampled group's trials are run to their arming step once and
 //! forked once per cell, each with the window the cell's own coverage map
-//! picks. Each cell folds its trials **seed-ordered**: that makes the
-//! optional stop-at-confidence policy deterministic, since the stop trial
-//! is the first `n` at which the seed-ordered prefix's Wilson half-width
-//! crosses the threshold, however the trials interleaved across workers,
-//! and the aggregated result equals a fixed-trials run of exactly `n`
-//! trials. Either kind of group reports what the sequential run reports:
+//! picks. Each cell folds its trials **seed-ordered**, so its snapshots
+//! count the same prefixes however the trials interleaved across workers.
+//! Either kind of group reports what the sequential run reports:
 //! outcomes come back in suite order, the sink gets each cell's snapshots
 //! together and in suite order, and each cell's [`CacheCounters`] come
 //! from its own checkouts plus the template build it was first to need
@@ -40,7 +37,7 @@ use std::collections::BTreeSet;
 use std::time::Instant;
 
 use crate::boot_cache::{BootCache, CacheCounters};
-use crate::campaign::{BootMode, CampaignResult};
+use crate::campaign::CampaignResult;
 use crate::coverage::SampledCampaign;
 use crate::spec::{CampaignSpec, SuiteSpec};
 use crate::stream::{CampaignSnapshot, TelemetrySink};
@@ -74,17 +71,13 @@ impl CellOutput {
 pub struct CellResult {
     /// The aggregate result.
     pub output: CellOutput,
-    /// Trials actually executed (equals the spec's budget unless
-    /// stop-at-confidence halted early).
+    /// Trials executed: always the spec's budget. The field stays because
+    /// `campaign_bench` hashes it into each workload's outcome digest.
     pub executed: u64,
-    /// `Some(n)` if stop-at-confidence halted the cell after exactly `n`
-    /// trials.
-    pub stopped_at: Option<u64>,
     /// Boot-cache activity of this cell: its own checkouts, split into
     /// the template build it paid for (as the first cell in suite order to
     /// need the template) and warm hits. The resident gauge counts the
-    /// templates resident once the cell's own template was. All zero
-    /// under cold boot.
+    /// templates resident once the cell's own template was.
     pub cache: CacheCounters,
     /// Seed-ordered per-trial results (sharded cells only; empty for
     /// sampled cells). The equivalence suite compares these one-for-one
@@ -213,71 +206,43 @@ impl CampaignEngine {
     /// Fixes `spec`'s share of the boot cache before it runs: builds its
     /// template if no earlier cell has, then reads the resident gauge.
     fn cell_cache(&self, spec: &CampaignSpec) -> CellCache {
-        match spec.boot {
-            BootMode::Cold => CellCache::default(),
-            BootMode::Warm => {
-                let machine = TrialConfig::new(spec.setup, spec.fault, spec.seed).machine;
-                let built = spec.trials > 0 && self.cache.prepare(&machine, spec.setup);
-                CellCache {
-                    warm: true,
-                    built,
-                    resident: self.cache.counters().resident_templates,
-                }
-            }
+        let machine = TrialConfig::new(spec.setup, spec.fault, spec.seed).machine;
+        CellCache {
+            built: spec.trials > 0 && self.cache.prepare(&machine, spec.setup),
+            resident: self.cache.counters().resident_templates,
         }
     }
 }
 
-/// The bookkeeping a running cell of either mode shares: its stop test,
-/// snapshot cadence and snapshots, applied as trials are folded in seed
-/// order.
+/// The bookkeeping a running cell of either mode shares: its snapshot
+/// cadence and snapshots, applied as trials are folded in seed order.
 struct CellTally<'a> {
     spec: &'a CampaignSpec,
     cache: CellCache,
-    /// Trials between streamed snapshots (`0` = only the final one).
-    cadence: u64,
 }
 
-impl<'a> CellTally<'a> {
-    fn new(spec: &'a CampaignSpec, cache: CellCache) -> Self {
-        CellTally {
-            spec,
-            cache,
-            cadence: spec.stop.check_every().unwrap_or(spec.snapshot_every),
-        }
-    }
-
+impl CellTally<'_> {
     /// Called once the seed-ordered prefix of `done` trials counts
-    /// `(detected, successes)`, `wall_secs` into the cell: returns whether
-    /// the stop policy halts the cell here, and otherwise streams a
-    /// snapshot on the cadence.
+    /// `(detected, successes)`, `wall_secs` into the cell: streams a
+    /// snapshot every `snapshot_every` trials before the last.
     fn after_trial(
         &self,
         done: u64,
         counts: (u64, u64),
         wall_secs: f64,
         sink: &mut dyn TelemetrySink,
-    ) -> bool {
-        if self.spec.stop.reached(counts) {
-            return true;
-        }
-        if self.cadence > 0 && done.is_multiple_of(self.cadence) && done < self.spec.trials {
+    ) {
+        let cadence = self.spec.snapshot_every;
+        if cadence > 0 && done.is_multiple_of(cadence) && done < self.spec.trials {
             let cache = self.cache.counters(done);
-            sink.snapshot(&self.snapshot(done, counts, cache, None, wall_secs));
+            sink.snapshot(&self.snapshot(done, counts, cache, wall_secs));
         }
-        false
     }
 
     /// Streams the finished cell's final snapshot.
     fn finish(&self, cell: &CellResult, wall_secs: f64, sink: &mut dyn TelemetrySink) {
         let counts = cell.output.counts();
-        let mut snap = self.snapshot(
-            cell.executed,
-            counts,
-            cell.cache,
-            cell.stopped_at,
-            wall_secs,
-        );
+        let mut snap = self.snapshot(cell.executed, counts, cell.cache, wall_secs);
         snap.done = true;
         sink.snapshot(&snap);
     }
@@ -288,7 +253,6 @@ impl<'a> CellTally<'a> {
         done: u64,
         (detected, successes): (u64, u64),
         cache: CacheCounters,
-        stopped_at: Option<u64>,
         wall_secs: f64,
     ) -> CampaignSnapshot {
         CampaignSnapshot {
@@ -298,7 +262,6 @@ impl<'a> CellTally<'a> {
             detected,
             successes,
             done: false,
-            stopped_at,
             cache,
             wall_secs,
         }
@@ -306,10 +269,8 @@ impl<'a> CellTally<'a> {
 }
 
 /// A cell's share of the boot cache, fixed before the cell runs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct CellCache {
-    /// The cell checks systems out of the cache (warm boot).
-    warm: bool,
     /// The cell is the first, in suite order, to need its template.
     built: bool,
     /// Templates resident once the cell's own template is.
@@ -319,9 +280,6 @@ struct CellCache {
 impl CellCache {
     /// The cell's counters after it checked out `checkouts` systems.
     fn counters(self, checkouts: u64) -> CacheCounters {
-        if !self.warm {
-            return CacheCounters::default();
-        }
         let misses = u64::from(self.built);
         CacheCounters {
             hits: checkouts.saturating_sub(misses),
@@ -405,7 +363,7 @@ fn elapsed_nanos(since: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::setup::{BenchKind, SetupKind};
-    use crate::spec::{ExecMode, StopPolicy};
+    use crate::spec::ExecMode;
     use crate::stream::{MemorySink, NullSink};
     use nlh_inject::FaultType;
 
@@ -457,7 +415,6 @@ mod tests {
         let mut sink = MemorySink::default();
         let cell = engine.run_spec(&spec("cell", 8), &mut sink);
         assert_eq!(cell.executed, 8);
-        assert_eq!(cell.stopped_at, None);
         let r = cell.sharded().expect("sharded cell");
         assert_eq!(r.trials, 8);
         assert_eq!(cell.per_trial.len(), 8);
@@ -480,54 +437,28 @@ mod tests {
         assert_eq!(second.cache.hits, 4);
     }
 
-    /// The five cell shapes whose snapshots the table below pins.
+    /// The two cell shapes whose snapshots the table below pins.
     fn snapshot_cells() -> Vec<CampaignSpec> {
         use crate::coverage::SamplingMode;
-        let sampled = |name: &str, fault: FaultType, trials: u64| {
-            let mut s = spec(name, trials);
-            s.fault = fault;
-            s.mode = ExecMode::Sampled {
-                windows: 4,
-                sampling: SamplingMode::CoverageGuided,
-                steer_handler: None,
-                depth_cycle: 3,
-            };
-            s
-        };
         let mut sharded_every = spec("sharded-every", 9);
         sharded_every.fault = FaultType::Code;
         sharded_every.snapshot_every = 4;
-        let mut sharded_stop = spec("sharded-stop", 60);
-        sharded_stop.fault = FaultType::Code;
-        sharded_stop.stop = StopPolicy::AtConfidence {
-            halfwidth: 0.2,
-            min_detected: 5,
-            check_every: 5,
+        let mut sampled_every = spec("sampled-every", 10);
+        sampled_every.fault = FaultType::Code;
+        sampled_every.mode = ExecMode::Sampled {
+            windows: 4,
+            sampling: SamplingMode::CoverageGuided,
+            steer_handler: None,
+            depth_cycle: 3,
         };
-        let mut sampled_every = sampled("sampled-every", FaultType::Code, 10);
         sampled_every.snapshot_every = 3;
-        let mut sampled_stop = sampled("sampled-stop", FaultType::Code, 40);
-        sampled_stop.stop = StopPolicy::AtConfidence {
-            halfwidth: 0.25,
-            min_detected: 4,
-            check_every: 3,
-        };
-        let mut cold = spec("cold", 5);
-        cold.boot = BootMode::Cold;
-        cold.snapshot_every = 2;
-        vec![
-            sharded_every,
-            sharded_stop,
-            sampled_every,
-            sampled_stop,
-            cold,
-        ]
+        vec![sharded_every, sampled_every]
     }
 
-    /// Every snapshot each of the five cells streams, wall time aside,
-    /// with the cell's executed count, stop trial and cache counters. A
-    /// row is `(trials_done, detected, successes, cache hits)`; the last
-    /// row is the final snapshot, which alone carries `done` and the stop.
+    /// Every snapshot each of the two cells streams, wall time aside,
+    /// with the cell's executed count and cache counters. A row is
+    /// `(trials_done, detected, successes, cache hits)`; the last row is
+    /// the final snapshot, which alone carries `done`.
     #[test]
     fn snapshot_cadence_emits_intermediate_snapshots() {
         type Row = (u64, u64, u64, u64);
@@ -536,76 +467,30 @@ mod tests {
             misses: 1,
             resident_templates: 1,
         };
-        let expected: [(u64, Option<u64>, CacheCounters, &[Row]); 5] = [
-            (
-                9,
-                None,
-                warm(8),
-                &[(4, 3, 2, 3), (8, 5, 3, 7), (9, 6, 4, 8)],
-            ),
-            (
-                28,
-                Some(28),
-                warm(29),
-                &[
-                    (5, 3, 2, 4),
-                    (10, 7, 5, 9),
-                    (15, 10, 8, 14),
-                    (20, 11, 8, 19),
-                    (25, 13, 10, 24),
-                    (28, 16, 12, 29),
-                ],
-            ),
+        let expected: [(u64, CacheCounters, &[Row]); 2] = [
+            (9, warm(8), &[(4, 3, 2, 3), (8, 5, 3, 7), (9, 6, 4, 8)]),
             (
                 10,
-                None,
                 warm(9),
                 &[(3, 2, 1, 2), (6, 4, 2, 5), (9, 6, 4, 8), (10, 7, 5, 9)],
             ),
-            (
-                14,
-                Some(14),
-                warm(13),
-                &[
-                    (3, 2, 1, 2),
-                    (6, 4, 2, 5),
-                    (9, 6, 4, 8),
-                    (12, 8, 6, 11),
-                    (14, 9, 7, 13),
-                ],
-            ),
-            (
-                5,
-                None,
-                CacheCounters::default(),
-                &[(2, 2, 2, 0), (4, 4, 4, 0), (5, 5, 5, 0)],
-            ),
         ];
-        for (s, (executed, stopped_at, cache, rows)) in snapshot_cells().iter().zip(expected) {
+        for (s, (executed, cache, rows)) in snapshot_cells().iter().zip(expected) {
             let mut sink = MemorySink::default();
             let cell = CampaignEngine::new().run_spec(s, &mut sink);
-            assert_eq!(
-                (cell.executed, cell.stopped_at, cell.cache),
-                (executed, stopped_at, cache),
-                "{}",
-                s.name
-            );
+            assert_eq!((cell.executed, cell.cache), (executed, cache), "{}", s.name);
             let want: Vec<CampaignSnapshot> = rows
                 .iter()
                 .enumerate()
-                .map(|(i, &(done, detected, successes, hits))| {
-                    let last = i + 1 == rows.len();
-                    CampaignSnapshot {
-                        job: s.name.clone(),
-                        trials_done: done,
-                        trials_target: s.trials,
-                        detected,
-                        successes,
-                        done: last,
-                        stopped_at: stopped_at.filter(|_| last),
-                        cache: CacheCounters { hits, ..cache },
-                        wall_secs: 0.0,
-                    }
+                .map(|(i, &(done, detected, successes, hits))| CampaignSnapshot {
+                    job: s.name.clone(),
+                    trials_done: done,
+                    trials_target: s.trials,
+                    detected,
+                    successes,
+                    done: i + 1 == rows.len(),
+                    cache: CacheCounters { hits, ..cache },
+                    wall_secs: 0.0,
                 })
                 .collect();
             let got: Vec<CampaignSnapshot> = sink

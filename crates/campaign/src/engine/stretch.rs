@@ -4,11 +4,10 @@
 //! of one stretch and splits them into groups ([`group_key`]):
 //!
 //! - a **sharded group** is consecutive sharded cells with one setup,
-//!   seed, trial budget, boot mode, stop policy, snapshot cadence and
-//!   mechanism `OpSupport`. Its trial `i` needs nothing from earlier
-//!   trials, so it is one action that any free worker takes whole: one
-//!   checkout (or [`build_system`] under [`BootMode::Cold`]) and one
-//!   [`run_trial_group`] over the members that still need the trial.
+//!   seed and mechanism `OpSupport`. Its trial `i` needs nothing from
+//!   earlier trials, so it is one action that any free worker takes
+//!   whole: one checkout and one [`run_trial_group`] over the members
+//!   whose budget reaches the trial.
 //! - a **sampled group** is the stretch's sampled cells with one setup,
 //!   seed and `OpSupport`. A sampled cell runs its trials in order: trial
 //!   `i`'s trigger window comes from the coverage map of the trials
@@ -44,14 +43,7 @@
 //! only reference.
 //!
 //! A sharded cell buffers the results of the trials it ran and folds
-//! their seed-ordered prefix through its [`Shard`]. Under
-//! [`crate::StopPolicy::AtConfidence`] the group's trials come in batches
-//! of `check_every`, fenced at each check boundary: no trial at or past a
-//! boundary is handed out until every running member has filed the
-//! trials before it, and a member that stopped before a boundary is left
-//! out of the trials after it. A member that stops within a batch still
-//! runs the rest of that batch, whose results it drops; its cache
-//! counters count those trials too. `FixedTrials` groups have no fence.
+//! their seed-ordered prefix through its [`Shard`].
 //!
 //! Every cell's snapshots go to its own buffer. The sink gets them in
 //! cell order: a cell's buffer as soon as every earlier cell has finished,
@@ -68,10 +60,10 @@ use std::time::Instant;
 use nlh_core::RecoveryMechanism;
 
 use super::{elapsed_nanos, CampaignEngine, CellCache, CellOutput, CellResult, CellTally};
-use crate::campaign::{BootMode, Shard};
+use crate::campaign::Shard;
 use crate::coverage::{SampledRun, SampledTrial};
 use crate::record::TrialRecord;
-use crate::setup::{build_system, SystemLayout};
+use crate::setup::SystemLayout;
 use crate::spec::{CampaignSpec, ExecMode};
 use crate::stream::{CampaignSnapshot, MemorySink, TelemetrySink};
 use crate::trial::{
@@ -83,20 +75,10 @@ use crate::trial::{
 /// plays no part, and until its first detection a mechanism reaches the
 /// machine only through its `op_support`. So the cells run every trial
 /// identically up to the arming step, and cells with one injector up to
-/// the first detection. Sharded cells also share a budget, stop policy
-/// and cadence, so that their trials come in the same batches.
+/// the first detection. Budgets and snapshot cadences may differ: each
+/// member takes the trials its budget reaches.
 fn group_key(spec: &CampaignSpec) -> impl PartialEq {
-    let batches = matches!(spec.mode, ExecMode::Sharded).then_some((
-        spec.trials,
-        spec.boot,
-        spec.stop,
-        spec.snapshot_every,
-    ));
-    (
-        (spec.setup, spec.seed),
-        spec.mechanism.build().op_support(),
-        batches,
-    )
+    (spec.setup, spec.seed, spec.mechanism.build().op_support())
 }
 
 /// `part`'s share of `whole`.
@@ -199,7 +181,6 @@ struct Cell<'a> {
     fold: Option<Fold>,
     /// Trials filed, in trial order.
     filed: u64,
-    stopped_at: Option<u64>,
     snapshots: MemorySink,
     /// Host nanoseconds charged to the cell so far.
     busy: u64,
@@ -217,7 +198,7 @@ enum Fold {
 }
 
 impl Cell<'_> {
-    /// Whether the sampled cell needs `trial`.
+    /// Whether the cell still needs `trial`.
     fn needs(&self, trial: u64) -> bool {
         self.fold.is_some() && trial < self.spec.trials
     }
@@ -310,7 +291,8 @@ impl<'a> Board<'a> {
             let sharded = matches!(spec.mode, ExecMode::Sharded);
             // A sharded cell joins only the group of the cell just before it.
             let joins = |group: &Group| {
-                keys[group.cells[0]] == keys[c]
+                group.sharded == sharded
+                    && keys[group.cells[0]] == keys[c]
                     && (!sharded || group.cells.last() == Some(&(c - 1)))
             };
             match groups.iter_mut().find(|group| joins(group)) {
@@ -327,7 +309,7 @@ impl<'a> Board<'a> {
             .zip(caches)
             .map(|(&spec, &cache)| Cell {
                 spec,
-                tally: CellTally::new(spec, cache),
+                tally: CellTally { spec, cache },
                 fold: Some(match spec.mode {
                     ExecMode::Sharded => Fold::Sharded {
                         shard: Shard::new(spec.mechanism.name()),
@@ -350,7 +332,6 @@ impl<'a> Board<'a> {
                     ))),
                 }),
                 filed: 0,
-                stopped_at: None,
                 snapshots: MemorySink::default(),
                 busy: 0,
             })
@@ -380,11 +361,6 @@ impl<'a> Board<'a> {
     /// The first action in the module docs' list that worker `me` of
     /// `workers` can take, claimed.
     fn next_action(&mut self, me: usize, workers: usize) -> Action {
-        let cells = &self.cells;
-        for armed in self.open.iter_mut().chain(&mut self.ahead) {
-            armed.unforked.retain(|&c| cells[c].needs(armed.trial));
-        }
-        self.open_ahead();
         let fork = self.open.iter().enumerate().find_map(|(e, armed)| {
             let k = armed
                 .unforked
@@ -395,7 +371,7 @@ impl<'a> Board<'a> {
         let unforked: usize = self.open.iter().map(|armed| armed.unforked.len()).sum();
         let slot_free = !self.arming && self.ahead.is_none();
         if slot_free && (fork.is_none() || unforked < 2 * workers) {
-            if let Some((group, trial)) = self.next_armable() {
+            if let Some((group, trial)) = self.take_trial(false) {
                 self.arming = true;
                 return Action::Arm { group, trial };
             }
@@ -403,7 +379,8 @@ impl<'a> Board<'a> {
         if let Some((e, k)) = fork {
             return Action::Fork(self.claim(me, e, k));
         }
-        if let Some((trial, cells)) = self.next_run() {
+        if let Some((g, trial)) = self.take_trial(true) {
+            let cells = self.needing(g, trial).collect();
             return Action::Run { trial, cells };
         }
         if self.finished[self.delivered..].iter().all(Option::is_some) {
@@ -413,12 +390,13 @@ impl<'a> Board<'a> {
         }
     }
 
-    /// The next trial of the first sampled group some cell of which still
-    /// needs it, taken.
-    fn next_armable(&mut self) -> Option<(usize, u64)> {
+    /// The next trial of the first sharded (or sampled) group some member
+    /// of which still needs it, taken. A group is exhausted once no member
+    /// needs its next trial.
+    fn take_trial(&mut self, sharded: bool) -> Option<(usize, u64)> {
         let cells = &self.cells;
         let (g, group) = self.groups.iter_mut().enumerate().find(|(_, group)| {
-            !group.sharded
+            group.sharded == sharded
                 && group
                     .cells
                     .iter()
@@ -428,41 +406,14 @@ impl<'a> Board<'a> {
         Some((g, group.next_trial - 1))
     }
 
-    /// The next trial of the first sharded group that can hand one out,
-    /// taken, with the member cells it runs for: those that had not
-    /// stopped by the trial's check boundary, once every running member
-    /// has filed the trials before that boundary.
-    fn next_run(&mut self) -> Option<(u64, Vec<usize>)> {
-        let cells = &self.cells;
-        self.groups.iter_mut().find_map(|group| {
-            let spec = cells[group.cells[0]].spec;
-            let trial = group.next_trial;
-            if !group.sharded || trial >= spec.trials {
-                return None;
-            }
-            let boundary = spec
-                .stop
-                .check_every()
-                .map_or(0, |every| trial - trial % every);
-            let fenced = group
-                .cells
-                .iter()
-                .any(|&c| cells[c].fold.is_some() && cells[c].filed < boundary);
-            if fenced {
-                return None;
-            }
-            let members: Vec<usize> = group
-                .cells
-                .iter()
-                .copied()
-                .filter(|&c| cells[c].stopped_at.is_none_or(|n| n > boundary))
-                .collect();
-            if members.is_empty() {
-                return None;
-            }
-            group.next_trial += 1;
-            Some((trial, members))
-        })
+    /// The member cells of group `g` that still need `trial`, in suite
+    /// order.
+    fn needing(&self, g: usize, trial: u64) -> impl Iterator<Item = usize> + '_ {
+        self.groups[g]
+            .cells
+            .iter()
+            .copied()
+            .filter(move |&c| self.cells[c].needs(trial))
     }
 
     /// Claims the `k`th unforked cell of open trial `e` for worker `me`.
@@ -492,19 +443,16 @@ impl<'a> Board<'a> {
     /// exactly one cell needs the trial and that cell is ready for it, so
     /// that the trial needs no waiting copy.
     fn claim_whole(&mut self, g: usize, trial: u64) -> Option<(usize, SampledTrial)> {
-        let cells = &self.cells;
-        let mut needing = self.groups[g]
-            .cells
-            .iter()
-            .filter(|&&c| cells[c].needs(trial));
-        let (Some(&c), None) = (needing.next(), needing.next()) else {
+        let mut needing = self.needing(g, trial);
+        let (Some(c), None) = (needing.next(), needing.next()) else {
             return None;
         };
-        if !cells[c].ready_for(trial) {
+        drop(needing);
+        if !self.cells[c].ready_for(trial) {
             return None;
         }
         self.arming = false;
-        Some((c, cells[c].next_trial()))
+        Some((c, self.cells[c].next_trial()))
     }
 
     /// Opens the trial armed ahead once no open trial has unforked cells.
@@ -536,17 +484,11 @@ impl<'a> Board<'a> {
         shared: u64,
     ) -> (Option<Fork>, Source) {
         self.arming = false;
-        let cells = &self.cells;
         let armed = Armed {
             trial,
             owner: me,
             state: Arc::new(copy),
-            unforked: self.groups[g]
-                .cells
-                .iter()
-                .copied()
-                .filter(|&c| cells[c].needs(trial))
-                .collect(),
+            unforked: self.needing(g, trial).collect(),
             shared,
         };
         if self.open.iter().any(|armed| !armed.unforked.is_empty()) {
@@ -588,15 +530,13 @@ impl<'a> Board<'a> {
     /// its snapshots' wall seconds.
     fn charge(&mut self, c: usize, nanos: u64) -> f64 {
         let cell = &mut self.cells[c];
-        if cell.fold.is_some() {
-            cell.busy += nanos;
-            self.busy += nanos;
-        }
+        cell.busy += nanos;
+        self.busy += nanos;
         self.started.elapsed().as_secs_f64() * share(cell.busy, self.busy)
     }
 
     /// Files sampled cell `c`'s next trial, which took `nanos` of host
-    /// time: its result, stop test and snapshots.
+    /// time: its result and snapshots.
     fn file(
         &mut self,
         c: usize,
@@ -612,18 +552,13 @@ impl<'a> Board<'a> {
         };
         let (done, detected, successes) = run.file(trial, result, record);
         cell.filed = done;
-        if cell
-            .tally
-            .after_trial(done, (detected, successes), wall, &mut cell.snapshots)
-        {
-            cell.stopped_at = Some(done);
-        }
+        cell.tally
+            .after_trial(done, (detected, successes), wall, &mut cell.snapshots);
         self.finish_if_done(c);
     }
 
     /// Files sharded cell `c`'s result of `trial`, whose checkout and run
-    /// took `(setup, run)` nanoseconds, and folds the filed prefix. A cell
-    /// that has finished drops it.
+    /// took `(setup, run)` nanoseconds, and folds the filed prefix.
     fn file_sharded(
         &mut self,
         c: usize,
@@ -639,7 +574,7 @@ impl<'a> Board<'a> {
             waiting,
         }) = &mut cell.fold
         else {
-            return;
+            unreachable!("a running sharded cell");
         };
         shard.add_nanos(setup, run);
         waiting.insert(trial, result);
@@ -647,48 +582,32 @@ impl<'a> Board<'a> {
             shard.add(&r);
             per_trial.push(r);
             cell.filed += 1;
-            let counts = shard.counts();
-            if cell
-                .tally
-                .after_trial(cell.filed, counts, wall, &mut cell.snapshots)
-            {
-                cell.stopped_at = Some(cell.filed);
-                break;
-            }
+            cell.tally
+                .after_trial(cell.filed, shard.counts(), wall, &mut cell.snapshots);
         }
         self.finish_if_done(c);
     }
 
-    /// Finishes cell `c` once it has stopped or filed its budget.
+    /// Finishes cell `c` once it has filed its budget.
     fn finish_if_done(&mut self, c: usize) {
         let cell = &mut self.cells[c];
-        if cell.fold.is_none() || (cell.stopped_at.is_none() && cell.filed < cell.spec.trials) {
+        if cell.fold.is_none() || cell.filed < cell.spec.trials {
             return;
         }
         let executed = cell.filed;
-        let (output, per_trial, checkouts) = match cell.fold.take().expect("checked above") {
-            Fold::Sampled(run) => (
-                CellOutput::Sampled(Box::new(run.finish())),
-                Vec::new(),
-                executed,
-            ),
-            // A stopped sharded cell checked out every trial up to the
-            // end of its batch.
+        let (output, per_trial) = match cell.fold.take().expect("checked above") {
+            Fold::Sampled(run) => (CellOutput::Sampled(Box::new(run.finish())), Vec::new()),
             Fold::Sharded {
                 shard, per_trial, ..
             } => (
                 CellOutput::Sharded(shard.into_result(cell.spec.fault, executed)),
                 per_trial,
-                cell.spec.stop.check_every().map_or(executed, |every| {
-                    executed.next_multiple_of(every).min(cell.spec.trials)
-                }),
             ),
         };
         let result = CellResult {
             output,
             executed,
-            stopped_at: cell.stopped_at,
-            cache: cell.tally.cache.counters(checkouts),
+            cache: cell.tally.cache.counters(executed),
             per_trial,
         };
         self.finished[c] = Some((result, std::mem::take(&mut cell.snapshots)));
@@ -830,14 +749,10 @@ impl<'a> Stretch<'a> {
             .collect();
         let config = &siblings[0].config;
         let started = Instant::now();
-        let (hv, layout) = match self.specs[cells[0]].boot {
-            BootMode::Warm => {
-                self.engine
-                    .cache
-                    .checkout(&config.machine, config.setup, config.seed)
-            }
-            BootMode::Cold => build_system(config.machine.clone(), config.setup, config.seed),
-        };
+        let (hv, layout) = self
+            .engine
+            .cache
+            .checkout(&config.machine, config.setup, config.seed);
         let setup = elapsed_nanos(started);
         let mut lap = Instant::now();
         let mut results = Vec::with_capacity(cells.len());
@@ -942,7 +857,6 @@ mod tests {
     use crate::boot_cache::BootCache;
     use crate::coverage::{run_sampled_campaign_in, SampledCampaign, SamplingMode};
     use crate::setup::{BenchKind, SetupKind};
-    use crate::spec::StopPolicy;
     use crate::trial::run_trial_with;
     use nlh_core::MechanismSpec;
     use nlh_hv::HandlerKind;
@@ -975,34 +889,22 @@ mod tests {
         snapshots.iter().map(clear).collect()
     }
 
-    /// A sharded cell as the reference path computes it: a checkout (or a
-    /// cold boot) and `run_trial_with` per trial, folded in seed order up
-    /// to the first trial at which the stop policy is reached. Returns the
-    /// per-trial results and the stop trial.
-    fn sharded_reference(spec: &CampaignSpec) -> (Vec<TrialResult>, Option<u64>) {
+    /// A sharded cell's per-trial results as the reference path computes
+    /// them: a checkout and `run_trial_with` per trial.
+    fn sharded_reference(spec: &CampaignSpec) -> Vec<TrialResult> {
         let cache = BootCache::new();
         let mechanism = spec.mechanism.build();
-        let mut shard = Shard::new(spec.mechanism.name());
-        let mut trials = Vec::new();
-        for i in 0..spec.trials {
-            let config = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
-            let (hv, layout) = match spec.boot {
-                BootMode::Warm => cache.checkout(&config.machine, config.setup, config.seed),
-                BootMode::Cold => build_system(config.machine.clone(), config.setup, config.seed),
-            };
-            let opts = TrialRunOptions::default();
-            let (result, _, _) = run_trial_with(hv, &layout, &config, mechanism.as_ref(), opts);
-            shard.add(&result);
-            trials.push(result);
-            if spec.stop.reached(shard.counts()) {
-                return (trials, Some(i + 1));
-            }
-        }
-        (trials, None)
+        (0..spec.trials)
+            .map(|i| {
+                let config = TrialConfig::new(spec.setup, spec.fault, spec.seed + i);
+                let (hv, layout) = cache.checkout(&config.machine, config.setup, config.seed);
+                let opts = TrialRunOptions::default();
+                run_trial_with(hv, &layout, &config, mechanism.as_ref(), opts).0
+            })
+            .collect()
     }
 
-    /// A sampled cell as `run_sampled_campaign_in` computes it, stopped at
-    /// the first trial at which the stop policy is reached.
+    /// A sampled cell as `run_sampled_campaign_in` computes it.
     fn sampled_reference(spec: &CampaignSpec) -> SampledCampaign {
         let ExecMode::Sampled {
             windows,
@@ -1025,7 +927,7 @@ mod tests {
             sampling,
             steer_handler,
             depth_cycle,
-            &mut |_, detected, successes| spec.stop.reached((detected, successes)),
+            &mut |_, _, _| false,
         )
     }
 
@@ -1043,39 +945,20 @@ mod tests {
     }
 
     /// One stretch on 1, 3 and 4 workers, mixing every kind of group: a
-    /// sharded rung group at confidence, a lone sharded cell at confidence,
-    /// a sharded group with a snapshot cadence, a cold-boot sharded cell, a
-    /// steered sampled group with a member that stops, and a lone sampled
+    /// sharded rung group with a snapshot cadence, a sharded pair that
+    /// differs in budget and cadence, a steered sampled group whose members
+    /// differ in fault, mechanism, budget and cadence, and a lone sampled
     /// cell (its mechanism logs differently, so it joins no group). Each
-    /// cell must equal the reference path: per-trial results and stop trial
-    /// for a sharded cell, and results, coverage map and first-failure
-    /// record for a sampled one. The snapshot sequence, wall time aside,
-    /// must not depend on the worker count, and no more than one open
-    /// trial may ever wait with unforked cells.
-    ///
-    /// The stops pin the check-boundary fence. In the rung group one member
-    /// stops between check boundaries and the other runs on past that
-    /// batch and stops on a boundary, so only the fence keeps the group
-    /// from checking out trials past it. The lone cell stops two or more
-    /// trials before its batch ends, so the rest of its batch runs after
-    /// the stop. A stopped member counts its whole batch's checkouts, and
-    /// the stretch checks out one system per trial of each group.
+    /// cell must equal the reference path: per-trial results for a sharded
+    /// cell, and results, coverage map and first-failure record for a
+    /// sampled one. The snapshot sequence, wall time aside, must not depend
+    /// on the worker count, and no more than one open trial may ever wait
+    /// with unforked cells. Each cell counts one checkout per trial of its
+    /// budget, and the stretch checks out one system per trial of each
+    /// group's largest budget.
     #[test]
     fn stretch_on_any_worker_count_equals_the_reference_path() {
-        let stopping = |name: &str, mechanism: &str, check_every: u64| {
-            let mut spec = sharded(name, FaultType::Code, mechanism, 40);
-            spec.stop = StopPolicy::AtConfidence {
-                halfwidth: 0.2,
-                min_detected: 5,
-                check_every,
-            };
-            spec
-        };
-        let mut specs = vec![
-            stopping("stop-later", "Rung(SchedConsistency)", 5),
-            stopping("stop", "NiLiHype", 5),
-            stopping("stop-alone", "NiLiHype", 8),
-        ];
+        let mut specs = Vec::new();
         for (name, mechanism) in [
             ("every-a", "Rung(SchedConsistency)"),
             ("every-b", "NiLiHype"),
@@ -1084,27 +967,27 @@ mod tests {
             spec.snapshot_every = 2;
             specs.push(spec);
         }
-        let mut cold = sharded("cold", FaultType::Failstop, "NiLiHype", 2);
-        cold.boot = BootMode::Cold;
-        specs.push(cold);
+        // One setup, seed and OpSupport, but two budgets and cadences: a
+        // group whose second member leaves after its third trial.
+        let mut long = sharded("budget-5", FaultType::Code, "NiLiHype", 5);
+        long.seed = 7;
+        long.snapshot_every = 2;
+        specs.push(long);
+        let mut short = sharded("budget-3", FaultType::Failstop, "Rung(SchedConsistency)", 3);
+        short.seed = 7;
+        specs.push(short);
         let no_repair = "Rung(ReactivateTimerEvents)";
         let repair = "Rung(VirtqueueConsistency)";
         let mut every = steered("failstop-every", FaultType::Failstop, repair, 6);
         every.snapshot_every = 2;
         specs.push(every);
-        let mut stop = steered("code-stop", FaultType::Code, no_repair, 8);
-        stop.stop = StopPolicy::AtConfidence {
-            halfwidth: 0.45,
-            min_detected: 2,
-            check_every: 1,
-        };
-        specs.push(stop);
+        specs.push(steered("code", FaultType::Code, no_repair, 8));
         specs.push(steered("register", FaultType::Register, repair, 5));
         specs.push(steered("lone", FaultType::Failstop, "Rung(Basic)", 3));
         let specs: Vec<&CampaignSpec> = specs.iter().collect();
-        let (sharded_specs, sampled_specs) = specs.split_at(6);
+        let (sharded_specs, sampled_specs) = specs.split_at(4);
 
-        let sharded_want: Vec<(Vec<TrialResult>, Option<u64>)> = sharded_specs
+        let sharded_want: Vec<Vec<TrialResult>> = sharded_specs
             .iter()
             .map(|spec| sharded_reference(spec))
             .collect();
@@ -1112,56 +995,25 @@ mod tests {
             .iter()
             .map(|spec| sampled_reference(spec))
             .collect();
-        // Trials a sharded cell checks out: to the end of its stop's batch.
-        let checkouts = |c: usize| {
-            let (spec, stop) = (sharded_specs[c], sharded_want[c].1);
-            match (stop, spec.stop.check_every()) {
-                (Some(n), Some(every)) => n.next_multiple_of(every).min(spec.trials),
-                _ => spec.trials,
-            }
-        };
-        let stops: Vec<u64> = sharded_want[..3]
-            .iter()
-            .map(|(_, stop)| stop.expect("the cells at confidence stop"))
-            .collect();
-        assert!(
-            !stops[1].is_multiple_of(5)
-                && stops[0] > checkouts(1)
-                && stops[0].is_multiple_of(5)
-                && checkouts(2) - stops[2] >= 2,
-            "stops at {stops:?}"
-        );
-        assert!(
-            sampled_want[1].trials < 8,
-            "the sampled member stops partway"
-        );
-        // One real checkout per trial of each group: the rung group up to
-        // its last batch end, the sampled group as far as its longest-running
-        // member needs; the cold cell checks nothing out.
-        let real_checkouts = checkouts(0).max(checkouts(1))
-            + checkouts(2)
-            + checkouts(3)
-            + sampled_want[..3].iter().map(|s| s.trials).max().unwrap()
-            + sampled_want[3].trials;
+        // One real checkout per trial of each group's largest budget.
+        let real_checkouts = 5 + 5 + 8 + 3;
 
         let mut first_snapshots = None;
         for workers in [1, 3, 4] {
             let engine = CampaignEngine::new();
             let mut sink = MemorySink::default();
             let (cells, peak) = engine.run_stretch(&specs, workers, &mut sink);
-            for (c, (trials, stopped_at)) in sharded_want.iter().enumerate() {
-                let (cell, spec) = (&cells[c], sharded_specs[c]);
+            for ((cell, spec), trials) in cells.iter().zip(sharded_specs).zip(&sharded_want) {
                 let label = format!("{workers} workers, {}", spec.name);
                 assert_eq!(&cell.per_trial, trials, "{label}");
-                assert_eq!(cell.stopped_at, *stopped_at, "{label}");
-                let want = match spec.boot {
-                    BootMode::Warm => checkouts(c),
-                    BootMode::Cold => 0,
-                };
                 let counters = cell.cache;
-                assert_eq!(counters.hits + counters.misses, want, "{label}: checkouts");
+                assert_eq!(
+                    counters.hits + counters.misses,
+                    spec.trials,
+                    "{label}: checkouts"
+                );
             }
-            for ((cell, spec), want) in cells[6..].iter().zip(sampled_specs).zip(&sampled_want) {
+            for ((cell, spec), want) in cells[4..].iter().zip(sampled_specs).zip(&sampled_want) {
                 let label = format!("{workers} workers, {}", spec.name);
                 let got = cell.sampled().expect("a sampled cell");
                 assert_eq!(
@@ -1169,8 +1021,6 @@ mod tests {
                     sampled_fingerprint(want),
                     "{label}"
                 );
-                let stopped_at = (want.trials < spec.trials).then_some(want.trials);
-                assert_eq!(cell.stopped_at, stopped_at, "{label}");
             }
             let real = engine.cache().counters();
             assert_eq!(

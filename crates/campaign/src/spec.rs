@@ -1,7 +1,7 @@
 //! Campaign specifications: the data form of "run this campaign".
 //!
 //! A [`CampaignSpec`] captures everything a campaign needs — setup, fault,
-//! trial budget, mechanism, execution mode, stop policy — as plain data,
+//! trial budget, seed, mechanism, execution mode — as plain data,
 //! so whole experiment suites can be expressed as a [`SuiteSpec`] job
 //! graph and submitted to the resident [`crate::CampaignEngine`] instead
 //! of hand-rolling loops in every experiment binary. Specs parse from a
@@ -14,7 +14,6 @@
 use nlh_core::MechanismSpec;
 use nlh_hv::HandlerKind;
 use nlh_inject::FaultType;
-use nlh_sim::stats::Proportion;
 
 use crate::campaign::BootMode;
 use crate::coverage::SamplingMode;
@@ -42,54 +41,14 @@ pub enum ExecMode {
     },
 }
 
-/// When a cell stops running trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// When a cell stops running trials. Every cell runs its whole budget;
+/// the one-variant enum stays because `campaign_bench` names
+/// [`StopPolicy::FixedTrials`] when it checks a workload's manifest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopPolicy {
     /// Run exactly `trials` trials — the deterministic mode every golden
     /// test runs under.
     FixedTrials,
-    /// Halt the cell at the first trial count where the recovery rate's
-    /// 95% Wilson half-width is at or below `halfwidth` (with at least
-    /// `min_detected` detections backing the estimate). Deterministic for
-    /// a fixed seed: the stop trial depends only on the seed-ordered
-    /// trial outcomes, never on shard interleaving — the engine checks
-    /// the crossing on the seed-ordered prefix.
-    AtConfidence {
-        /// Wilson half-width threshold, in proportion units (e.g. `0.02`
-        /// for the paper's ±2%).
-        halfwidth: f64,
-        /// Minimum detections before the threshold may fire.
-        min_detected: u64,
-        /// Trials per parallel batch between crossing checks (also the
-        /// streaming-snapshot cadence). Clamped to at least 1.
-        check_every: u64,
-    },
-}
-
-impl StopPolicy {
-    /// Trials between stop checks, if the policy can stop a cell.
-    pub(crate) fn check_every(self) -> Option<u64> {
-        match self {
-            StopPolicy::AtConfidence { check_every, .. } => Some(check_every.max(1)),
-            StopPolicy::FixedTrials => None,
-        }
-    }
-
-    /// Whether a cell stops once its seed-ordered prefix counts
-    /// `(detected, successes)`.
-    pub(crate) fn reached(self, (detected, successes): (u64, u64)) -> bool {
-        match self {
-            StopPolicy::FixedTrials => false,
-            StopPolicy::AtConfidence {
-                halfwidth,
-                min_detected,
-                ..
-            } => {
-                detected >= min_detected
-                    && Proportion::new(successes, detected).wilson_halfwidth_95() <= halfwidth
-            }
-        }
-    }
 }
 
 /// One campaign cell, as data.
@@ -101,8 +60,7 @@ pub struct CampaignSpec {
     pub setup: SetupKind,
     /// Fault type to inject.
     pub fault: FaultType,
-    /// Trial budget (the exact count under [`StopPolicy::FixedTrials`],
-    /// the cap under [`StopPolicy::AtConfidence`]).
+    /// Trial budget: the cell runs exactly this many trials.
     pub trials: u64,
     /// Base seed; trial `i` uses `seed + i`.
     pub seed: u64,
@@ -110,15 +68,15 @@ pub struct CampaignSpec {
     pub mechanism: MechanismSpec,
     /// Parallel-sharded or sequential-sampled execution.
     pub mode: ExecMode,
-    /// Warm-start from the engine's shared boot cache, or cold-boot every
-    /// trial (the validation escape hatch).
+    /// How trials get their booted system: always
+    /// [`BootMode::Warm`], a checkout from the engine's shared boot cache.
+    /// The field stays because `campaign_bench` checks it.
     pub boot: BootMode,
-    /// Stop policy.
+    /// Stop policy: always [`StopPolicy::FixedTrials`]. The field stays
+    /// because `campaign_bench` checks it.
     pub stop: StopPolicy,
-    /// Emit a streaming telemetry snapshot every this many trials under
-    /// [`StopPolicy::FixedTrials`] (`0` = only the final snapshot).
-    /// [`StopPolicy::AtConfidence`] snapshots at its own `check_every`
-    /// cadence instead.
+    /// Emit a streaming telemetry snapshot every this many trials (`0` =
+    /// only the final snapshot).
     pub snapshot_every: u64,
 }
 
@@ -283,10 +241,6 @@ struct ManifestJob {
     sampling: SamplingMode,
     steer_handler: Option<HandlerKind>,
     depth_cycle: u64,
-    boot: BootMode,
-    stop_halfwidth: Option<f64>,
-    stop_min_detected: u64,
-    stop_check_every: u64,
     snapshot_every: u64,
     after: Vec<String>,
 }
@@ -305,10 +259,6 @@ impl ManifestJob {
             sampling: SamplingMode::CoverageGuided,
             steer_handler: None,
             depth_cycle: 1,
-            boot: BootMode::Warm,
-            stop_halfwidth: None,
-            stop_min_detected: 20,
-            stop_check_every: 32,
             snapshot_every: 0,
             after: Vec::new(),
         }
@@ -340,28 +290,11 @@ impl ManifestJob {
                     Some(HandlerKind::from_name(value).ok_or_else(|| bad("handler"))?)
             }
             "depth-cycle" => self.depth_cycle = value.parse().map_err(|_| bad("integer"))?,
-            "boot" => match value {
-                "warm" => self.boot = BootMode::Warm,
-                "cold" => self.boot = BootMode::Cold,
-                _ => return Err(bad("boot (warm|cold)")),
-            },
-            "stop-halfwidth" => {
-                self.stop_halfwidth = Some(value.parse().map_err(|_| bad("number"))?)
-            }
-            "stop-min-detected" => {
-                self.stop_min_detected = value.parse().map_err(|_| bad("integer"))?
-            }
-            "stop-check-every" => {
-                self.stop_check_every = value.parse().map_err(|_| bad("integer"))?
-            }
             "snapshot-every" => self.snapshot_every = value.parse().map_err(|_| bad("integer"))?,
             "after" => self
                 .after
                 .extend(value.split(',').map(|s| s.trim().to_string())),
             _ => return Err("unknown key".into()),
-        }
-        if self.sampled && self.boot == BootMode::Cold {
-            return Err("sampled jobs always warm-start; boot = cold is not supported".into());
         }
         Ok(())
     }
@@ -391,15 +324,8 @@ impl ManifestJob {
             } else {
                 ExecMode::Sharded
             },
-            boot: self.boot,
-            stop: match self.stop_halfwidth {
-                Some(halfwidth) => StopPolicy::AtConfidence {
-                    halfwidth,
-                    min_detected: self.stop_min_detected,
-                    check_every: self.stop_check_every,
-                },
-                None => StopPolicy::FixedTrials,
-            },
+            boot: BootMode::Warm,
+            stop: StopPolicy::FixedTrials,
             snapshot_every: self.snapshot_every,
         };
         Ok(JobSpec {
@@ -478,34 +404,26 @@ after = off
     }
 
     #[test]
-    fn manifest_stop_policy_and_defaults() {
+    fn manifest_defaults() {
         let text = "
 [job cell]
 setup = OneAppVm(UnixBench)
 fault = Register
 trials = 100
-stop-halfwidth = 0.05
-stop-min-detected = 5
-stop-check-every = 10
 ";
         let suite = SuiteSpec::parse(text).unwrap();
-        let spec = &suite.jobs[0].spec;
-        assert_eq!(spec.seed, 2018, "default seed");
+        let job = &suite.jobs[0];
+        // Seed 2018, NiLiHype, sharded, no snapshot cadence.
         assert_eq!(
-            spec.mechanism,
-            MechanismSpec::nilihype(),
-            "default mechanism"
+            job.spec,
+            CampaignSpec::new(
+                "cell",
+                SetupKind::OneAppVm(BenchKind::UnixBench),
+                FaultType::Register,
+                100
+            )
         );
-        assert_eq!(spec.mode, ExecMode::Sharded, "default mode");
-        assert_eq!(spec.boot, BootMode::Warm, "default boot");
-        assert_eq!(
-            spec.stop,
-            StopPolicy::AtConfidence {
-                halfwidth: 0.05,
-                min_detected: 5,
-                check_every: 10
-            }
-        );
+        assert!(job.after.is_empty(), "no dependencies");
     }
 
     #[test]
@@ -537,13 +455,15 @@ stop-check-every = 10
             "windows > MAX_TRIGGER_OPS"
         );
         assert!(SuiteSpec::parse(&sampled("2000")).is_ok());
-        // Sampled cells always warm-start, whichever key comes last.
-        let cold_sampled = "[job a]\nsetup = ThreeAppVm\nfault = Code\ntrials = 1\n\
-                            boot = cold\nmode = sampled";
-        let err = SuiteSpec::parse(cold_sampled).unwrap_err();
-        assert!(err.starts_with("manifest line 6: mode:"), "{err}");
-        let sampled_cold = "[job a]\nmode = sampled\nboot = cold";
-        let err = SuiteSpec::parse(sampled_cold).unwrap_err();
-        assert!(err.starts_with("manifest line 3: boot:"), "{err}");
+        // A key outside the documented list is an error naming its line.
+        for key in ["boot = cold", "stop-halfwidth = 0.1"] {
+            let text = format!("[job a]\nsetup = ThreeAppVm\nfault = Code\ntrials = 1\n{key}");
+            let name = key.split(' ').next().unwrap();
+            assert_eq!(
+                SuiteSpec::parse(&text),
+                Err(format!("manifest line 5: {name}: unknown key")),
+                "{key}"
+            );
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Streaming campaign telemetry: incremental per-cell snapshots.
 //!
 //! The resident [`crate::CampaignEngine`] emits a [`CampaignSnapshot`]
-//! after every batch (and once at cell completion) to a caller-supplied
-//! [`TelemetrySink`], so a long suite shows its recovery-rate estimates
+//! every [`crate::CampaignSpec::snapshot_every`] trials (and once at cell
+//! completion) to a caller-supplied [`TelemetrySink`], so a long suite shows its recovery-rate estimates
 //! and Wilson intervals tightening live instead of going silent until the
 //! end. Snapshots are derived state — dropping them never changes a
 //! campaign's result, which is what keeps the streaming path golden-safe.
@@ -26,17 +26,13 @@ pub struct CampaignSnapshot {
     pub successes: u64,
     /// `true` once the cell has finished (final snapshot).
     pub done: bool,
-    /// `Some(n)` if the stop-at-confidence policy halted the cell after
-    /// exactly `n` trials.
-    pub stopped_at: Option<u64>,
     /// Boot-cache activity attributable to this cell so far (counter
     /// deltas since the cell started; gauges are current values).
     pub cache: CacheCounters,
-    /// Wall-clock seconds since the cell started. A cell that shares its
-    /// trials with siblings reports its share of their time instead: of
-    /// the group's elapsed time in proportion to its busy time (sharded
-    /// siblings), or the host time spent on its own trials (sampled
-    /// siblings).
+    /// The cell's share of wall-clock time: the seconds its stretch of
+    /// cells has run so far times the cell's share of the host time its
+    /// workers spent on them. The final snapshots of a stretch split what
+    /// earlier ones left, so they sum to at most the stretch's time.
     pub wall_secs: f64,
 }
 
@@ -56,15 +52,7 @@ impl CampaignSnapshot {
     pub fn render_line(&self) -> String {
         let p = self.recovery();
         let (lo, hi) = p.wilson_95();
-        let mark = if self.done {
-            if self.stopped_at.is_some() {
-                " [stopped at confidence]"
-            } else {
-                " [done]"
-            }
-        } else {
-            ""
-        };
+        let mark = if self.done { " [done]" } else { "" };
         format!(
             "{}: {}/{} trials, {}/{} recovered, {:.1}% [{:.1}%, {:.1}%]{}",
             self.job,
@@ -122,7 +110,6 @@ mod tests {
             detected,
             successes,
             done: false,
-            stopped_at: None,
             cache: CacheCounters::default(),
             wall_secs: 0.0,
         }

@@ -1,27 +1,23 @@
 //! Engine determinism: the resident campaign engine is a pure
 //! orchestration layer.
 //!
-//! The [`CampaignEngine`] shares one boot cache across campaigns, executes
-//! in batches, folds results seed-ordered, and optionally stops cells at a
-//! confidence threshold — none of which may change what any trial
-//! computes. These tests pin that claim for every `SetupKind` family at
-//! fixed seeds (each engine trial equals a standalone cold-boot trial),
-//! by property over random sampled specs (a cell's result does not depend
-//! on what the shared cache served before it), and for the
-//! stop-at-confidence policy (a stopped cell must equal a fixed-trials run
-//! of exactly the stop length). A suite whose independent sampled cells run
-//! concurrently, or whose sibling sharded cells share each trial's run up
-//! to its first detection, must report exactly what running its cells one
-//! by one reports.
+//! The [`CampaignEngine`] shares one boot cache across campaigns, runs
+//! trials on any free worker and folds results seed-ordered — none of
+//! which may change what any trial computes. These tests pin that claim
+//! for every `SetupKind` family at fixed seeds (each engine trial equals a
+//! standalone cold-boot trial) and by property over random sampled specs
+//! (a cell's result does not depend on what the shared cache served before
+//! it). A suite whose independent sampled cells run concurrently, or whose
+//! sibling sharded cells share each trial's run up to its first detection,
+//! must report exactly what running its cells one by one reports.
 
 use std::time::Instant;
 
 use nlh_campaign::{
     build_system, run_sampled_campaign_in, run_trial_group, run_trial_with, BenchKind, BootCache,
-    BootMode, CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput,
-    CellResult, ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode,
-    SetupKind, Sibling, StopPolicy, SuiteSpec, TrialClass, TrialConfig, TrialResult,
-    TrialRunOptions,
+    CampaignEngine, CampaignResult, CampaignSnapshot, CampaignSpec, CellOutput, CellResult,
+    ExecMode, MechanismSpec, MemorySink, NullSink, SampledCampaign, SamplingMode, SetupKind,
+    Sibling, SuiteSpec, TrialClass, TrialConfig, TrialResult, TrialRunOptions,
 };
 use nlh_core::{LadderRung, RecoveryMechanism};
 use nlh_hv::HandlerKind;
@@ -101,21 +97,20 @@ fn assert_aggregates_trials(r: &CampaignResult, trials: &[TrialResult], label: &
     );
 }
 
-/// Every `SetupKind` family, fixed seeds, a spread of mechanisms and both
-/// boot modes: each engine trial equals a standalone cold-boot trial of
-/// that seed (`build_system` + `run_trial_with`), and the cell's aggregate
-/// is exactly the fold of those trials.
+/// Every `SetupKind` family, fixed seeds and a spread of mechanisms: each
+/// engine trial, warm-started from the shared cache, equals a standalone
+/// cold-boot trial of that seed (`build_system` + `run_trial_with`), and
+/// the cell's aggregate is exactly the fold of those trials.
 #[test]
 fn engine_trials_equal_cold_trials_for_every_setup_family() {
     let engine = CampaignEngine::new();
-    let cells: [(SetupKind, FaultType, u64, u64, MechanismSpec, BootMode); 7] = [
+    let cells: [(SetupKind, FaultType, u64, u64, MechanismSpec); 7] = [
         (
             SetupKind::OneAppVm(BenchKind::UnixBench),
             FaultType::Failstop,
             10,
             2018,
             MechanismSpec::nilihype(),
-            BootMode::Warm,
         ),
         (
             SetupKind::OneAppVm(BenchKind::VirtioBlkBench),
@@ -123,7 +118,6 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             8,
             41,
             MechanismSpec::rung(LadderRung::SchedConsistency),
-            BootMode::Warm,
         ),
         (
             SetupKind::ThreeAppVm,
@@ -131,7 +125,6 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             8,
             77,
             MechanismSpec::rehype(),
-            BootMode::Warm,
         ),
         (
             SetupKind::TwoAppVmSharedCpu,
@@ -139,7 +132,6 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             8,
             99,
             MechanismSpec::nilihype(),
-            BootMode::Cold,
         ),
         (
             SetupKind::TwoAppVmVswitch,
@@ -147,7 +139,6 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             6,
             2018,
             MechanismSpec::nilihype(),
-            BootMode::Warm,
         ),
         (
             SetupKind::Overcommit(2),
@@ -155,7 +146,6 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             6,
             7,
             MechanismSpec::parse("NiLiHype-NoSchedFix").unwrap(),
-            BootMode::Warm,
         ),
         (
             SetupKind::Overcommit(4),
@@ -163,16 +153,14 @@ fn engine_trials_equal_cold_trials_for_every_setup_family() {
             6,
             11,
             MechanismSpec::nilihype(),
-            BootMode::Cold,
         ),
     ];
-    for (setup, fault, trials, seed, mechanism, boot) in cells {
+    for (setup, fault, trials, seed, mechanism) in cells {
         let mut spec = CampaignSpec::new(format!("{setup:?}"), setup, fault, trials);
         spec.seed = seed;
         spec.mechanism = mechanism;
-        spec.boot = boot;
         let cell = engine.run_spec(&spec, &mut NullSink);
-        let label = format!("{setup:?}/{fault}/{}/{boot:?}", mechanism.name());
+        let label = format!("{setup:?}/{fault}/{}", mechanism.name());
         let r = cell.sharded().unwrap();
         let mech = spec.mechanism.build();
         assert_eq!(r.mechanism, mech.name(), "{label}: mechanism");
@@ -240,69 +228,6 @@ fn shared_cache_reuse_is_observable_and_rng_isolated() {
     assert_eq!(a_second.cache.misses, 0, "A reused B's template");
 }
 
-/// Stop-at-confidence: deterministic, golden-pinned stop trial, and the
-/// stopped cell is bit-identical to a fixed-trials run of that length.
-#[test]
-fn stop_at_confidence_is_deterministic_and_prefix_exact() {
-    let setup = SetupKind::OneAppVm(BenchKind::UnixBench);
-    let mut spec = CampaignSpec::new("stop", setup, FaultType::Failstop, 60);
-    spec.seed = 2018;
-    spec.stop = StopPolicy::AtConfidence {
-        halfwidth: 0.11,
-        min_detected: 10,
-        check_every: 7,
-    };
-
-    let engine = CampaignEngine::new();
-    let mut sink = MemorySink::default();
-    let first = engine.run_spec(&spec, &mut sink);
-    let second = CampaignEngine::new().run_spec(&spec, &mut NullSink);
-
-    // Golden: with seed 2018 the Wilson half-width of the seed-ordered
-    // prefix first crosses 0.11 after exactly this many trials. Update
-    // only on intentional behaviour changes (the assertion message
-    // carries the actual).
-    const GOLDEN_STOP_TRIAL: u64 = 14;
-    assert_eq!(
-        first.stopped_at,
-        Some(GOLDEN_STOP_TRIAL),
-        "stop trial drifted (executed {} trials)",
-        first.executed
-    );
-    assert_eq!(
-        second.stopped_at, first.stopped_at,
-        "stop must be deterministic"
-    );
-    assert_eq!(first.executed, GOLDEN_STOP_TRIAL);
-    assert_campaigns_equal(
-        first.sharded().unwrap(),
-        second.sharded().unwrap(),
-        "two stopped runs",
-    );
-    assert_eq!(first.per_trial, second.per_trial);
-
-    // The stopped cell equals a fixed-trials cell of exactly the stop
-    // length — the batch executor discards the overshoot bit-exactly.
-    let mut fixed = spec.clone();
-    fixed.trials = GOLDEN_STOP_TRIAL;
-    fixed.stop = StopPolicy::FixedTrials;
-    let fixed_cell = CampaignEngine::new().run_spec(&fixed, &mut NullSink);
-    assert_campaigns_equal(
-        first.sharded().unwrap(),
-        fixed_cell.sharded().unwrap(),
-        "stopped vs fixed-trials prefix",
-    );
-    assert_eq!(first.per_trial, fixed_cell.per_trial);
-
-    // The final snapshot records the stop; its CI is at or under the
-    // threshold, and the cell reports exactly the prefix's counts.
-    let last = sink.snapshots.last().unwrap();
-    assert!(last.done);
-    assert_eq!(last.stopped_at, Some(GOLDEN_STOP_TRIAL));
-    assert!(last.halfwidth() <= 0.11, "halfwidth {}", last.halfwidth());
-    assert!(last.detected >= 10);
-}
-
 fn sampled_spec(
     name: &str,
     setup: SetupKind,
@@ -335,7 +260,6 @@ fn without_wall(snapshots: &[CampaignSnapshot]) -> Vec<CampaignSnapshot> {
 
 fn assert_cells_equal(a: &CellResult, b: &CellResult, label: &str) {
     assert_eq!(a.executed, b.executed, "{label}: executed");
-    assert_eq!(a.stopped_at, b.stopped_at, "{label}: stopped_at");
     assert_eq!(a.cache, b.cache, "{label}: cache counters");
     assert_eq!(a.per_trial, b.per_trial, "{label}: per-trial results");
     match (&a.output, &b.output) {
@@ -347,8 +271,8 @@ fn assert_cells_equal(a: &CellResult, b: &CellResult, label: &str) {
 
 /// A suite that mixes sharded and sampled cells, with an `after` edge
 /// that splits two sampled stretches, sampled cells sharing a template
-/// nobody has built yet, a new template inside a concurrent group, and a
-/// sampled cell that stops at confidence. `run_suite` (which runs each
+/// nobody has built yet, and a new template inside a concurrent group.
+/// `run_suite` (which runs each
 /// stretch of independent sampled cells concurrently) must report exactly
 /// what running the cells one by one in suite order on a fresh engine
 /// reports: outcomes in order, results, coverage maps, per-cell cache
@@ -383,19 +307,13 @@ fn concurrent_suite_equals_cells_run_one_by_one() {
     let mut sharded = CampaignSpec::new("sharded", one, FaultType::Failstop, 6);
     sharded.snapshot_every = 3;
     suite.push(sharded);
-    let mut stopping = sampled_spec(
-        "overcommit-stop",
+    suite.push(sampled_spec(
+        "overcommit",
         SetupKind::Overcommit(2),
         FaultType::Failstop,
-        12,
+        6,
         Some(HandlerKind::Scheduler),
-    );
-    stopping.stop = StopPolicy::AtConfidence {
-        halfwidth: 0.45,
-        min_detected: 3,
-        check_every: 1,
-    };
-    suite.push(stopping);
+    ));
     suite.push(sampled_spec(
         "three",
         SetupKind::ThreeAppVm,
@@ -410,8 +328,7 @@ fn concurrent_suite_equals_cells_run_one_by_one() {
         .expect("valid suite");
 
     // Suite order is submission order here; groups are {vswitch-a,
-    // vswitch-b, vswitch-c}, {after-a}, {sharded}, {overcommit-stop,
-    // three}.
+    // vswitch-b, vswitch-c}, {after-a}, {sharded}, {overcommit}, {three}.
     let one_by_one = CampaignEngine::new();
     let mut sequential_sink = MemorySink::default();
     let names: Vec<&str> = concurrent.iter().map(|o| o.name.as_str()).collect();
@@ -442,18 +359,10 @@ fn concurrent_suite_equals_cells_run_one_by_one() {
     );
     assert_eq!(
         (
-            cache("overcommit-stop").resident_templates,
+            cache("overcommit").resident_templates,
             cache("three").resident_templates
         ),
         (3, 4)
-    );
-    let stopped = concurrent
-        .iter()
-        .find(|o| o.name == "overcommit-stop")
-        .unwrap();
-    assert!(
-        stopped.cell.stopped_at.is_some(),
-        "the stopping cell stops early"
     );
 }
 
@@ -469,18 +378,17 @@ fn rung_cell(name: &str, fault: FaultType, trials: u64, mechanism: &str) -> Camp
     spec
 }
 
-/// Sibling groups: consecutive sharded cells with equal trial inputs and
-/// one `OpSupport` run each trial once up to its first detection. The
-/// suite holds the eight ladder rungs of `suite.manifest` (two groups:
+/// Sibling groups: consecutive sharded cells with one setup, seed and
+/// `OpSupport` run each trial once up to its first detection. The suite
+/// holds the eight ladder rungs of `suite.manifest` (two groups:
 /// `Basic`/`ClearIrqCount`, whose undo logging is off, and the six rungs
 /// from `ReHypeMechanisms` up), a Register-fault pair whose non-manifested
-/// trials are shared whole, a stop-at-confidence pair that stops at
-/// different trials, a cold-boot pair, a snapshot-cadence pair, and a pair
-/// that differs only in its trial budget. `run_suite` must report exactly
-/// what running each cell alone reports: results, per-trial results, stop
-/// trials, cache counters and every snapshot but its wall time. The
-/// suite's real checkouts show which cells grouped, and the cells' final
-/// wall times must not add up to more than the suite took.
+/// trials are shared whole, a snapshot-cadence pair, and a pair that
+/// differs only in its trial budget. `run_suite` must report exactly what
+/// running each cell alone reports: results, per-trial results, cache
+/// counters and every snapshot but its wall time. The suite's real
+/// checkouts show which cells grouped, and the cells' final wall times
+/// must not add up to more than the suite took.
 #[test]
 fn sibling_groups_equal_cells_run_one_by_one() {
     let manifest = include_str!("../../experiments/manifests/suite.manifest");
@@ -497,20 +405,6 @@ fn sibling_groups_equal_cells_run_one_by_one() {
     for (i, mech) in register.iter().enumerate() {
         let mut spec = rung_cell(&format!("register-{i}"), FaultType::Register, 6, mech);
         spec.seed = 5;
-        suite.push(spec);
-    }
-    for (i, mech) in ["Rung(ReHypeMechanisms)", "NiLiHype"].iter().enumerate() {
-        let mut spec = rung_cell(&format!("stop-{i}"), FaultType::Failstop, 30, mech);
-        spec.stop = StopPolicy::AtConfidence {
-            halfwidth: 0.2,
-            min_detected: 5,
-            check_every: 4,
-        };
-        suite.push(spec);
-    }
-    for (i, mech) in ["Rung(Basic)", "Rung(ClearIrqCount)"].iter().enumerate() {
-        let mut spec = rung_cell(&format!("cold-{i}"), FaultType::Failstop, 2, mech);
-        spec.boot = BootMode::Cold;
         suite.push(spec);
     }
     for (i, mech) in ["Rung(SchedConsistency)", "Rung(ReprogramTimer)"]
@@ -556,25 +450,13 @@ fn sibling_groups_equal_cells_run_one_by_one() {
         "snapshot sequence"
     );
 
-    let cell = |name: &str| &grouped.iter().find(|o| o.name == name).unwrap().cell;
-    let (stop_a, stop_b) = (cell("stop-0").stopped_at, cell("stop-1").stopped_at);
-    assert!(
-        stop_a.is_some() && stop_b.is_some() && stop_a != stop_b,
-        "the stopping pair stops at different trials: {stop_a:?} vs {stop_b:?}"
-    );
     // One real checkout per trial of each group: the two ladder groups, the
-    // Register pair, the stopping pair (as long as its longer cell ran),
-    // the cadence pair, and each budget cell on its own. Cold cells check
-    // nothing out.
-    let stop_checkouts = [cell("stop-0"), cell("stop-1")]
-        .map(|c| c.cache.hits + c.cache.misses)
-        .into_iter()
-        .max()
-        .unwrap();
+    // Register pair, the cadence pair, and the budget pair as far as its
+    // longer cell runs.
     let checkouts = engine.cache().counters();
     assert_eq!(
         checkouts.hits + checkouts.misses,
-        4 + 4 + 6 + stop_checkouts + 5 + 3 + 4,
+        4 + 4 + 6 + 5 + 4,
         "real checkouts"
     );
     let final_walls: f64 = grouped_sink
@@ -620,11 +502,10 @@ fn assert_suite_equals_cells_alone(suite: &SuiteSpec) -> u64 {
 /// Sampled sibling groups: steered vswitch cells that differ in fault and
 /// mechanism but share one `OpSupport` run each trial once up to its
 /// arming step and fork it once per cell, each with the window its own
-/// coverage map picks. The group holds a cell that stops at confidence
-/// partway through and one with a snapshot cadence; a cell whose
-/// mechanism logs differently (`Rung(Basic)`) must not join. Every cell
-/// must equal its solo run, and the group checks out one system per
-/// trial.
+/// coverage map picks. The group holds cells of three budgets and one
+/// with a snapshot cadence; a cell whose mechanism logs differently
+/// (`Rung(Basic)`) must not join. Every cell must equal its solo run, and
+/// the group checks out one system per trial of its largest budget.
 #[test]
 fn sampled_group_equals_cells_run_one_by_one() {
     let steered = |name: &str, fault, mechanism: &str, trials| {
@@ -647,23 +528,10 @@ fn sampled_group_equals_cells_run_one_by_one() {
     let mut every = steered("register-every", FaultType::Register, repair, 7);
     every.snapshot_every = 3;
     suite.push(every);
-    let mut stop = steered("code-stop", FaultType::Code, no_repair, 8);
-    stop.stop = StopPolicy::AtConfidence {
-        halfwidth: 0.45,
-        min_detected: 2,
-        check_every: 1,
-    };
-    suite.push(stop);
+    suite.push(steered("code", FaultType::Code, no_repair, 5));
     suite.push(steered("basic", FaultType::Failstop, "Rung(Basic)", 3));
 
     let checkouts = assert_suite_equals_cells_alone(&suite);
-    let alone = CampaignEngine::new()
-        .run_spec(&suite.jobs[3].spec, &mut NullSink)
-        .stopped_at;
-    assert!(
-        alone.is_some_and(|n| n < 8),
-        "the stopping cell stops partway: {alone:?}"
-    );
     assert_eq!(checkouts, 8 + 3, "one checkout per trial of the group");
 }
 

@@ -32,8 +32,7 @@
 //!   undo logging, the page-frame scan, the ReHype port ladder and the
 //!   design space, each configuration named by its mechanism spelling.
 //!
-//! A job whose manifest says `boot = cold` boots every trial from
-//! scratch instead of checking it out of the shared cache.
+//! Every trial warm-starts: it is checked out of the shared cache.
 //!
 //! Bad input — arguments, an unreadable or malformed manifest, a broken
 //! job graph — prints the error and exits with status 2.
@@ -141,7 +140,6 @@ fn json_job(out: &mut String, outcome: &JobOutcome, last: bool) {
     let _ = writeln!(out, "      \"name\": {},", json_str(&outcome.name));
     let _ = writeln!(out, "      \"mode\": \"{mode}\",");
     let _ = writeln!(out, "      \"executed\": {},", cell.executed);
-    let _ = writeln!(out, "      \"stopped_at\": {},", opt(cell.stopped_at));
     let _ = writeln!(out, "      \"detected\": {detected},");
     let _ = writeln!(out, "      \"successes\": {successes},");
     let _ = writeln!(out, "      \"rate\": {:.6},", p.value());
@@ -315,7 +313,6 @@ mod tests {
             cell: CellResult {
                 output: CellOutput::Sampled(Box::new(sampled)),
                 executed: 2,
-                stopped_at: None,
                 cache: CacheCounters::default(),
                 per_trial: Vec::new(),
             },
@@ -356,7 +353,6 @@ mod tests {
             cell: CellResult {
                 output: CellOutput::Sharded(result),
                 executed: 10,
-                stopped_at: None,
                 cache: CacheCounters::default(),
                 per_trial: Vec::new(),
             },

@@ -18,8 +18,7 @@
 //! their own flags (`campaign_server --help` prints its usage; `replay`
 //! prints its usage on an unknown argument).
 //!
-//! Campaigns warm-start every trial from the campaign engine's boot cache;
-//! a manifest job with `boot = cold` boots each of its trials from scratch.
+//! Campaigns warm-start every trial from the campaign engine's boot cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

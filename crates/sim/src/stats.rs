@@ -80,11 +80,9 @@ impl Proportion {
 
     /// Half-width of the 95% Wilson score interval, in proportion units.
     ///
-    /// This is the quantity the campaign engine's stop-at-confidence policy
-    /// watches: a cell halts once the half-width falls at or below the
-    /// configured threshold. Zero trials report the maximally uninformative
-    /// half-width of `0.5` (the full `[0, 1]` interval), so an empty cell
-    /// can never satisfy a meaningful threshold.
+    /// Campaign snapshots report it as a cell's interval tightens. Zero
+    /// trials report the maximally uninformative half-width of `0.5` (the
+    /// full `[0, 1]` interval).
     pub fn wilson_halfwidth_95(&self) -> f64 {
         let (lo, hi) = self.wilson_95();
         (hi - lo) / 2.0
