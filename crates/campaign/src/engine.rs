@@ -23,7 +23,7 @@
 //! takes a sharded group's next trial whole: one checkout and one
 //! [`run_trial_group`](crate::run_trial_group), which forks the trial at
 //! its arming step once per injector and at its first detection once per
-//! cell. A sampled group's trials are run to their arming step once and
+//! cell, and runs one post-recovery run per recovery plan. A sampled group's trials are run to their arming step once and
 //! forked once per cell, each with the window the cell's own coverage map
 //! picks. Each cell folds its trials **seed-ordered**, so its snapshots
 //! count the same prefixes however the trials interleaved across workers.

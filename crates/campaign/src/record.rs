@@ -162,6 +162,16 @@ impl EventRing {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
+
+    /// Appends the events of `other`, a ring that started empty, as if
+    /// each had been pushed here in turn: the evictions `other` made are
+    /// ones this ring would have made too.
+    pub(crate) fn append(&mut self, other: &EventRing) {
+        for e in &other.events {
+            self.push(e.at, e.kind, e.detail.clone());
+        }
+        self.dropped += other.dropped;
+    }
 }
 
 /// Outcome summary stored in a record (enough for a replay to assert

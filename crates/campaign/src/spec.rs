@@ -143,9 +143,7 @@ impl SuiteSpec {
     /// `seed`, `mechanism` (see [`MechanismSpec::parse`]), `mode`
     /// (`sharded`, the default, or `sampled`), `windows`, `sampling`
     /// (`uniform`/`guided`), `steer` (a handler name), `depth-cycle`,
-    /// `boot` (`warm`/`cold`), `stop-halfwidth`, `stop-min-detected`,
-    /// `stop-check-every`, `snapshot-every`, `after` (comma-separated job
-    /// names).
+    /// `snapshot-every`, `after` (comma-separated job names).
     pub fn parse(text: &str) -> Result<SuiteSpec, String> {
         let mut suite = SuiteSpec::default();
         let mut current: Option<ManifestJob> = None;

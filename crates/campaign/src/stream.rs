@@ -42,13 +42,8 @@ impl CampaignSnapshot {
         Proportion::new(self.successes, self.detected)
     }
 
-    /// The 95% Wilson half-width of the recovery-rate estimate.
-    pub fn halfwidth(&self) -> f64 {
-        self.recovery().wilson_halfwidth_95()
-    }
-
-    /// A one-line human rendering (`job: 40/100 trials, 31/38 recovered,
-    /// 81.6% ±9.5%`).
+    /// A one-line human rendering with the Wilson 95% interval (`job:
+    /// 40/100 trials, 31/38 recovered, 81.6% [66.6%, 90.8%]`).
     pub fn render_line(&self) -> String {
         let p = self.recovery();
         let (lo, hi) = p.wilson_95();
@@ -116,12 +111,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_derives_rate_and_halfwidth() {
+    fn snapshot_derives_rate_and_interval() {
         let s = snap(40, 38, 31);
         let p = Proportion::new(31, 38);
         assert_eq!(s.recovery().value(), p.value());
-        assert_eq!(s.halfwidth(), p.wilson_halfwidth_95());
-        assert!(s.render_line().contains("31/38 recovered"));
+        assert!(s
+            .render_line()
+            .contains("31/38 recovered, 81.6% [66.6%, 90.8%]"));
     }
 
     #[test]

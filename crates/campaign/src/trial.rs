@@ -1,10 +1,10 @@
 //! One fault-injection trial (Section VI-C): boot, run, inject, recover,
 //! classify.
 
-use nlh_core::{RecoveryMechanism, RecoveryReport};
+use nlh_core::{RecoveryMechanism, RecoveryPlan, RecoveryReport};
 use nlh_hv::hypercalls::OpSupport;
 use nlh_hv::{CpuId, Hypervisor, MachineConfig, StepOutcome};
-use nlh_inject::{FaultType, InjectionOutcome, Injector};
+use nlh_inject::{FaultType, InjectionOutcome, InjectionPoint, Injector};
 use nlh_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -181,7 +181,8 @@ pub struct Sibling<'a> {
 /// machine and [`OpSupport`](nlh_hv::hypercalls::OpSupport), simulating
 /// the parts they share once.
 ///
-/// The trial forks at two points, so the group runs as a tree:
+/// The trial forks at two points and rejoins at a third, so the group
+/// runs as a tree:
 ///
 /// 1. **The arming step.** Before its counter arms, an injector is only a
 ///    clock marker at `fire_at`, which the trial seed alone draws (ahead
@@ -199,14 +200,25 @@ pub struct Sibling<'a> {
 ///    detection (a non-manifested or SDC fault, an undetected one) is
 ///    shared whole: every sibling gets the same result, and records that
 ///    differ only in the mechanism name.
+/// 3. **The recovered machine.** Every mechanism recovers its own copy of
+///    the detection's machine, so its report, record events and any
+///    recovery error are its own. Mechanisms whose
+///    [`plan`](RecoveryMechanism::plan)s for that machine are equal (and
+///    `Some`) leave the same machine, so only the first of them runs on to
+///    the trial's end; each later one takes over that run's outcome
+///    (class, observations, steps, the events recorded after recovery and
+///    the final machine). On a machine without virtio devices the ladder's
+///    top two rungs share this run.
 ///
 /// The first branch runs on the arming step's machine and the others on
 /// copies of a clone of it; within a branch, every mechanism but the last
-/// runs on a clone of the detection's machine, and the last takes it.
+/// recovers a clone of the detection's machine, and the last takes it.
 /// `done(k, result, record, hv)` receives sibling `k`'s trial as soon as
-/// it finishes, branch by branch; each one equals what
-/// [`run_trial_with`] returns for that sibling alone. Besides the running
-/// copy, at most the arming step's and one detection's machine are alive.
+/// it finishes, branch by branch and in sibling order within a branch;
+/// each one equals what [`run_trial_with`] returns for that sibling
+/// alone. Besides the running copy, at most the arming step's and one
+/// detection's machine are alive, plus one finished run's final machine
+/// per recovery plan that a later mechanism of the branch still waits for.
 ///
 /// # Panics
 ///
@@ -505,6 +517,7 @@ impl<'a> TrialBounds<'a> {
 }
 
 /// Why [`TrialRun::advance`] returned.
+#[derive(Clone)]
 enum Stop {
     /// The first detection, before any recovery: a branch's fork point.
     Detected,
@@ -569,15 +582,7 @@ impl TrialRun {
             .unwrap_or_else(|| self.advance(ctx));
         let (&last, earlier) = members.split_last().expect("a branch has members");
         match stop {
-            Stop::Detected => {
-                for &k in earlier {
-                    let (r, record, hv) =
-                        self.clone().recover_and_finish(siblings[k].mechanism, ctx);
-                    done(k, r, record, hv);
-                }
-                let (r, record, hv) = self.recover_and_finish(siblings[last].mechanism, ctx);
-                done(last, r, record, hv);
-            }
+            Stop::Detected => self.fork_at_detection(siblings, members, ctx, done),
             stop => {
                 let (r, record, hv) = self.finish(stop, ctx);
                 for &k in earlier {
@@ -682,13 +687,58 @@ impl TrialRun {
         }
     }
 
-    /// Recovers from the pending first detection with `mechanism`, then
-    /// runs the trial to its end.
-    fn recover_and_finish(
-        mut self,
-        mechanism: &dyn RecoveryMechanism,
+    /// Finishes the branch of `members` once per member from its first
+    /// detection, handing each trial to `done` in member order.
+    ///
+    /// Every member recovers its own copy of the detection's machine (the
+    /// last member the machine itself), so its recovery report, record
+    /// events and any recovery error are its own. The first member with a
+    /// given [`RecoveryPlan`] runs on to the trial's end; each later member
+    /// with that plan takes over its post-recovery run, which equal plans
+    /// make the same run. That run is kept only while such a member is
+    /// still to come.
+    fn fork_at_detection(
+        self,
+        siblings: &[Sibling<'_>],
+        members: &[usize],
         ctx: &TrialBounds,
-    ) -> (TrialResult, TrialRecord, Hypervisor) {
+        done: &mut impl FnMut(usize, TrialResult, TrialRecord, Hypervisor),
+    ) {
+        let plans: Vec<Option<RecoveryPlan>> = members
+            .iter()
+            .map(|&k| siblings[k].mechanism.plan(&self.hv))
+            .collect();
+        let mut kept: Vec<(RecoveryPlan, PostRecovery)> = Vec::new();
+        let mut detection = Some(self);
+        for (i, &k) in members.iter().enumerate() {
+            let mut run = if i + 1 == members.len() {
+                detection
+                    .take()
+                    .expect("the last member takes the detection")
+            } else {
+                detection.clone().expect("kept for the later members")
+            };
+            let recovered = run.recover(siblings[k].mechanism);
+            let plan = plans[i].filter(|_| recovered);
+            let pending = plan.is_some() && plans[i + 1..].contains(&plan);
+            let taken = plan.and_then(|p| kept.iter().position(|(q, _)| *q == p));
+            let (r, record, hv) = match taken {
+                Some(j) if pending => run.take_over(kept[j].1.clone(), ctx),
+                Some(j) => run.take_over(kept.swap_remove(j).1, ctx),
+                None if !recovered => run.finish(Stop::End, ctx),
+                None => {
+                    let (stop, on) = run.run_on(ctx, pending);
+                    kept.extend(plan.zip(on));
+                    run.finish(stop, ctx)
+                }
+            };
+            done(k, r, record, hv);
+        }
+    }
+
+    /// Recovers from the pending first detection with `mechanism`;
+    /// `false` if recovery could not run, which ends the trial.
+    fn recover(&mut self, mechanism: &dyn RecoveryMechanism) -> bool {
         self.record.mechanism = mechanism.name().to_string();
         self.obs.detected = true;
         let (hv, events) = (&mut self.hv, &mut self.record.events);
@@ -701,7 +751,7 @@ impl TrialRun {
         }
         let started = hv.now_max();
         events.push(started, TrialEventKind::RecoveryStarted, mechanism.name());
-        let stop = match mechanism.recover(hv) {
+        match mechanism.recover(hv) {
             Ok(r) => {
                 for step in &r.steps {
                     events.push(
@@ -716,15 +766,58 @@ impl TrialRun {
                     format!("total {:?}", r.total),
                 );
                 self.recovery = Some(r);
-                self.advance(ctx)
+                true
             }
             Err(e) => {
                 events.push(hv.now_max(), TrialEventKind::RecoveryAborted, e.to_string());
                 self.obs.recovery_error = Some(e.to_string());
-                Stop::End
+                false
             }
+        }
+    }
+
+    /// Runs the recovered trial on to its end. With `keep`, also returns
+    /// what the run did, for a later member whose recovery leaves the same
+    /// machine.
+    fn run_on(&mut self, ctx: &TrialBounds, keep: bool) -> (Stop, Option<PostRecovery>) {
+        if !keep {
+            return (self.advance(ctx), None);
+        }
+        let recovered = debug_digest(&self.hv);
+        let own = std::mem::take(&mut self.record.events);
+        let stop = self.advance(ctx);
+        let events = std::mem::replace(&mut self.record.events, own);
+        self.record.events.append(&events);
+        let on = PostRecovery {
+            stop: stop.clone(),
+            hv: self.hv.clone(),
+            injector: self.injector.clone(),
+            obs: self.obs.clone(),
+            injection: self.record.injection,
+            events,
+            recovered,
         };
-        self.finish(stop, ctx)
+        (stop, Some(on))
+    }
+
+    /// Finishes the recovered trial with the post-recovery run of an
+    /// earlier member whose plan equals this member's.
+    fn take_over(
+        mut self,
+        on: PostRecovery,
+        ctx: &TrialBounds,
+    ) -> (TrialResult, TrialRecord, Hypervisor) {
+        debug_assert_eq!(
+            debug_digest(&self.hv),
+            on.recovered,
+            "equal recovery plans left different machines"
+        );
+        self.hv = on.hv;
+        self.injector = on.injector;
+        self.obs = on.obs;
+        self.record.injection = on.injection;
+        self.record.events.append(&on.events);
+        self.finish(on.stop, ctx)
     }
 
     /// Classifies the trial where [`TrialRun::advance`] left it.
@@ -760,6 +853,31 @@ impl TrialRun {
             finish_record(&mut self.record, &result, now);
         }
         (result, self.record, self.hv)
+    }
+}
+
+/// Everything [`TrialRun::advance`] writes from a recovery to the trial's
+/// end: what members with one recovery plan share.
+#[derive(Clone)]
+struct PostRecovery {
+    stop: Stop,
+    hv: Hypervisor,
+    injector: Injector,
+    obs: TrialObservations,
+    injection: Option<InjectionPoint>,
+    /// The events the run pushed to the record.
+    events: EventRing,
+    /// The recovered machine's [`debug_digest`].
+    recovered: u64,
+}
+
+/// `hv`'s `state_digest` in debug builds, where sharing a post-recovery
+/// run checks the plan contract; 0 in release builds.
+fn debug_digest(hv: &Hypervisor) -> u64 {
+    if cfg!(debug_assertions) {
+        hv.state_digest()
+    } else {
+        0
     }
 }
 

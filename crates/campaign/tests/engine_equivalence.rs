@@ -602,6 +602,55 @@ fn group_trial_equals_each_rung_alone() {
     }
 }
 
+/// The same on `TwoAppVmVswitch`, whose virtio devices give every rung
+/// from `ReHypeMechanisms` up its own recovery plan: no rung takes over
+/// another's post-recovery run, and each still gets exactly its solo
+/// trial.
+#[test]
+fn vswitch_group_trial_equals_each_rung_alone() {
+    let cache = BootCache::new();
+    let built: Vec<Box<dyn RecoveryMechanism>> = LadderRung::ALL[2..]
+        .iter()
+        .map(|&rung| MechanismSpec::rung(rung).build())
+        .collect();
+    let mechs: Vec<&dyn RecoveryMechanism> = built.iter().map(|m| m.as_ref()).collect();
+    let setup = SetupKind::TwoAppVmVswitch;
+    for seed in [3, 2018] {
+        let cfg = TrialConfig::new(setup, FaultType::Failstop, seed);
+        let (hv, layout) = cache.checkout(&cfg.machine, setup, seed);
+        let plans: Vec<_> = mechs.iter().map(|m| m.plan(&hv)).collect();
+        for (a, plan) in plans.iter().enumerate() {
+            assert!(
+                !plans[a + 1..].contains(plan),
+                "{seed}: rung {a} shares a plan"
+            );
+        }
+        let siblings: Vec<Sibling> = mechs
+            .iter()
+            .map(|&mechanism| Sibling {
+                config: cfg.clone(),
+                mechanism,
+                opts: TrialRunOptions::default(),
+            })
+            .collect();
+        let mut finished = Vec::new();
+        run_trial_group(hv, &layout, &siblings, |k, r, record, hv| {
+            finished.push((k, r, record.to_text(), hv.state_digest()))
+        });
+        assert_eq!(finished.len(), mechs.len(), "{seed}: one trial per rung");
+        for ((k, r, text, digest), mech) in finished.into_iter().zip(&mechs) {
+            let label = format!("{seed}/{}", mech.name());
+            assert!(r.observations.detected, "{label}: detected");
+            let (hv, layout) = cache.checkout(&cfg.machine, setup, seed);
+            let (alone, record, hv) =
+                run_trial_with(hv, &layout, &cfg, *mech, TrialRunOptions::default());
+            assert_eq!(r, alone, "{label}: result (sibling {k})");
+            assert_eq!(text, record.to_text(), "{label}: record");
+            assert_eq!(digest, hv.state_digest(), "{label}: state digest");
+        }
+    }
+}
+
 fn faults() -> impl Strategy<Value = FaultType> {
     prop_oneof![
         Just(FaultType::Failstop),

@@ -5,6 +5,9 @@ use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
+use crate::enhancements::Enhancements;
+use crate::microreset::DiscardPolicy;
+
 /// One recovery step and the latency it contributed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryStep {
@@ -75,6 +78,21 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
+/// What a recovery does to one machine, exactly enough to compare: see
+/// [`RecoveryMechanism::plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryPlan {
+    /// A microreset's discard policy and the enhancements whose steps it
+    /// runs on the machine.
+    Microreset {
+        /// Which execution threads it discards.
+        discard: DiscardPolicy,
+        /// The enhancements it applies, with any the machine gates off
+        /// cleared.
+        enhancements: Enhancements,
+    },
+}
+
 /// A component-level recovery mechanism for the hypervisor.
 ///
 /// Implementations: [`crate::Microreset`] (NiLiHype) and
@@ -101,6 +119,16 @@ pub trait RecoveryMechanism {
     /// [`RecoveryError`] when recovery cannot even be attempted; the caller
     /// records the trial as a recovery failure.
     fn recover(&self, hv: &mut Hypervisor) -> Result<RecoveryReport, RecoveryError>;
+
+    /// What [`RecoveryMechanism::recover`] would do to `hv`, or `None` if
+    /// the mechanism does not say. Two mechanisms whose plans for `hv` are
+    /// equal and `Some` leave bit-identical machines when each recovers a
+    /// copy of `hv` (their reports may still differ in the mechanism
+    /// name), so a trial group runs the post-recovery run once for both.
+    fn plan(&self, hv: &Hypervisor) -> Option<RecoveryPlan> {
+        let _ = hv;
+        None
+    }
 }
 
 #[cfg(test)]

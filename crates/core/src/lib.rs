@@ -56,7 +56,7 @@ mod microreset;
 mod shared;
 
 pub use checkpoint::CheckpointRestore;
-pub use clr::{RecoveryError, RecoveryMechanism, RecoveryReport, RecoveryStep};
+pub use clr::{RecoveryError, RecoveryMechanism, RecoveryPlan, RecoveryReport, RecoveryStep};
 pub use enhancements::{Enhancements, LadderRung};
 pub use latency::CostModel;
 pub use mechanism::MechanismSpec;

@@ -11,7 +11,7 @@ use nlh_hv::hypercalls::OpSupport;
 use nlh_hv::Hypervisor;
 use nlh_sim::SimDuration;
 
-use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryReport};
+use crate::clr::{RecoveryError, RecoveryMechanism, RecoveryPlan, RecoveryReport};
 use crate::enhancements::Enhancements;
 use crate::latency::CostModel;
 use crate::mechanism::MechanismSpec;
@@ -198,6 +198,18 @@ impl RecoveryMechanism for Microreset {
         hv.finish_fsgs(&abandon.in_hv_vcpus, e.save_fsgs);
         report.step("Resume normal operation", cost.microreset_others / 2);
         Ok(report.finish(hv))
+    }
+
+    /// The discard policy and the enhancements, less the virtqueue repair
+    /// on a machine without virtio devices: the only step `recover` gates
+    /// on the machine.
+    fn plan(&self, hv: &Hypervisor) -> Option<RecoveryPlan> {
+        let mut enhancements = self.enhancements;
+        enhancements.virtqueue_consistency &= !hv.virtio.is_empty();
+        Some(RecoveryPlan::Microreset {
+            discard: self.policy,
+            enhancements,
+        })
     }
 }
 
@@ -410,6 +422,25 @@ mod tests {
         let report = mech.recover(&mut hv).unwrap();
         assert!(!report.steps.iter().any(|s| s.name.contains("virtqueue")));
         assert_eq!(hv.virtio.devices[0].queues[0].in_flight(), 1);
+    }
+
+    #[test]
+    fn plan_drops_the_virtqueue_step_only_without_devices() {
+        let plan = |rung: LadderRung, hv: &Hypervisor| {
+            Microreset::with_enhancements(rung.enhancements()).plan(hv)
+        };
+        let (below, top) = (
+            LadderRung::ReactivateTimerEvents,
+            LadderRung::VirtqueueConsistency,
+        );
+        let mut hv = busy_hv();
+        assert_eq!(plan(below, &hv), plan(top, &hv));
+        assert_ne!(plan(LadderRung::Basic, &hv), plan(below, &hv));
+        let dom = hv.domains[1].id;
+        hv.add_virtio_blk(dom);
+        assert_ne!(plan(below, &hv), plan(top, &hv));
+        let faulting = Microreset::new(Enhancements::full(), DiscardPolicy::FaultingThreadOnly);
+        assert_ne!(faulting.plan(&hv), Microreset::nilihype().plan(&hv));
     }
 
     #[test]

@@ -143,6 +143,10 @@ pub struct Scheduler {
     /// loop reads it to re-check the idle CPUs it has jumped ahead, and a
     /// spurious bit costs a rewind, never a result.
     touched: u64,
+    /// Per-vCPU mask of the runqueues that hold it (bit `i` for CPU `i`),
+    /// kept by every runqueue push and removal so that `vcpu_cpus` needs
+    /// no scan. Host-only like the pick cache, and out of `Debug` with it.
+    queued_on: Vec<u64>,
 }
 
 // Hand-written so the pick cache stays out of the Debug output (and thus
@@ -176,6 +180,7 @@ impl Scheduler {
             cache_gen: 1,
             pick_cache: vec![(0, None); num_cpus],
             touched: 0,
+            queued_on: Vec::new(),
         }
     }
 
@@ -191,16 +196,46 @@ impl Scheduler {
     /// (where an enqueue lands) and every CPU whose runqueue holds it (a
     /// torn migration or a corrupted home can leave it on two).
     fn vcpu_cpus(&self, vcpu: VcpuId) -> u64 {
-        let mut mask = self
+        let home = self
             .vcpus
             .get(vcpu.index())
             .map_or(0, |info| cpu_bit(info.pinned_to));
+        let queued = self.queued_on.get(vcpu.index()).copied().unwrap_or(0);
+        debug_assert!(
+            self.runqueues.len() > 64 || queued == self.scan_queued_on(vcpu),
+            "queued-on mask of {vcpu}"
+        );
+        home | queued
+    }
+
+    /// The runqueues that hold `vcpu`, by scanning them all: the reference
+    /// for the `queued_on` mask.
+    fn scan_queued_on(&self, vcpu: VcpuId) -> u64 {
+        let mut mask = 0;
         for (c, rq) in self.runqueues.iter().enumerate() {
             if rq.contains(&vcpu) {
                 mask |= cpu_bit(CpuId::from_index(c));
             }
         }
         mask
+    }
+
+    /// Appends `vcpu` to `cpu`'s runqueue unless it is there already;
+    /// whether it was not.
+    fn push_queued(&mut self, vcpu: VcpuId, cpu: CpuId) -> bool {
+        let rq = &mut self.runqueues[cpu.index()];
+        let absent = !rq.contains(&vcpu);
+        if absent {
+            rq.push_back(vcpu);
+            self.queued_on[vcpu.index()] |= cpu_bit(cpu);
+        }
+        absent
+    }
+
+    /// Removes `vcpu` from `cpu`'s runqueue.
+    fn remove_queued(&mut self, vcpu: VcpuId, cpu: CpuId) {
+        self.runqueues[cpu.index()].retain(|v| *v != vcpu);
+        self.queued_on[vcpu.index()] &= !cpu_bit(cpu);
     }
 
     /// The wake-input mask (see the field docs): the CPUs touched since
@@ -257,7 +292,8 @@ impl Scheduler {
             pending_wake: false,
             block_reason: None,
         });
-        self.runqueues[cpu.index()].push_back(vcpu);
+        self.queued_on.push(0);
+        self.push_queued(vcpu, cpu);
     }
 
     /// Number of registered vCPUs.
@@ -356,16 +392,14 @@ impl Scheduler {
     pub fn dequeue(&mut self, vcpu: VcpuId) {
         self.bump(self.vcpu_cpus(vcpu));
         let cpu = self.vcpus[vcpu.index()].pinned_to;
-        self.runqueues[cpu.index()].retain(|v| *v != vcpu);
+        self.remove_queued(vcpu, cpu);
     }
 
     /// Enqueues `vcpu` on its assigned CPU's runqueue and marks it runnable.
     pub fn enqueue(&mut self, vcpu: VcpuId) {
         self.bump(self.vcpu_cpus(vcpu));
         let cpu = self.vcpus[vcpu.index()].pinned_to;
-        if !self.runqueues[cpu.index()].contains(&vcpu) {
-            self.runqueues[cpu.index()].push_back(vcpu);
-        }
+        self.push_queued(vcpu, cpu);
         let info = &mut self.vcpus[vcpu.index()];
         if info.state != RunState::Offline {
             info.state = RunState::Runnable;
@@ -411,8 +445,8 @@ impl Scheduler {
             self.vcpus[v.index()].running_on = None;
             self.vcpus[v.index()].pending_wake = false;
             self.vcpus[v.index()].block_reason = Some(BlockReason::Offline);
-            for rq in &mut self.runqueues {
-                rq.retain(|x| *x != v);
+            for c in 0..self.runqueues.len() {
+                self.remove_queued(v, CpuId::from_index(c));
             }
             for cur in &mut self.current {
                 if *cur == Some(v) {
@@ -566,16 +600,14 @@ impl Scheduler {
         if self.vcpus[v.index()].state == RunState::Offline {
             return;
         }
-        if !self.runqueues[to.index()].contains(&v) {
-            self.runqueues[to.index()].push_back(v);
-        }
+        self.push_queued(v, to);
     }
 
     /// Migration step 2 (`MicroOp::SchedMigrateDequeue`): leave the source
     /// queue.
     pub fn migrate_dequeue(&mut self, v: VcpuId, from: CpuId) {
         self.bump(self.vcpu_cpus(v) | cpu_bit(from));
-        self.runqueues[from.index()].retain(|x| *x != v);
+        self.remove_queued(v, from);
     }
 
     /// Migration step 3 (`MicroOp::SchedSetAssigned`): the vCPU's home CPU
@@ -735,7 +767,10 @@ impl Scheduler {
             // Canonicalize: each vCPU at most once, on its assigned CPU's
             // queue, only while runnable and not current.
             let Scheduler {
-                runqueues, vcpus, ..
+                runqueues,
+                vcpus,
+                queued_on,
+                ..
             } = self;
             let mut kept = vec![false; vcpus.len()];
             for (c, rq) in runqueues.iter_mut().enumerate() {
@@ -748,6 +783,8 @@ impl Scheduler {
                         && !kept[v.index()];
                     if keep {
                         kept[v.index()] = true;
+                    } else {
+                        queued_on[v.index()] &= !cpu_bit(CpuId::from_index(c));
                     }
                     keep
                 });
@@ -768,9 +805,8 @@ impl Scheduler {
             let info = self.vcpus[i];
             if info.state == RunState::Runnable
                 && !info.is_current
-                && !self.runqueues[info.pinned_to.index()].contains(&v)
+                && self.push_queued(v, info.pinned_to)
             {
-                self.runqueues[info.pinned_to.index()].push_back(v);
                 fixed += 1;
             }
         }

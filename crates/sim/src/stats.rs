@@ -78,16 +78,6 @@ impl Proportion {
         Z95 * (p * (1.0 - p) / n).sqrt()
     }
 
-    /// Half-width of the 95% Wilson score interval, in proportion units.
-    ///
-    /// Campaign snapshots report it as a cell's interval tightens. Zero
-    /// trials report the maximally uninformative half-width of `0.5` (the
-    /// full `[0, 1]` interval).
-    pub fn wilson_halfwidth_95(&self) -> f64 {
-        let (lo, hi) = self.wilson_95();
-        (hi - lo) / 2.0
-    }
-
     /// The 95% Wilson score interval `(lo, hi)`, better behaved near 0 and 1.
     pub fn wilson_95(&self) -> (f64, f64) {
         if self.trials == 0 {
@@ -340,18 +330,6 @@ mod tests {
         let hw = p.wald_halfwidth_95() * 100.0;
         assert!((hw - 1.35).abs() < 0.05, "got {hw}");
         assert_eq!(p.to_string(), "95.0% ± 1.4%");
-    }
-
-    #[test]
-    fn wilson_halfwidth_matches_interval() {
-        let p = Proportion::new(880, 1000);
-        let (lo, hi) = p.wilson_95();
-        assert!((p.wilson_halfwidth_95() - (hi - lo) / 2.0).abs() < 1e-15);
-        // Tightens with more data at the same rate.
-        let small = Proportion::new(88, 100);
-        assert!(p.wilson_halfwidth_95() < small.wilson_halfwidth_95());
-        // Empty cells are maximally uncertain.
-        assert_eq!(Proportion::new(0, 0).wilson_halfwidth_95(), 0.5);
     }
 
     #[test]
