@@ -57,8 +57,8 @@ pub fn netbench_affected(hv: &Hypervisor, bench_secs: u64) -> bool {
     let period_ns = net.period.as_nanos().max(1);
     let per_second = (1_000_000_000 / period_ns).max(1);
     let mut answered = vec![false; net.seq as usize + 1];
-    for (seq, _) in &hv.net_replies {
-        if let Some(slot) = answered.get_mut(*seq as usize) {
+    for (seq, _) in hv.net_replies.iter() {
+        if let Some(slot) = answered.get_mut(seq as usize) {
             *slot = true;
         }
     }

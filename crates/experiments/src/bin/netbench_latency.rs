@@ -8,37 +8,10 @@
 //! end-to-end: boot, run, inject a fail-stop fault, recover with each
 //! mechanism, and report the gap.
 
-use nlh_campaign::{build_system, BenchKind, SetupKind};
 use nlh_core::{Microreboot, Microreset, RecoveryMechanism};
-use nlh_experiments::hr;
+use nlh_experiments::{hr, netbench_reply_gap};
 use nlh_hv::MachineConfig;
-use nlh_sim::{SimDuration, SimTime};
-
-/// Runs NetBench, injects a fail-stop at ~4 s, recovers, and returns the
-/// longest inter-reply gap seen by the sender.
-fn measure(mech: &dyn RecoveryMechanism, seed: u64) -> SimDuration {
-    let (mut hv, _) = build_system(
-        MachineConfig::paper(),
-        SetupKind::OneAppVm(BenchKind::NetBench),
-        seed,
-    );
-    hv.support = mech.op_support();
-    hv.run_until(SimTime::from_secs(4));
-    assert!(hv.detection().is_none(), "fault-free run must be clean");
-    hv.raise_panic(nlh_sim::CpuId(1), "injected fail-stop");
-    mech.recover(&mut hv).expect("recovery runs");
-    hv.run_until(SimTime::from_secs(8));
-    assert!(hv.detection().is_none(), "post-recovery run must be clean");
-
-    // Sender-side analysis: longest gap between consecutive reply times.
-    let mut times: Vec<SimTime> = hv.net_replies.iter().map(|(_, t)| *t).collect();
-    times.sort_unstable();
-    times
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .max()
-        .unwrap_or(SimDuration::ZERO)
-}
+use nlh_sim::SimDuration;
 
 fn main() {
     let opts = nlh_experiments::ExpOptions::from_args();
@@ -57,7 +30,7 @@ fn main() {
         let mut worst = SimDuration::ZERO;
         let mut best = SimDuration::from_secs(3600);
         for r in 0..5 {
-            let gap = measure(mech, opts.seed + r);
+            let gap = netbench_reply_gap(MachineConfig::paper(), mech, opts.seed + r);
             worst = worst.max(gap);
             best = best.min(gap);
         }

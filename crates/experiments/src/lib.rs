@@ -23,6 +23,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use nlh_campaign::{build_system, BenchKind, SetupKind};
+use nlh_core::RecoveryMechanism;
+use nlh_hv::MachineConfig;
+use nlh_sim::{SimDuration, SimTime};
+
 /// Command-line options shared by the experiment binaries.
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
@@ -74,6 +79,38 @@ impl ExpOptions {
     }
 }
 
+/// Section VII-B's recovery latency as NetBench's sender sees it: runs
+/// 1AppVM NetBench on `machine` for 4 s, injects a fail-stop, recovers
+/// with `mech`, runs to 8 s, and returns the longest gap between
+/// consecutive reply times.
+///
+/// # Panics
+///
+/// Panics if a detector fires in the fault-free run or after recovery,
+/// or if `mech` cannot recover.
+pub fn netbench_reply_gap(
+    machine: MachineConfig,
+    mech: &dyn RecoveryMechanism,
+    seed: u64,
+) -> SimDuration {
+    let (mut hv, _) = build_system(machine, SetupKind::OneAppVm(BenchKind::NetBench), seed);
+    hv.support = mech.op_support();
+    hv.run_until(SimTime::from_secs(4));
+    assert!(hv.detection().is_none(), "fault-free run must be clean");
+    hv.raise_panic(nlh_sim::CpuId(1), "injected fail-stop");
+    mech.recover(&mut hv).expect("recovery runs");
+    hv.run_until(SimTime::from_secs(8));
+    assert!(hv.detection().is_none(), "post-recovery run must be clean");
+
+    let mut times: Vec<SimTime> = hv.net_replies.iter().map(|(_, t)| t).collect();
+    times.sort_unstable();
+    times
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .max()
+        .unwrap_or(SimDuration::ZERO)
+}
+
 /// Prints a horizontal rule sized for the standard table width.
 pub fn hr() {
     println!("{}", "-".repeat(78));
@@ -100,5 +137,18 @@ mod tests {
     fn count_uses_paper_size_with_full() {
         assert_eq!(opts(None, true).count(10, 1000), 1000);
         assert_eq!(opts(None, false).count(10, 1000), 10);
+    }
+
+    /// The reply gap on the campaign machine, pinned exactly: recovery
+    /// pauses every VM, so the sender's longest gap is the recovery
+    /// latency plus the queued replies' drain.
+    #[test]
+    fn netbench_reply_gap_pins_section_7b_on_the_small_machine() {
+        use nlh_core::{Microreboot, Microreset};
+        let gap = |mech: &dyn RecoveryMechanism| {
+            netbench_reply_gap(MachineConfig::small(), mech, 2018).as_nanos()
+        };
+        assert_eq!(gap(&Microreset::nilihype()), 2_213_062);
+        assert_eq!(gap(&Microreboot::rehype()), 451_361_123);
     }
 }

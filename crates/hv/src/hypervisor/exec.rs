@@ -286,8 +286,7 @@ impl Hypervisor {
             MicroOp::SchedMigrateDequeue { v, from } => self.sched.migrate_dequeue(v, from),
             MicroOp::SchedSetAssigned { v, to } => self.sched.set_assigned(v, to),
             MicroOp::RecordNetReply(seq) => {
-                let now = self.cpu_now[i];
-                self.net_replies.push((seq, now));
+                self.net_replies.push(seq, self.cpu_now[i]);
             }
             // Virtio ring micro-ops are lenient: on an empty window they do
             // nothing (a retried or repaired transaction re-runs the whole

@@ -37,6 +37,7 @@ use crate::hypercalls::{
 use crate::interrupts::{IrqSubsystem, VEC_BLK, VEC_NET};
 use crate::locks::{LockPlacement, LockRegistry};
 use crate::mem::{Heap, HeapObjKind, PageFrameTable, PageState};
+use crate::netlog::NetReplyLog;
 use crate::percpu::PerCpu;
 use crate::sched::Scheduler;
 use crate::timers::{TimerEvent, TimerEventKind, TimerSubsystem};
@@ -150,7 +151,7 @@ pub struct Hypervisor {
     /// External NetBench traffic source, if configured.
     pub net: Option<NetTraffic>,
     /// `(seq, time)` of every NetBench reply observed by the sender.
-    pub net_replies: Vec<(u64, SimTime)>,
+    pub net_replies: NetReplyLog,
     /// Virtio devices and the virtual switch connecting net ports.
     pub virtio: nlh_virtio::VirtioState,
     /// Domain specifications waiting for a `domctl` create hypercall.
@@ -326,7 +327,7 @@ impl Hypervisor {
             pft,
             rng: Pcg64::seed_from_u64(seed),
             net: None,
-            net_replies: Vec::new(),
+            net_replies: NetReplyLog::default(),
             virtio: nlh_virtio::VirtioState::new(),
             create_queue: VecDeque::new(),
             undo_log: Vec::new(),

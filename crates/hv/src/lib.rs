@@ -8,6 +8,8 @@
 //!
 //! * [`mem`] — page-frame descriptors (validation bit + use counter), the
 //!   hypervisor heap, and guest page mappings.
+//! * [`netlog`] — the NetBench sender's reply log, stored compactly and
+//!   exactly.
 //! * [`locks`] — spinlocks, split into the *static segment* (the array the
 //!   paper's "unlock static locks" enhancement iterates) and heap locks.
 //! * [`percpu`] — per-CPU state: `local_irq_count`, the hypervisor stack,
@@ -57,6 +59,7 @@ pub mod interrupts;
 pub mod invariants;
 pub mod locks;
 pub mod mem;
+pub mod netlog;
 pub mod percpu;
 pub mod sched;
 pub mod timers;

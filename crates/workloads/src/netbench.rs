@@ -2,11 +2,14 @@
 //!
 //! An external sender (modelled by [`nlh_hv::Hypervisor::attach_net_traffic`])
 //! emits one UDP packet per millisecond; the receiver inside the AppVM
-//! replies to each. The sender-side reply log (`Hypervisor::net_replies`)
-//! is the measurement surface: service interruption shows up as a gap in
-//! reply times (Section VII-B), and packet loss beyond the ring capacity
-//! shows up as missing sequence numbers (the 10%-per-second failure
-//! criterion of Section VI-A is evaluated by the campaign's analyzer).
+//! replies to each. The sender-side reply log (`Hypervisor::net_replies`,
+//! an [`nlh_hv::netlog::NetReplyLog`] that keeps every reply's sequence
+//! number and arrival time exactly, in about 5 bytes) is the measurement
+//! surface: service interruption shows up as a gap in reply times
+//! (Section VII-B, `nlh_experiments::netbench_reply_gap`), and packet
+//! loss beyond the ring capacity shows up as missing sequence numbers
+//! (the 10%-per-second failure criterion of Section VI-A is evaluated by
+//! the campaign's analyzer, `nlh_campaign::classify::netbench_affected`).
 
 use std::collections::VecDeque;
 

@@ -24,7 +24,7 @@ fn main() {
         let report = mech.recover(&mut hv).expect("recovery runs");
         hv.run_until(SimTime::from_secs(6));
 
-        let mut times: Vec<SimTime> = hv.net_replies.iter().map(|(_, t)| *t).collect();
+        let mut times: Vec<SimTime> = hv.net_replies.iter().map(|(_, t)| t).collect();
         times.sort_unstable();
         let max_gap = times
             .windows(2)
